@@ -181,11 +181,14 @@ doc-gate:
 	$(GO) run ./cmd/apidump -check-docs -pkgs ./...
 	@echo "doc gate: every exported symbol is documented"
 
-# Short coverage-guided fuzz of the incremental-engine parity invariant
-# and the query-plan parity invariant (greedy = naive = brute force).
+# Short coverage-guided fuzz of the incremental-engine parity invariant,
+# the query-plan parity invariant (greedy = naive = brute force), and
+# the /v1/query decoder (arbitrary bytes never panic the planner or the
+# executor; every rejection is an ErrBadQuery 400).
 fuzz:
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzEngineParity -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run=NONE -fuzz=FuzzQueryPlanParity -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/query -run=NONE -fuzz=FuzzWireQueryDecode -fuzztime=$(FUZZTIME)
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -294,21 +294,45 @@ func (r *BulkResult) Possible(x int, key string) []tn.Value {
 // object. A nil error with an empty slice means the node genuinely has no
 // possible values (unreachable from any root).
 func (r *BulkResult) Lookup(x int, key string) ([]tn.Value, error) {
-	i, ok := r.idx[key]
-	if !ok {
-		return nil, ErrUnknownObject
+	o, err := r.Object(key)
+	if err != nil {
+		return nil, err
 	}
-	if x < 0 || x >= len(r.c.nodeSupport) {
+	if x < 0 || x >= len(o.support) {
 		return nil, ErrOutOfRange
 	}
+	return o.Possible(x), nil
+}
+
+// ObjectSets is one resolved object's possible-value sets, addressable by
+// node: the per-object half of Lookup, for readers that visit many nodes
+// of one object and should pay the key probe once.
+type ObjectSets struct {
+	support []int32      // node -> support ID; -1 when poss is empty
+	poss    [][]tn.Value // support ID -> sorted distinct values
+}
+
+// Object locates one resolved object; the errors are Lookup's
+// ErrUnknownObject and ErrResolveAborted.
+func (r *BulkResult) Object(key string) (ObjectSets, error) {
+	i, ok := r.idx[key]
+	if !ok {
+		return ObjectSets{}, ErrUnknownObject
+	}
 	if !r.done[i] {
-		return nil, ErrResolveAborted
+		return ObjectSets{}, ErrResolveAborted
 	}
-	id := r.c.nodeSupport[x]
-	if id < 0 {
-		return nil, nil
+	return ObjectSets{support: r.c.nodeSupport, poss: r.poss[i]}, nil
+}
+
+// Possible returns poss(x, k), sorted; the slice is shared, do not modify.
+// It is nil when x is not a node of the compiled network or has no
+// possible values.
+func (o ObjectSets) Possible(x int) []tn.Value {
+	if x < 0 || x >= len(o.support) || o.support[x] < 0 {
+		return nil
 	}
-	return r.poss[i][id], nil
+	return o.poss[o.support[x]]
 }
 
 // Certain returns cert(x, k): the single possible value, or tn.NoValue —

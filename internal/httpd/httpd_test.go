@@ -7,7 +7,9 @@ package httpd_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +19,8 @@ import (
 
 	"trustmap"
 	"trustmap/internal/httpd"
+	"trustmap/internal/query"
+	"trustmap/internal/shard"
 	"trustmap/wire"
 )
 
@@ -230,6 +234,8 @@ func TestHandlerErrors(t *testing.T) {
 			`{"beliefs": {"a": "v", "b": "v", "c": "v", "d": "v"}}`, 413},
 		{"resolution: unknown object", "GET", "/v1/objects/ghost/resolution?users=alice", "", 404},
 		{"resolution: no users", "GET", "/v1/objects/ghost/resolution", "", 400},
+		{"query: malformed JSON", "POST", "/v1/query", `{"where": [`, 400},
+		{"query: unknown column", "POST", "/v1/query", `{"where": [{"col": "nope", "op": "eq", "value": "x"}]}`, 400},
 		{"wrong method: mutate", "GET", "/v1/mutate", "", 405},
 		{"wrong method: objects", "POST", "/v1/objects", "", 405},
 	} {
@@ -253,6 +259,24 @@ func TestHandlerErrors(t *testing.T) {
 				t.Errorf("%s: 413 limit = %d (err %v), want 3 (body %s)", tc.name, er.Limit, err, rec.Body.String())
 			}
 		}
+	}
+}
+
+// failingQuery is a backend whose queries compile and then fail.
+type failingQuery struct{ shard.Backend }
+
+func (failingQuery) Query(context.Context, wire.Query) (*query.Result, error) {
+	return nil, errors.New("scan failed")
+}
+
+// TestQueryRuntimeFailureIs500: a valid query that fails while it runs
+// is the server's failure, not the caller's (query.ErrBadQuery's
+// contract: exactly the compile-time rejections are 400).
+func TestQueryRuntimeFailureIs500(t *testing.T) {
+	h := httpd.NewBackend(failingQuery{shard.NewSingleStore(testStore(t))}, httpd.Config{})
+	rec, out := postJSON(t, h, "/v1/query", wire.Query{})
+	if rec.Code != http.StatusInternalServerError || out["error"] == nil {
+		t.Fatalf("status %d, body %v; want 500 with an error body", rec.Code, out)
 	}
 }
 

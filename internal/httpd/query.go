@@ -29,7 +29,9 @@ func (srv *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		srv.storeError(w, err, http.StatusBadRequest)
+		// Anything else failed at run time, on a valid query: not the
+		// caller's fault (query.ErrBadQuery's contract).
+		srv.storeError(w, err, http.StatusInternalServerError)
 		return
 	}
 	srv.queries.Add(1)

@@ -8,10 +8,12 @@ package query
 // function decomposes.
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"trustmap"
@@ -32,9 +34,6 @@ type Result struct {
 	// Stats describes how the query ran.
 	Stats wire.QueryStats
 }
-
-// getter resolves one column of the current tuple.
-type getter func(col string) any
 
 // Run executes a compiled plan against a site. The context cancels
 // mid-scan: operator pulls ride the site's Resolved stream, which
@@ -58,8 +57,12 @@ func Run(ctx context.Context, site Site, p *Plan) (*Result, error) {
 	ex := newExec(site, p)
 	out := [][]any{}
 	stopLimit := p.limit > 0 && len(p.orderBy) == 0
-	stopped, err := ex.scan(ctx, func(get getter) bool {
-		out = append(out, ex.project(get))
+	stopped, err := ex.scan(ctx, func(t *tuple) bool {
+		vals := make([]any, len(p.sel))
+		for i, slot := range p.sel {
+			vals[i] = t.box(slot)
+		}
+		out = append(out, vals)
 		return !(stopLimit && len(out) >= p.limit)
 	})
 	if err != nil {
@@ -79,31 +82,44 @@ func Run(ctx context.Context, site Site, p *Plan) (*Result, error) {
 	if !ex.hasEpoch {
 		epoch = site.Epoch()
 	}
-	return &Result{Columns: append([]string{}, p.sel...), Rows: out, Epoch: epoch, Stats: ex.stats}, nil
+	return &Result{Columns: append([]string{}, p.cols...), Rows: out, Epoch: epoch, Stats: ex.stats}, nil
 }
 
-// exec is the per-run scan state.
+// exec is the per-run scan state: the reader and every buffer a row
+// touches are allocated here, once, and reused for all rows.
 type exec struct {
 	site     Site
 	p        *Plan
-	all      []string        // the user universe, sorted
-	userSet  map[string]bool // left-side membership under a user pushdown
+	users    []string            // the scanned users, sorted: the pushdown's, or the universe
+	inLeft   []bool              // join under a user pushdown: users admitted on the left side
+	rd       *trustmap.RowReader // over users
 	stats    wire.QueryStats
 	epoch    uint64
 	hasEpoch bool
+
+	t           tuple    // the tuple handed to predicates and yield
+	cur         row      // the row being built
+	left, right []row    // one object's filtered join sides
+	poss        []string // backing array of one object's possible columns
 }
 
 func newExec(site Site, p *Plan) *exec {
-	ex := &exec{site: site, p: p}
+	ex := &exec{site: site, p: p, users: p.users}
 	ex.stats.PredicatesReordered = p.reordered
-	ex.all = append([]string{}, site.Users()...)
-	sort.Strings(ex.all)
-	if p.hasUsers {
-		ex.userSet = make(map[string]bool, len(p.users))
-		for _, u := range p.users {
-			ex.userSet[u] = true
+	// A join's right side always draws from the full user universe: a
+	// user pushdown in where restricts only the left side, exactly like
+	// the user filter it replaces.
+	if !p.hasUsers || p.join != nil {
+		ex.users = append([]string{}, site.Users()...)
+		sort.Strings(ex.users)
+		if p.hasUsers {
+			ex.inLeft = make([]bool, len(ex.users))
+			for i, u := range ex.users {
+				_, ex.inLeft[i] = slices.BinarySearch(p.users, u)
+			}
 		}
 	}
+	ex.rd = trustmap.NewRowReader(ex.users)
 	return ex
 }
 
@@ -116,7 +132,7 @@ func (ex *exec) noteEpoch(e uint64) {
 // scan drives the object source — the key pushdown's point lookups, or
 // the site's pinned key-ordered stream — through per-object row
 // generation, reporting whether yield stopped it early.
-func (ex *exec) scan(ctx context.Context, yield func(getter) bool) (stopped bool, err error) {
+func (ex *exec) scan(ctx context.Context, yield func(*tuple) bool) (stopped bool, err error) {
 	if ex.p.hasUsers && len(ex.p.users) == 0 {
 		// Contradictory user equalities: provably empty before any work.
 		ex.stats.EarlyTerminated = true
@@ -136,9 +152,8 @@ func (ex *exec) scan(ctx context.Context, yield func(getter) bool) (stopped bool
 				return false, err
 			}
 			ex.stats.KeyLookups++
-			ex.noteEpoch(or.Epoch())
-			if !ex.object(or, yield) {
-				return true, nil
+			if stopped, err := ex.object(or, yield); stopped || err != nil {
+				return stopped, err
 			}
 		}
 		return false, nil
@@ -147,192 +162,101 @@ func (ex *exec) scan(ctx context.Context, yield func(getter) bool) (stopped bool
 		if err != nil {
 			return false, err
 		}
-		ex.noteEpoch(or.Epoch())
-		if !ex.object(or, yield) {
-			return true, nil
+		if stopped, err := ex.object(or, yield); stopped || err != nil {
+			return stopped, err
 		}
 	}
 	return false, nil
 }
 
 // object generates and filters the relation rows of one resolved
-// object; with a join clause it pairs the object's filtered left rows
-// against its filtered right rows (joins are per-object by
-// construction: on must include "object").
-func (ex *exec) object(or trustmap.ObjectRow, yield func(getter) bool) bool {
-	beliefs, _ := ex.site.Object(or.Object)
+// object, reporting whether yield stopped it; with a join clause it
+// pairs the object's filtered left rows against its filtered right rows
+// (joins are per-object by construction: on must include "object").
+func (ex *exec) object(or trustmap.ObjectRow, yield func(*tuple) bool) (stopped bool, err error) {
+	if err := ex.rd.Reset(or); err != nil {
+		return false, err
+	}
+	ex.noteEpoch(or.Epoch())
+	ex.poss = ex.poss[:0]
+	ex.t = tuple{&ex.cur}
 	if ex.p.join == nil {
-		users := ex.all
-		if ex.p.hasUsers {
-			users = ex.p.users
-		}
-		for _, u := range users {
-			r, ok := makeRow(or, beliefs, u)
-			if !ok {
+		for i := range ex.users {
+			if !ex.fill(or.Object, i) {
 				continue
 			}
 			ex.stats.RowsScanned++
-			if !evalPreds(ex.p.filters, r.value) {
-				continue
-			}
-			if !yield(r.value) {
-				return false
+			if pass(ex.p.filters, &ex.t) && !yield(&ex.t) {
+				return true, nil
 			}
 		}
-		return true
+		return false, nil
 	}
 
-	// The right side always draws from the full user universe: a user
-	// pushdown in where restricts only the left side, exactly like the
-	// user filter it replaces.
-	var left, right []*row
-	for _, u := range ex.all {
-		r, ok := makeRow(or, beliefs, u)
-		if !ok {
+	left, right := ex.left[:0], ex.right[:0]
+	for i := range ex.users {
+		if !ex.fill(or.Object, i) {
 			continue
 		}
 		ex.stats.RowsScanned++
-		if (ex.userSet == nil || ex.userSet[r.user]) && evalPreds(ex.p.filters, r.value) {
-			left = append(left, &r)
+		if (ex.inLeft == nil || ex.inLeft[i]) && pass(ex.p.filters, &ex.t) {
+			left = append(left, ex.cur)
 		}
-		if evalPreds(ex.p.join.where, r.value) {
-			right = append(right, &r)
+		if pass(ex.p.join.where, &ex.t) {
+			right = append(right, ex.cur)
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
-		return true // empty build side: skip the pairing entirely
-	}
-	for _, l := range left {
-		for _, rr := range right {
-			if !onMatch(ex.p.join.on, l, rr) {
-				continue
-			}
-			get := joinGetter(l, rr)
-			if !evalPreds(ex.p.postJoin, get) {
-				continue
-			}
-			if !yield(get) {
-				return false
+	ex.left, ex.right = left, right
+	for l := range left {
+		for r := range right {
+			ex.t = tuple{&left[l], &right[r]}
+			if pass(ex.p.join.on, &ex.t) && pass(ex.p.postJoin, &ex.t) && !yield(&ex.t) {
+				return true, nil
 			}
 		}
 	}
-	return true
+	return false, nil
 }
 
-// project materializes the selected output columns of one tuple.
-func (ex *exec) project(get getter) []any {
-	out := make([]any, len(ex.p.sel))
-	for i, c := range ex.p.sel {
-		out[i] = get(c)
-	}
-	return out
-}
-
-// joinGetter resolves r_-prefixed columns on the right row and
-// everything else on the left.
-func joinGetter(l, r *row) getter {
-	return func(col string) any {
-		if rest, ok := strings.CutPrefix(col, rightPrefix); ok {
-			return r.value(rest)
-		}
-		return l.value(col)
-	}
-}
-
-// onMatch reports whether the extra join-on columns (beyond object,
-// which matches by construction) agree.
-func onMatch(on []string, l, r *row) bool {
-	for _, c := range on {
-		if l.value(c) != r.value(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// evalPreds reports whether the tuple passes every predicate, in order.
-func evalPreds(preds []pred, get getter) bool {
-	for i := range preds {
-		if !preds[i].eval(get) {
-			return false
-		}
-	}
-	return true
-}
-
-// eval applies one compiled predicate to the current tuple.
-func (p *pred) eval(get getter) bool {
-	v := get(p.col)
-	if v == nil {
-		return false // an empty-group min/max in having
-	}
-	if p.colB != "" {
-		w := get(p.colB)
-		if w == nil {
-			return false
-		}
-		return cmpOrdOK(cmpVals(p.kind, v, w), p.op)
-	}
-	switch p.kind {
-	case kindStrings:
-		for _, s := range v.([]string) {
-			if s == p.str {
-				return true
-			}
-		}
+// fill builds the current object's row for the i-th scanned user into
+// ex.cur, writing only the columns the plan references beyond the free
+// ones; false when the user is unknown to the network (no row exists).
+func (ex *exec) fill(object string, i int) bool {
+	certain, n, ok := ex.rd.Lookup(i)
+	if !ok {
 		return false
-	case kindBool:
-		b := v.(bool)
-		if p.op == wire.PredEq {
-			return b == p.b
-		}
-		return b != p.b
-	case kindString:
-		s := v.(string)
-		switch p.op {
-		case wire.PredIn:
-			for _, w := range p.strs {
-				if s == w {
-					return true
-				}
-			}
-			return false
-		case wire.PredPrefix:
-			return strings.HasPrefix(s, p.str)
-		default:
-			return cmpOrdOK(strings.Compare(s, p.str), p.op)
-		}
-	default: // kindInt, kindFloat
-		f, _ := toFloat(v)
-		if p.op == wire.PredIn {
-			for _, w := range p.nums {
-				if f == w {
-					return true
-				}
-			}
-			return false
-		}
-		return cmpOrdOK(cmpFloat(f, p.num), p.op)
 	}
+	r := &ex.cur
+	r.strs[slotObject], r.strs[slotUser], r.strs[slotCertain] = object, ex.users[i], certain
+	r.count = n
+	hasCertain := certain != ""
+	r.setBool(slotHasCertain, hasCertain)
+	r.setBool(slotConflicted, n > 1)
+	if ex.p.need&beliefCols != 0 {
+		belief, stated := ex.rd.Belief(i)
+		r.strs[slotBelief] = belief
+		r.setBool(slotHasBelief, stated)
+		r.setBool(slotAgrees, stated && hasCertain && belief == certain)
+		r.setBool(slotDisagrees, stated && hasCertain && belief != certain)
+	}
+	if ex.p.need&(1<<slotPossible) != 0 {
+		at := len(ex.poss)
+		ex.poss = ex.rd.AppendPossible(ex.poss, i)
+		r.poss = ex.poss[at:len(ex.poss):len(ex.poss)]
+	}
+	return true
 }
 
-// cmpOrdOK maps a three-way comparison onto an ordered operator.
-func cmpOrdOK(c int, op string) bool {
-	switch op {
-	case wire.PredEq:
-		return c == 0
-	case wire.PredNe:
-		return c != 0
-	case wire.PredLt:
-		return c < 0
-	case wire.PredLe:
-		return c <= 0
-	case wire.PredGt:
-		return c > 0
-	case wire.PredGe:
-		return c >= 0
+func (r *row) setBool(slot int, v bool) { r.bools[slot-slotHasCertain] = v }
+
+// pass reports whether the tuple passes every predicate, in order.
+func pass(preds []rowPred, t *tuple) bool {
+	for _, p := range preds {
+		if !p(t) {
+			return false
+		}
 	}
-	return false
+	return true
 }
 
 func cmpFloat(a, b float64) int {
@@ -343,6 +267,16 @@ func cmpFloat(a, b float64) int {
 		return 1
 	}
 	return 0
+}
+
+func cmpBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case !a:
+		return -1
+	}
+	return 1
 }
 
 // cmpVals three-way-compares two column values of one kind; nil (an
@@ -361,14 +295,7 @@ func cmpVals(k kind, a, b any) int {
 	case kindString:
 		return strings.Compare(a.(string), b.(string))
 	case kindBool:
-		ab, bb := a.(bool), b.(bool)
-		switch {
-		case ab == bb:
-			return 0
-		case !ab:
-			return -1
-		}
-		return 1
+		return cmpBool(a.(bool), b.(bool))
 	default:
 		fa, _ := toFloat(a)
 		fb, _ := toFloat(b)
@@ -397,11 +324,12 @@ func sortRows(rows [][]any, p *Plan) {
 // --- aggregation ---------------------------------------------------------
 
 // aggState is one aggregate's decomposable accumulator: (sum, n) covers
-// count/sum/avg/rate exactly, mm the running min or max.
+// count/sum/avg/rate exactly; a running min or max lives in n (integer
+// input) or str (string input) once seen.
 type aggState struct {
 	n    int64
 	sum  float64
-	mm   any
+	str  string
 	seen bool
 }
 
@@ -429,14 +357,20 @@ func RunPartial(ctx context.Context, site Site, p *Plan) (*Partial, error) {
 	}
 	ex := newExec(site, p)
 	part := &Partial{groups: map[string]*accum{}}
-	_, err := ex.scan(ctx, func(get getter) bool {
-		key, vals := groupKey(p, get)
-		a := part.groups[key]
+	var key []byte // reused: probing with string(key) does not allocate
+	_, err := ex.scan(ctx, func(t *tuple) bool {
+		key = appendGroupKey(key[:0], p.groupBy, t)
+		a := part.groups[string(key)]
 		if a == nil {
-			a = &accum{keyVals: vals, aggs: make([]aggState, len(p.aggs))}
-			part.groups[key] = a
+			a = &accum{keyVals: make([]any, len(p.groupBy)), aggs: make([]aggState, len(p.aggs))}
+			for i, c := range p.groupBy {
+				a.keyVals[i] = t.box(c.slot)
+			}
+			part.groups[string(key)] = a
 		}
-		accumulate(a, p, get)
+		for i := range p.aggs {
+			p.aggs[i].fold(&a.aggs[i], t)
+		}
 		return true
 	})
 	if err != nil {
@@ -447,79 +381,27 @@ func RunPartial(ctx context.Context, site Site, p *Plan) (*Partial, error) {
 	return part, nil
 }
 
-// groupKey encodes the tuple's group-by values into a map key and
-// returns the values themselves. Kinds are fixed per column, so the
-// NUL-joined encoding is unambiguous.
-func groupKey(p *Plan, get getter) (string, []any) {
-	if len(p.groupBy) == 0 {
-		return "", nil
-	}
-	vals := make([]any, len(p.groupBy))
-	var b strings.Builder
-	for i, c := range p.groupBy {
-		v := get(c)
-		vals[i] = v
-		if i > 0 {
-			b.WriteByte(0)
-		}
-		switch p.groupKinds[i] {
+// appendGroupKey encodes the tuple's group-by values as a map key.
+// Strings are length-prefixed and the other kinds self-delimiting, so
+// no value's bytes can be read as part of its neighbour.
+func appendGroupKey(b []byte, groupBy []column, t *tuple) []byte {
+	for _, c := range groupBy {
+		r, s := t[c.slot/numBase], c.slot%numBase
+		switch c.kind {
 		case kindString:
-			b.WriteString(v.(string))
-		case kindBool:
-			if v.(bool) {
-				b.WriteByte('t')
-			} else {
-				b.WriteByte('f')
+			b = binary.AppendUvarint(b, uint64(len(r.strs[s])))
+			b = append(b, r.strs[s]...)
+		case kindInt:
+			b = binary.AppendVarint(b, int64(r.count))
+		default: // kindBool
+			v := byte(0)
+			if r.bools[s-slotHasCertain] {
+				v = 1
 			}
-		default:
-			f, _ := toFloat(v)
-			b.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
+			b = append(b, v)
 		}
 	}
-	return b.String(), vals
-}
-
-// accumulate folds one tuple into its group.
-func accumulate(a *accum, p *Plan, get getter) {
-	for i := range p.aggs {
-		ap := &p.aggs[i]
-		st := &a.aggs[i]
-		switch ap.fn {
-		case wire.AggCount:
-			st.n++
-		case wire.AggSum, wire.AggAvg:
-			f := numInput(get(ap.of))
-			st.sum += f
-			st.n++
-		case wire.AggRate:
-			if get(ap.of).(bool) {
-				st.sum++
-			}
-			st.n++
-		case wire.AggMin:
-			v := get(ap.of)
-			if !st.seen || cmpVals(ap.inKind, v, st.mm) < 0 {
-				st.mm, st.seen = v, true
-			}
-		case wire.AggMax:
-			v := get(ap.of)
-			if !st.seen || cmpVals(ap.inKind, v, st.mm) > 0 {
-				st.mm, st.seen = v, true
-			}
-		}
-	}
-}
-
-// numInput widens an aggregate input value: booleans count as 0/1.
-func numInput(v any) float64 {
-	if b, ok := v.(bool); ok {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	f, _ := toFloat(v)
-	return f
+	return b
 }
 
 // Finalize merges partial aggregations — per-shard scatter results, or
@@ -532,7 +414,7 @@ func Finalize(partials []*Partial, p *Plan) (*Result, error) {
 	if !p.Aggregated() {
 		return nil, errors.New("query: Finalize needs an aggregate plan")
 	}
-	res := &Result{Columns: append([]string{}, p.sel...)}
+	res := &Result{Columns: append([]string{}, p.cols...)}
 	merged := map[string]*accum{}
 	first := true
 	for _, part := range partials {
@@ -553,7 +435,7 @@ func Finalize(partials []*Partial, p *Plan) (*Result, error) {
 				merged[key] = m
 			}
 			for i := range a.aggs {
-				mergeAgg(&p.aggs[i], &m.aggs[i], &a.aggs[i])
+				p.aggs[i].merge(&m.aggs[i], &a.aggs[i])
 			}
 		}
 	}
@@ -569,9 +451,8 @@ func Finalize(partials []*Partial, p *Plan) (*Result, error) {
 		groups = append(groups, a)
 	}
 	sort.Slice(groups, func(i, j int) bool {
-		for c := range p.groupBy {
-			cmp := cmpVals(p.groupKinds[c], groups[i].keyVals[c], groups[j].keyVals[c])
-			if cmp != 0 {
+		for c, col := range p.groupBy {
+			if cmp := cmpVals(col.kind, groups[i].keyVals[c], groups[j].keyVals[c]); cmp != 0 {
 				return cmp < 0
 			}
 		}
@@ -579,14 +460,18 @@ func Finalize(partials []*Partial, p *Plan) (*Result, error) {
 	})
 
 	rows := [][]any{}
+	vals := make([]any, 0, len(p.groupBy)+len(p.aggs)) // the group output row
 	for _, a := range groups {
-		get := groupGetter(p, a)
-		if !evalPreds(p.having, get) {
+		vals = append(vals[:0], a.keyVals...)
+		for i := range p.aggs {
+			vals = append(vals, p.aggs[i].value(&a.aggs[i]))
+		}
+		if !passOut(p.having, vals) {
 			continue
 		}
 		out := make([]any, len(p.sel))
-		for i, c := range p.sel {
-			out[i] = get(c)
+		for i, at := range p.sel {
+			out[i] = vals[at]
 		}
 		rows = append(rows, out)
 	}
@@ -601,16 +486,28 @@ func Finalize(partials []*Partial, p *Plan) (*Result, error) {
 	return res, nil
 }
 
-// mergeAgg folds one partial aggregate state into the merged one.
-func mergeAgg(ap *aggPlan, dst, src *aggState) {
-	switch ap.fn {
-	case wire.AggMin:
-		if src.seen && (!dst.seen || cmpVals(ap.inKind, src.mm, dst.mm) < 0) {
-			dst.mm, dst.seen = src.mm, true
+func passOut(preds []outPred, vals []any) bool {
+	for _, p := range preds {
+		if !p(vals) {
+			return false
 		}
-	case wire.AggMax:
-		if src.seen && (!dst.seen || cmpVals(ap.inKind, src.mm, dst.mm) > 0) {
-			dst.mm, dst.seen = src.mm, true
+	}
+	return true
+}
+
+// merge folds one partial aggregate state into the merged one.
+func (ap *aggPlan) merge(dst, src *aggState) {
+	switch ap.fn {
+	case wire.AggMin, wire.AggMax:
+		if !src.seen {
+			return
+		}
+		c := cmp.Compare(src.n, dst.n)
+		if ap.inKind == kindString {
+			c = strings.Compare(src.str, dst.str)
+		}
+		if !dst.seen || (ap.fn == wire.AggMin && c < 0) || (ap.fn == wire.AggMax && c > 0) {
+			*dst = *src
 		}
 	default:
 		dst.n += src.n
@@ -618,38 +515,25 @@ func mergeAgg(ap *aggPlan, dst, src *aggState) {
 	}
 }
 
-// groupGetter resolves a group's output columns: group-by values by
-// position, aggregate outputs finalized from their states.
-func groupGetter(p *Plan, a *accum) getter {
-	return func(col string) any {
-		for i, c := range p.groupBy {
-			if c == col {
-				return a.keyVals[i]
-			}
+// value finalizes one aggregate output from its state, in its
+// result-row dynamic type; nil is the min/max of an empty group.
+func (ap *aggPlan) value(st *aggState) any {
+	switch ap.fn {
+	case wire.AggCount:
+		return st.n
+	case wire.AggSum:
+		return st.sum
+	case wire.AggAvg, wire.AggRate:
+		if st.n == 0 {
+			return float64(0)
 		}
-		for i := range p.aggs {
-			ap := &p.aggs[i]
-			if ap.name != col {
-				continue
-			}
-			st := &a.aggs[i]
-			switch ap.fn {
-			case wire.AggCount:
-				return st.n
-			case wire.AggSum:
-				return st.sum
-			case wire.AggAvg, wire.AggRate:
-				if st.n == 0 {
-					return float64(0)
-				}
-				return st.sum / float64(st.n)
-			default: // min, max
-				if !st.seen {
-					return nil
-				}
-				return st.mm
-			}
-		}
-		return nil
+		return st.sum / float64(st.n)
 	}
+	switch { // min, max
+	case !st.seen:
+		return nil
+	case ap.inKind == kindInt:
+		return int(st.n)
+	}
+	return st.str
 }

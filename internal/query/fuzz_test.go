@@ -9,6 +9,8 @@ package query_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -276,6 +278,58 @@ func FuzzQueryPlanParity(f *testing.F) {
 		}
 		if !rowsEqual(naive.Rows, wantRows) {
 			t.Fatalf("naive diverges from oracle on %+v:\n naive: %v\n oracle: %v", q, naive.Rows, wantRows)
+		}
+	})
+}
+
+// FuzzWireQueryDecode: whatever bytes reach POST /v1/query, decoding
+// them into a wire.Query and compiling it never panics, the two planners
+// agree on what is valid, every rejection wraps ErrBadQuery (the 400s),
+// and what is accepted runs to the same answer under both plans.
+func FuzzWireQueryDecode(f *testing.F) {
+	st, users, keys, _ := fuzzFixture(f)
+	for _, q := range parityQueries(users, keys) {
+		raw, err := json.Marshal(q)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, raw := range []string{
+		`{}`, `{"limit": -1}`, `{"where": [{"col": "r_user", "col_b": "r_possible", "op": "eq"}]}`,
+		`{"where": [{"col": "possible_count", "op": "in", "values": [1, "2", null, [3]]}]}`,
+		`{"join": {"on": ["object", "agrees"]}, "group_by": ["r_certain"], "aggs": [{"fn": "max", "of": "r_user"}], "having": [{"col": "max_r_user", "op": "gt", "col_b": "r_certain"}]}`,
+		`{"aggs": [{"fn": "min", "of": "certain"}], "having": [{"col": "min_certain", "op": "prefix", "value": ""}], "order_by": [{"col": "min_certain"}]}`,
+	} {
+		f.Add([]byte(raw))
+	}
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var q wire.Query
+		if json.Unmarshal(raw, &q) != nil {
+			return // the handler's 400, before the planner is reached
+		}
+		greedy, gerr := query.Compile(q)
+		naive, nerr := query.CompileNaive(q)
+		if (gerr == nil) != (nerr == nil) {
+			t.Fatalf("planners disagree on validity of %s: greedy %v, naive %v", raw, gerr, nerr)
+		}
+		if gerr != nil {
+			if !errors.Is(gerr, query.ErrBadQuery) || !errors.Is(nerr, query.ErrBadQuery) {
+				t.Fatalf("rejection of %s does not wrap ErrBadQuery: greedy %v, naive %v", raw, gerr, nerr)
+			}
+			return
+		}
+		g, err := query.Run(ctx, st, greedy)
+		if err != nil {
+			t.Fatalf("Run(greedy) of %s: %v", raw, err)
+		}
+		n, err := query.Run(ctx, st, naive)
+		if err != nil {
+			t.Fatalf("Run(naive) of %s: %v", raw, err)
+		}
+		if !reflect.DeepEqual(g.Columns, n.Columns) || !rowsEqual(g.Rows, n.Rows) {
+			t.Fatalf("plans diverge on %s:\n greedy: %v\n naive:  %v", raw, g.Rows, n.Rows)
 		}
 	})
 }

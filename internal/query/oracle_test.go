@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"trustmap/internal/query"
+	"trustmap"
 	"trustmap/wire"
 )
 
@@ -20,9 +20,11 @@ import (
 // dynamic types the executor produces.
 type orow map[string]any
 
-// materialize builds the full resolutions relation of a site in scan
-// order: objects by key (the Resolved stream order), users sorted.
-func materialize(t testing.TB, site query.Site) []orow {
+// materialize builds the full resolutions relation of a quiescent store
+// in scan order: objects by key (the Resolved stream order), users
+// sorted. Beliefs come from the live table, not the row the executor
+// reads them from.
+func materialize(t testing.TB, site *trustmap.Store) []orow {
 	t.Helper()
 	users := append([]string{}, site.Users()...)
 	sort.Strings(users)
@@ -280,8 +282,7 @@ func oracleRun(rows []orow, q wire.Query) ([]string, [][]any) {
 			vals := make([]any, len(q.GroupBy))
 			for i, c := range q.GroupBy {
 				vals[i] = r[c]
-				b.WriteString(strings.ReplaceAll(formatKey(r[c]), "\x00", ""))
-				b.WriteByte(0)
+				b.WriteString(strconv.Quote(formatKey(r[c]))) // quoting keeps any value, NUL included, apart from its neighbour
 			}
 			g := index[b.String()]
 			if g == nil {

@@ -5,42 +5,52 @@ package query
 // the executor trusts the Plan completely.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"trustmap/wire"
 )
 
-// pred is one compiled predicate: a pure comparison of one row (or
-// group) column against a literal operand, an operand set, or a second
-// column, pre-validated against the column's kind.
+// pred is one validated predicate: a pure comparison of one column
+// against a literal operand, an operand set, or a second column of the
+// same kind. It exists only during compilation — the plan keeps what
+// lowerRow / lowerOut make of it.
 type pred struct {
-	col  string
+	col  column
+	colB column // compared against instead of a literal when hasB
+	hasB bool
 	op   string
-	kind kind
 	str  string    // string operand (eq/ne/lt/../prefix/contains)
 	num  float64   // numeric operand
 	b    bool      // boolean operand
 	strs []string  // string in-list
 	nums []float64 // numeric in-list
-	colB string    // compare col against colB instead of a literal
 	orig int       // position in the written where-list (reorder stat)
 }
+
+// rowPred is a predicate lowered onto the typed tuple; outPred one
+// lowered onto an aggregate output row (having).
+type (
+	rowPred func(t *tuple) bool
+	outPred func(vals []any) bool
+)
 
 // aggPlan is one compiled aggregate output.
 type aggPlan struct {
 	fn     string
-	of     string // input column; "" for count
 	name   string // output column name
 	inKind kind   // input column kind (count: unused)
 	kind   kind   // output kind
+	// fold accumulates one tuple, specialised on (fn, input kind, slot).
+	fold func(st *aggState, t *tuple)
 }
 
 // orderPlan is one compiled sort key: an output column by its position
 // in the projection.
 type orderPlan struct {
-	col  string
 	desc bool
 	kind kind
 	idx  int // position in Plan.sel
@@ -48,8 +58,8 @@ type orderPlan struct {
 
 // joinPlan is the compiled self-join clause.
 type joinPlan struct {
-	on    []string // extra equality columns beyond object
-	where []pred   // right-side filters (base column space)
+	on    []rowPred // left = right on the extra equality columns beyond object
+	where []rowPred // right-side filters, evaluated with the candidate as tuple[0]
 }
 
 // Plan is a compiled, validated query ready to Run. Build one with
@@ -58,22 +68,22 @@ type joinPlan struct {
 // benchmark reference). Plans are immutable and safe for concurrent
 // use, including concurrent RunPartial calls across shards.
 type Plan struct {
-	keys       []string // object key pushdown, sorted+deduped; nil = scan
-	hasKeys    bool
-	users      []string // user-loop restriction, sorted+deduped; nil = all
-	hasUsers   bool
-	filters    []pred // left/base row filters, in evaluation order
-	postJoin   []pred // filters referencing r_ columns (joined rows)
-	join       *joinPlan
-	groupBy    []string
-	groupKinds []kind // kinds of groupBy columns, aligned
-	aggs       []aggPlan
-	having     []pred
-	sel        []string
-	selKinds   []kind // kinds of selected output columns, aligned
-	orderBy    []orderPlan
-	limit      int
-	reordered  int
+	keys      []string // object key pushdown, sorted+deduped; nil = scan
+	hasKeys   bool
+	users     []string // user-loop restriction, sorted+deduped; nil = all
+	hasUsers  bool
+	need      uint16    // base columns the query references, by slot bit
+	filters   []rowPred // left/base row filters, in evaluation order
+	postJoin  []rowPred // filters referencing r_ columns (joined rows)
+	join      *joinPlan
+	groupBy   []column // tuple slots of the group key, in order
+	aggs      []aggPlan
+	having    []outPred
+	cols      []string // output column names
+	sel       []int    // their slots: tuple slots, or positions in the group output row
+	orderBy   []orderPlan
+	limit     int
+	reordered int
 }
 
 // Aggregated reports whether the plan is a (possibly grouped) aggregate
@@ -107,22 +117,15 @@ func compile(q wire.Query, naive bool) (*Plan, error) {
 	}
 
 	// Row space: the base catalog, plus r_ twins when the query joins.
-	rowKinds := baseKinds
+	rows := baseSpace
 	if q.Join != nil {
-		rowKinds = make(map[string]kind, 2*len(baseKinds))
-		for c, k := range baseKinds {
-			rowKinds[c] = k
-			rowKinds[rightPrefix+c] = k
-		}
-	}
-
-	if q.Join != nil {
+		rows = joinSpace
 		jp := &joinPlan{}
 		hasObject := false
 		seen := map[string]bool{}
 		for _, c := range q.Join.On {
-			k, ok := baseKinds[c]
-			if !ok || k == kindStrings {
+			col, ok := baseSpace[c]
+			if !ok || col.kind == kindStrings {
 				return nil, bad("join on column %q is not a scalar relation column", c)
 			}
 			if seen[c] {
@@ -133,17 +136,18 @@ func compile(q wire.Query, naive bool) (*Plan, error) {
 				hasObject = true
 				continue
 			}
-			jp.on = append(jp.on, c)
+			twin := column{col.kind, numBase + col.slot}
+			jp.on = append(jp.on, p.lowerRow(pred{col: col, colB: twin, hasB: true, op: wire.PredEq}))
 		}
 		if !hasObject {
 			return nil, bad("join on must include %q: joins pair users' views of the same object", ColObject)
 		}
 		for i, wp := range q.Join.Where {
-			cp, err := compilePred(wp, baseKinds, i)
+			cp, err := compilePred(wp, baseSpace, i)
 			if err != nil {
 				return nil, fmt.Errorf("join where[%d]: %w", i, err)
 			}
-			jp.where = append(jp.where, cp)
+			jp.where = append(jp.where, p.lowerRow(cp))
 		}
 		p.join = jp
 	}
@@ -151,37 +155,40 @@ func compile(q wire.Query, naive bool) (*Plan, error) {
 	// Partition the where-list: predicates touching r_ columns evaluate
 	// post-join; object/user equality extracts as pushdown (greedy only);
 	// the rest are base-row filters.
-	var keySets, userSets [][]string
-	var pushOrigs []int
+	var (
+		filters           []pred
+		keySets, userSets [][]string
+		pushOrigs         []int
+	)
 	for i, wp := range q.Where {
 		if strings.HasPrefix(wp.Col, rightPrefix) || strings.HasPrefix(wp.ColB, rightPrefix) {
 			if q.Join == nil {
 				return nil, bad("where[%d]: column %q needs a join clause", i, wp.Col)
 			}
-			cp, err := compilePred(wp, rowKinds, i)
+			cp, err := compilePred(wp, rows, i)
 			if err != nil {
 				return nil, fmt.Errorf("where[%d]: %w", i, err)
 			}
-			p.postJoin = append(p.postJoin, cp)
+			p.postJoin = append(p.postJoin, p.lowerRow(cp))
 			continue
 		}
-		cp, err := compilePred(wp, baseKinds, i)
+		cp, err := compilePred(wp, baseSpace, i)
 		if err != nil {
 			return nil, fmt.Errorf("where[%d]: %w", i, err)
 		}
-		if !naive && cp.colB == "" && (cp.op == wire.PredEq || cp.op == wire.PredIn) {
-			switch cp.col {
-			case ColObject:
+		if !naive && !cp.hasB && (cp.op == wire.PredEq || cp.op == wire.PredIn) {
+			switch cp.col.slot {
+			case slotObject:
 				keySets = append(keySets, predStrings(cp))
 				pushOrigs = append(pushOrigs, i)
 				continue
-			case ColUser:
+			case slotUser:
 				userSets = append(userSets, predStrings(cp))
 				pushOrigs = append(pushOrigs, i)
 				continue
 			}
 		}
-		p.filters = append(p.filters, cp)
+		filters = append(filters, cp)
 	}
 	if len(keySets) > 0 {
 		p.keys, p.hasKeys = intersectSorted(keySets), true
@@ -190,70 +197,64 @@ func compile(q wire.Query, naive bool) (*Plan, error) {
 		p.users, p.hasUsers = intersectSorted(userSets), true
 	}
 	if !naive {
-		sort.SliceStable(p.filters, func(i, j int) bool {
-			return filterClass(p.filters[i]) < filterClass(p.filters[j])
+		sort.SliceStable(filters, func(i, j int) bool {
+			return filterClass(filters[i]) < filterClass(filters[j])
 		})
 		// Evaluation order: pushdowns first, then the sorted filters.
 		evalOrigs := append([]int{}, pushOrigs...)
-		for _, f := range p.filters {
+		for _, f := range filters {
 			evalOrigs = append(evalOrigs, f.orig)
 		}
 		p.reordered = countReordered(evalOrigs)
 	}
+	for _, f := range filters {
+		p.filters = append(p.filters, p.lowerRow(f))
+	}
 
-	// Grouping and aggregates.
+	// Grouping and aggregates. out is the space having, select and order
+	// resolve against: the tuple itself, or the group output row (group
+	// columns, then aggregates).
 	if len(q.GroupBy) > 0 && len(q.Aggs) == 0 {
 		return nil, bad("group_by requires at least one aggregate")
 	}
-	outKinds := rowKinds
+	out := rows
 	var outOrder []string
 	if len(q.Aggs) > 0 {
-		outKinds = make(map[string]kind, len(q.GroupBy)+len(q.Aggs))
+		out = make(space, len(q.GroupBy)+len(q.Aggs))
 		for _, c := range q.GroupBy {
-			k, ok := rowKinds[c]
-			if !ok || k == kindStrings {
+			col, ok := rows[c]
+			if !ok || col.kind == kindStrings {
 				return nil, bad("group_by column %q is not a scalar relation column", c)
 			}
-			if _, dup := outKinds[c]; dup {
+			if _, dup := out[c]; dup {
 				return nil, bad("group_by column %q repeated", c)
 			}
-			outKinds[c] = k
+			out[c] = column{col.kind, len(outOrder)}
 			outOrder = append(outOrder, c)
-			p.groupBy = append(p.groupBy, c)
-			p.groupKinds = append(p.groupKinds, k)
+			p.groupBy = append(p.groupBy, column{col.kind, p.use(col)})
 		}
 		for i, a := range q.Aggs {
-			ap, err := compileAgg(a, rowKinds)
+			ap, err := p.compileAgg(a, rows)
 			if err != nil {
 				return nil, fmt.Errorf("aggs[%d]: %w", i, err)
 			}
-			if _, dup := outKinds[ap.name]; dup {
+			if _, dup := out[ap.name]; dup {
 				return nil, bad("aggs[%d]: output column %q repeated", i, ap.name)
 			}
-			outKinds[ap.name] = ap.kind
+			out[ap.name] = column{ap.kind, len(outOrder)}
 			outOrder = append(outOrder, ap.name)
 			p.aggs = append(p.aggs, ap)
-		}
-	} else {
-		if q.Join == nil {
-			outOrder = baseOrder
-		} else {
-			outOrder = make([]string, 0, 2*len(baseOrder))
-			outOrder = append(outOrder, baseOrder...)
-			for _, c := range baseOrder {
-				outOrder = append(outOrder, rightPrefix+c)
-			}
 		}
 	}
 	for i, wp := range q.Having {
 		if len(q.Aggs) == 0 {
 			return nil, bad("having requires aggregates")
 		}
-		cp, err := compilePred(wp, outKinds, i)
+		cp, err := compilePred(wp, out, i)
 		if err != nil {
 			return nil, fmt.Errorf("having[%d]: %w", i, err)
 		}
-		p.having = append(p.having, cp)
+		p.having = append(p.having, lowerOut(cp))
 	}
 
 	// Projection: explicit, or the documented defaults.
@@ -268,35 +269,134 @@ func compile(q wire.Query, naive bool) (*Plan, error) {
 			sel = []string{ColObject, ColUser, ColCertain, ColBelief, ColPossibleCount}
 		}
 	}
-	selSet := map[string]kind{}
-	for _, c := range sel {
-		k, ok := outKinds[c]
+	selAt := map[string]orderPlan{} // first position and kind of each selected column
+	for i, c := range sel {
+		col, ok := out[c]
 		if !ok {
 			return nil, bad("select column %q is not an output column", c)
 		}
-		p.sel = append(p.sel, c)
-		p.selKinds = append(p.selKinds, k)
-		selSet[c] = k
+		if !p.Aggregated() {
+			p.use(col)
+		}
+		p.cols = append(p.cols, c)
+		p.sel = append(p.sel, col.slot)
+		if _, dup := selAt[c]; !dup {
+			selAt[c] = orderPlan{kind: col.kind, idx: i}
+		}
 	}
-
 	for i, ok := range q.OrderBy {
-		k, in := selSet[ok.Col]
+		op, in := selAt[ok.Col]
 		if !in {
 			return nil, bad("order_by[%d]: column %q is not among the selected output columns", i, ok.Col)
 		}
-		if k == kindStrings {
+		if op.kind == kindStrings {
 			return nil, bad("order_by[%d]: column %q is not scalar", i, ok.Col)
 		}
-		idx := 0
-		for j, c := range p.sel {
-			if c == ok.Col {
-				idx = j
-				break
-			}
-		}
-		p.orderBy = append(p.orderBy, orderPlan{col: ok.Col, desc: ok.Desc, kind: k, idx: idx})
+		op.desc = ok.Desc
+		p.orderBy = append(p.orderBy, op)
 	}
 	return p, nil
+}
+
+// use marks a tuple column as referenced and returns its slot.
+func (p *Plan) use(c column) int {
+	p.need |= 1 << (c.slot % numBase)
+	return c.slot
+}
+
+// lowerRow specialises a validated tuple-space predicate on its kind and
+// operator: the closure it returns reads fixed slots of the typed tuple.
+func (p *Plan) lowerRow(cp pred) rowPred {
+	side, c := p.use(cp.col)/numBase, cp.col.slot%numBase
+	if cp.hasB {
+		sideB, cB := p.use(cp.colB)/numBase, cp.colB.slot%numBase
+		ok := ordTest(cp.op)
+		switch cp.col.kind {
+		case kindString:
+			return func(t *tuple) bool { return ok(strings.Compare(t[side].strs[c], t[sideB].strs[cB])) }
+		case kindInt:
+			return func(t *tuple) bool { return ok(cmp.Compare(t[side].count, t[sideB].count)) }
+		}
+		c, cB := c-slotHasCertain, cB-slotHasCertain
+		return func(t *tuple) bool { return ok(cmpBool(t[side].bools[c], t[sideB].bools[cB])) }
+	}
+	switch cp.col.kind {
+	case kindStrings:
+		return func(t *tuple) bool { return slices.Contains(t[side].poss, cp.str) }
+	case kindString:
+		test := cp.strTest()
+		return func(t *tuple) bool { return test(t[side].strs[c]) }
+	case kindInt:
+		test := cp.numTest()
+		return func(t *tuple) bool { return test(float64(t[side].count)) }
+	}
+	c, want := c-slotHasCertain, cp.boolWant()
+	return func(t *tuple) bool { return t[side].bools[c] == want }
+}
+
+// lowerOut specialises a validated having predicate over the group
+// output row, whose values are already boxed; nil (an empty-group
+// min/max) fails every predicate.
+func lowerOut(cp pred) outPred {
+	i := cp.col.slot
+	if cp.hasB {
+		j, k, ok := cp.colB.slot, cp.col.kind, ordTest(cp.op)
+		return func(v []any) bool { return v[i] != nil && v[j] != nil && ok(cmpVals(k, v[i], v[j])) }
+	}
+	switch cp.col.kind {
+	case kindString:
+		test := cp.strTest()
+		return func(v []any) bool { s, ok := v[i].(string); return ok && test(s) }
+	case kindBool:
+		want := cp.boolWant()
+		return func(v []any) bool { b, ok := v[i].(bool); return ok && b == want }
+	}
+	test := cp.numTest()
+	return func(v []any) bool { f, ok := toFloat(v[i]); return ok && test(f) }
+}
+
+// strTest lowers a string predicate's operator and literal operand.
+func (cp pred) strTest() func(string) bool {
+	switch cp.op {
+	case wire.PredIn:
+		return func(s string) bool { return slices.Contains(cp.strs, s) }
+	case wire.PredPrefix:
+		return func(s string) bool { return strings.HasPrefix(s, cp.str) }
+	}
+	ok := ordTest(cp.op)
+	return func(s string) bool { return ok(strings.Compare(s, cp.str)) }
+}
+
+// numTest lowers a numeric predicate's operator and literal operand.
+func (cp pred) numTest() func(float64) bool {
+	if cp.op == wire.PredIn {
+		return func(f float64) bool { return slices.Contains(cp.nums, f) }
+	}
+	ok := ordTest(cp.op)
+	return func(f float64) bool { return ok(cmpFloat(f, cp.num)) }
+}
+
+// boolWant is the column value a boolean eq/ne predicate accepts.
+func (cp pred) boolWant() bool { return cp.b == (cp.op == wire.PredEq) }
+
+// ordTest lowers an ordered operator to a test of a three-way
+// comparison; nil when op is not one of the six.
+func ordTest(op string) func(c int) bool {
+	switch op {
+	case wire.PredEq:
+		return func(c int) bool { return c == 0 }
+	case wire.PredNe:
+		return func(c int) bool { return c != 0 }
+	case wire.PredLt:
+		return func(c int) bool { return c < 0 }
+	case wire.PredLe:
+		return func(c int) bool { return c <= 0 }
+	case wire.PredGt:
+		return func(c int) bool { return c > 0 }
+	case wire.PredGe:
+		return func(c int) bool { return c >= 0 }
+	}
+	return nil
 }
 
 // filterClass buckets a base-row filter for the greedy order: scalar
@@ -304,7 +404,7 @@ func compile(q wire.Query, naive bool) (*Plan, error) {
 // before cross-column comparisons (3).
 func filterClass(p pred) int {
 	switch {
-	case p.colB != "":
+	case p.hasB:
 		return 3
 	case p.op == wire.PredEq:
 		return 0
@@ -364,28 +464,29 @@ func intersectSorted(sets [][]string) []string {
 
 // compilePred validates one wire predicate against a column space and
 // normalizes its operand.
-func compilePred(wp wire.Predicate, space map[string]kind, orig int) (pred, error) {
-	k, ok := space[wp.Col]
+func compilePred(wp wire.Predicate, sp space, orig int) (pred, error) {
+	col, ok := sp[wp.Col]
 	if !ok {
 		return pred{}, bad("unknown column %q", wp.Col)
 	}
-	p := pred{col: wp.Col, op: wp.Op, kind: k, orig: orig}
+	k := col.kind
+	p := pred{col: col, op: wp.Op, orig: orig}
 
 	if wp.ColB != "" {
 		if wp.Value != nil || len(wp.Values) > 0 {
 			return pred{}, bad("col_b and a literal operand are mutually exclusive")
 		}
-		kb, ok := space[wp.ColB]
+		colB, ok := sp[wp.ColB]
 		if !ok {
 			return pred{}, bad("unknown column %q", wp.ColB)
 		}
-		if kb != k || k == kindStrings {
+		if colB.kind != k || k == kindStrings {
 			return pred{}, bad("cannot compare column %q against column %q", wp.Col, wp.ColB)
 		}
-		if !ordOp(wp.Op) || (k == kindBool && wp.Op != wire.PredEq && wp.Op != wire.PredNe) {
+		if ordTest(wp.Op) == nil || (k == kindBool && wp.Op != wire.PredEq && wp.Op != wire.PredNe) {
 			return pred{}, bad("operator %q is not valid for a column comparison", wp.Op)
 		}
-		p.colB = wp.ColB
+		p.colB, p.hasB = colB, true
 		return p, nil
 	}
 
@@ -453,18 +554,10 @@ func compilePred(wp wire.Predicate, space map[string]kind, orig int) (pred, erro
 	return p, nil
 }
 
-// ordOp reports whether op is one of the six ordered comparisons.
-func ordOp(op string) bool {
-	switch op {
-	case wire.PredEq, wire.PredNe, wire.PredLt, wire.PredLe, wire.PredGt, wire.PredGe:
-		return true
-	}
-	return false
-}
-
-// compileAgg validates one aggregate against the row space.
-func compileAgg(a wire.Aggregate, space map[string]kind) (aggPlan, error) {
-	ap := aggPlan{fn: a.Fn, of: a.Of, name: a.As}
+// compileAgg validates one aggregate against the row space and lowers
+// its accumulation step.
+func (p *Plan) compileAgg(a wire.Aggregate, sp space) (aggPlan, error) {
+	ap := aggPlan{fn: a.Fn, name: a.As}
 	if ap.name == "" {
 		ap.name = a.Fn
 		if a.Of != "" {
@@ -476,36 +569,62 @@ func compileAgg(a wire.Aggregate, space map[string]kind) (aggPlan, error) {
 			return aggPlan{}, bad("count takes no input column")
 		}
 		ap.kind = kindInt
+		ap.fold = func(st *aggState, _ *tuple) { st.n++ }
 		return ap, nil
 	}
-	k, ok := space[a.Of]
+	in, ok := sp[a.Of]
 	if !ok {
 		return aggPlan{}, bad("unknown aggregate input column %q", a.Of)
 	}
-	ap.inKind = k
+	ap.inKind = in.kind
+	side, c := in.slot/numBase, in.slot%numBase
+	// Booleans count as 0/1: sum and avg over one are rate's (sum, n).
+	countTrue := func(st *aggState, t *tuple) {
+		if t[side].bools[c-slotHasCertain] {
+			st.sum++
+		}
+		st.n++
+	}
 	switch a.Fn {
 	case wire.AggSum, wire.AggAvg:
-		if k != kindInt && k != kindBool {
+		switch ap.kind = kindFloat; in.kind {
+		case kindInt:
+			ap.fold = func(st *aggState, t *tuple) { st.sum += float64(t[side].count); st.n++ }
+		case kindBool:
+			ap.fold = countTrue
+		default:
 			return aggPlan{}, bad("%s needs a numeric or boolean input column, not %q", a.Fn, a.Of)
 		}
-		ap.kind = kindFloat
 	case wire.AggRate:
-		if k != kindBool {
+		if in.kind != kindBool {
 			return aggPlan{}, bad("rate needs a boolean input column, not %q", a.Of)
 		}
-		ap.kind = kindFloat
+		ap.kind, ap.fold = kindFloat, countTrue
 	case wire.AggMin, wire.AggMax:
-		switch k {
+		better := func(c int) bool { return c < 0 }
+		if a.Fn == wire.AggMax {
+			better = func(c int) bool { return c > 0 }
+		}
+		switch ap.kind = in.kind; in.kind {
 		case kindInt:
-			ap.kind = kindInt
+			ap.fold = func(st *aggState, t *tuple) {
+				if v := int64(t[side].count); !st.seen || better(cmp.Compare(v, st.n)) {
+					st.n, st.seen = v, true
+				}
+			}
 		case kindString:
-			ap.kind = kindString
+			ap.fold = func(st *aggState, t *tuple) {
+				if v := t[side].strs[c]; !st.seen || better(strings.Compare(v, st.str)) {
+					st.str, st.seen = v, true
+				}
+			}
 		default:
 			return aggPlan{}, bad("%s needs a numeric or string input column, not %q", a.Fn, a.Of)
 		}
 	default:
 		return aggPlan{}, bad("unknown aggregate function %q", a.Fn)
 	}
+	p.use(in)
 	return ap, nil
 }
 

@@ -29,11 +29,20 @@
 // which is how a cluster scatter-gathers a grouped query without
 // shipping rows.
 //
-// The belief column is read from the live explicit-belief table
-// (Site.Object) rather than the pinned snapshot: under concurrent
-// writes a row's belief may be one write fresher than its resolution,
-// the same per-shard-epoch consistency the rest of the read surface
-// offers.
+// The executor is compiled, not interpreted: Compile resolves every
+// column reference to an integer slot of a fixed typed tuple (the base
+// columns, then their r_ twins), lowers every predicate and aggregate to
+// a closure specialised on (kind, operator), and records which base
+// columns the query references at all, so the row builder skips the
+// rest. Per scanned row the executor reads the resolution through a
+// trustmap.RowReader (slice indexes off the engine's shared sets, the
+// per-object work hoisted), probes groups with a reused key buffer, and
+// boxes values to any only when a result row or a new group is created:
+// allocations follow objects, groups and emitted rows, never scanned rows.
+//
+// Every column of a row, belief included, comes from the ObjectRow the
+// pinned stream yielded: a row's belief is exactly the belief its
+// resolution was computed from.
 package query
 
 import (
@@ -50,10 +59,9 @@ import (
 var ErrBadQuery = errors.New("invalid query")
 
 // Site is the surface a Plan executes against: the pinned-epoch scan,
-// point resolution for key pushdowns, the explicit-belief table for the
-// belief column, and the user universe of the shared spine. It is
-// implemented by *trustmap.Store and by the cluster router (whose
-// Resolved is the key-ordered k-way merge over shards).
+// point resolution for key pushdowns, and the user universe of the
+// shared spine. It is implemented by *trustmap.Store and by the cluster
+// router (whose Resolved is the key-ordered k-way merge over shards).
 type Site interface {
 	// Resolved streams every stored object's resolution in sorted key
 	// order at a pinned epoch (per shard, on a cluster).
@@ -61,8 +69,6 @@ type Site interface {
 	// ResolveObject resolves one stored object; unknown keys answer an
 	// error wrapping trustmap.ErrUnknownObject.
 	ResolveObject(ctx context.Context, key string) (trustmap.ObjectRow, error)
-	// Object reads one stored object's explicit beliefs.
-	Object(key string) (map[string]string, bool)
 	// Users lists every user of the trust network.
 	Users() []string
 	// Epoch is the current published generation — the epoch reported
@@ -110,98 +116,94 @@ const (
 	kindStrings             // []string (the possible column)
 )
 
-// baseKinds is the column catalog of the resolutions relation.
-var baseKinds = map[string]kind{
-	ColObject:        kindString,
-	ColUser:          kindString,
-	ColCertain:       kindString,
-	ColBelief:        kindString,
-	ColPossible:      kindStrings,
-	ColPossibleCount: kindInt,
-	ColHasCertain:    kindBool,
-	ColHasBelief:     kindBool,
-	ColAgrees:        kindBool,
-	ColDisagrees:     kindBool,
-	ColConflicted:    kindBool,
+// Slots of the base columns in the tuple layout, in presentation order;
+// the r_ twin of base slot s is slot numBase+s. The order groups the
+// kinds: strings, the possible set, its count, then the booleans.
+const (
+	slotObject = iota
+	slotUser
+	slotCertain
+	slotBelief
+	slotPossible
+	slotPossibleCount
+	slotHasCertain
+	slotHasBelief
+	slotAgrees
+	slotDisagrees
+	slotConflicted
+	numBase
+)
+
+// beliefCols are the base columns derived from the user's stated belief.
+const beliefCols = 1<<slotBelief | 1<<slotHasBelief | 1<<slotAgrees | 1<<slotDisagrees
+
+// column is a resolved column reference: its kind and its slot in the
+// space it was resolved against (tuple layout, or aggregate output row).
+type column struct {
+	kind kind
+	slot int
 }
 
-// baseOrder lists the catalog columns in presentation order (map
-// iteration is random; defaults and the r_ twin space must not be).
-var baseOrder = []string{
+// space maps column names to resolved references; every AST column is
+// validated against one.
+type space map[string]column
+
+// baseOrder lists the catalog columns in slot (= presentation) order.
+var baseOrder = [numBase]string{
 	ColObject, ColUser, ColCertain, ColBelief, ColPossible,
 	ColPossibleCount, ColHasCertain, ColHasBelief, ColAgrees,
 	ColDisagrees, ColConflicted,
 }
 
+// baseSpace is the column catalog of the resolutions relation, and
+// joinSpace the same with the r_ twins of a joined row.
+var baseSpace, joinSpace = func() (space, space) {
+	base, join := space{}, space{}
+	for s, c := range baseOrder {
+		k := kindBool
+		switch {
+		case s < slotPossible:
+			k = kindString
+		case s == slotPossible:
+			k = kindStrings
+		case s == slotPossibleCount:
+			k = kindInt
+		}
+		base[c] = column{k, s}
+		join[c] = column{k, s}
+		join[rightPrefix+c] = column{k, numBase + s}
+	}
+	return base, join
+}()
+
 // rightPrefix marks right-side columns of a joined row: r_user is the
 // joined partner's user, r_certain their resolved value, and so on.
 const rightPrefix = "r_"
 
-// row is one tuple of the resolutions relation.
+// row is one typed tuple of the resolutions relation, indexed by slot:
+// strs[s] for the string slots, bools[s-slotHasCertain] for the booleans.
 type row struct {
-	object        string
-	user          string
-	certain       string
-	belief        string
-	possible      []string
-	possibleCount int
-	hasCertain    bool
-	hasBelief     bool
-	agrees        bool
-	disagrees     bool
-	conflicted    bool
+	strs  [slotPossible]string
+	poss  []string // filled only when the plan references possible
+	count int
+	bools [numBase - slotHasCertain]bool
 }
 
-// value reads one catalog column off the row.
-func (r *row) value(col string) any {
-	switch col {
-	case ColObject:
-		return r.object
-	case ColUser:
-		return r.user
-	case ColCertain:
-		return r.certain
-	case ColBelief:
-		return r.belief
-	case ColPossible:
-		return r.possible
-	case ColPossibleCount:
-		return r.possibleCount
-	case ColHasCertain:
-		return r.hasCertain
-	case ColHasBelief:
-		return r.hasBelief
-	case ColAgrees:
-		return r.agrees
-	case ColDisagrees:
-		return r.disagrees
-	case ColConflicted:
-		return r.conflicted
-	}
-	return nil
-}
+// tuple is what predicates, aggregates and projection read: the left
+// row and, on joined plans, the right one.
+type tuple [2]*row
 
-// makeRow builds the relation row for one (object, user) pair from the
-// pinned resolution and the object's explicit-belief table; ok is false
-// when the user is unknown to the network (no row exists).
-func makeRow(or trustmap.ObjectRow, beliefs map[string]string, user string) (row, bool) {
-	possible, certain, err := or.Lookup(user)
-	if err != nil {
-		return row{}, false
+// box returns the value of a tuple slot in its result-row dynamic type;
+// possible is copied, because rows reuse its backing array.
+func (t *tuple) box(slot int) any {
+	r, s := t[slot/numBase], slot%numBase
+	switch {
+	case s < slotPossible:
+		return r.strs[s]
+	case s == slotPossible:
+		return append(make([]string, 0, len(r.poss)), r.poss...)
+	case s == slotPossibleCount:
+		return r.count
 	}
-	r := row{
-		object:        or.Object,
-		user:          user,
-		certain:       certain,
-		possible:      possible,
-		possibleCount: len(possible),
-		hasCertain:    certain != "",
-		conflicted:    len(possible) > 1,
-	}
-	if b, ok := beliefs[user]; ok {
-		r.belief, r.hasBelief = b, true
-	}
-	r.agrees = r.hasBelief && r.hasCertain && r.belief == r.certain
-	r.disagrees = r.hasBelief && r.hasCertain && r.belief != r.certain
-	return r, true
+	return r.bools[s-slotHasCertain]
 }

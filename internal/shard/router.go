@@ -473,8 +473,8 @@ func (r *Router) Resolved(ctx context.Context) iter.Seq2[trustmap.ObjectRow, err
 
 // Users lists the trust network's users. The spine — network, defaults,
 // root set — is identical on every shard (broadcasts keep it so), so
-// shard 0 answers for the cluster; with Resolved, ResolveObject, Object,
-// and Epoch this makes the Router a query.Site.
+// shard 0 answers for the cluster; with Resolved, ResolveObject, and
+// Epoch this makes the Router a query.Site.
 func (r *Router) Users() []string { return r.shards[0].Users() }
 
 // Query compiles and executes one wire.Query across the cluster.

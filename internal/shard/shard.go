@@ -206,8 +206,8 @@ func (s *SingleStore) BulkResolve(ctx context.Context, objects map[string]map[st
 }
 
 // Query compiles and executes one wire.Query against the store (the
-// store is itself a query.Site: pinned stream, point resolution, belief
-// table, user universe).
+// store is itself a query.Site: pinned stream, point resolution, user
+// universe).
 func (s *SingleStore) Query(ctx context.Context, q wire.Query) (*query.Result, error) {
 	plan, err := query.Compile(q)
 	if err != nil {

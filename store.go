@@ -620,6 +620,10 @@ type ObjectRow struct {
 	// Object is the object key the row resolves.
 	Object string
 	res    *BulkResolution
+	// beliefs is the object's explicit-belief map the resolution was
+	// computed from: the copy-on-write reference captured under the lock
+	// that validated the cache entry, never written afterwards.
+	beliefs map[string]string
 }
 
 // Possible returns poss(user, object) for the row's object, sorted. An
@@ -656,6 +660,122 @@ func (r ObjectRow) Epoch() uint64 {
 		return 0
 	}
 	return r.res.Epoch()
+}
+
+// RowReader reads ObjectRows column-wise for a fixed list of distinct
+// users, the way a scan does. Reset pays the per-object work once —
+// locating the object in its batch, indexing its explicit beliefs — and
+// the users are translated to resolved-network nodes once per snapshot,
+// so the per-user reads are slice indexes and allocate nothing. A reader
+// is single-goroutine state for one pass over a Resolved stream.
+type RowReader struct {
+	users []string
+	pos   map[string]int // user -> position in users
+	memo  []readerNodes  // one per snapshot seen (a cluster stream interleaves its shards')
+
+	// The current row.
+	nodes  []int
+	sets   engine.ObjectSets
+	belief []string
+	stated []uint64 // belief[i] belongs to the current row iff stated[i] == seq
+	seq    uint64
+}
+
+// readerNodes is the users' translation for one snapshot, identified by
+// its name view and original->binarized table.
+type readerNodes struct {
+	src    userIndex
+	binIDs []int
+	nodes  []int // position -> resolved-network node, or noUser
+}
+
+// noUser marks a user the snapshot does not know (binIDs may hold -1).
+const noUser = -2
+
+// NewRowReader returns a reader over the given distinct users; the
+// per-user methods take positions in this list.
+func NewRowReader(users []string) *RowReader {
+	rd := &RowReader{
+		users:  users,
+		pos:    make(map[string]int, len(users)),
+		belief: make([]string, len(users)),
+		stated: make([]uint64, len(users)),
+	}
+	for i, u := range users {
+		rd.pos[u] = i
+	}
+	return rd
+}
+
+// Reset positions the reader on a row. The error wraps ErrUnknownObject
+// for a zero row.
+func (rd *RowReader) Reset(row ObjectRow) error {
+	if row.res == nil || row.res.eng == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownObject, row.Object)
+	}
+	sets, err := row.res.eng.Object(row.Object)
+	if err != nil {
+		return fmt.Errorf("%w: %q: %w", ErrUnknownObject, row.Object, err)
+	}
+	rd.sets, rd.nodes = sets, rd.nodesOf(row.res)
+	rd.seq++
+	for u, v := range row.beliefs {
+		if i, ok := rd.pos[u]; ok {
+			rd.belief[i], rd.stated[i] = v, rd.seq
+		}
+	}
+	return nil
+}
+
+// nodesOf translates the users into res's resolved network, memoised
+// per snapshot.
+func (rd *RowReader) nodesOf(res *BulkResolution) []int {
+	for _, m := range rd.memo {
+		if m.src == res.src && len(m.binIDs) == len(res.binIDs) && (len(m.binIDs) == 0 || sameBacking(m.binIDs, res.binIDs)) {
+			return m.nodes
+		}
+	}
+	nodes := make([]int, len(rd.users))
+	for i, u := range rd.users {
+		nodes[i] = noUser
+		if id := res.src.UserID(u); id >= 0 {
+			nodes[i] = res.binID(id)
+		}
+	}
+	rd.memo = append(rd.memo, readerNodes{src: res.src, binIDs: res.binIDs, nodes: nodes})
+	return nodes
+}
+
+// Lookup returns the i-th user's cert ("" when not certain) and the size
+// of their poss for the current row; ok is false when the row's snapshot
+// does not know the user.
+func (rd *RowReader) Lookup(i int) (certain string, possible int, ok bool) {
+	if rd.nodes[i] == noUser {
+		return "", 0, false
+	}
+	poss := rd.sets.Possible(rd.nodes[i])
+	if len(poss) == 1 {
+		certain = string(poss[0])
+	}
+	return certain, len(poss), true
+}
+
+// AppendPossible appends the i-th user's poss for the current row to
+// dst, sorted.
+func (rd *RowReader) AppendPossible(dst []string, i int) []string {
+	for _, v := range rd.sets.Possible(rd.nodes[i]) {
+		dst = append(dst, string(v))
+	}
+	return dst
+}
+
+// Belief returns the explicit belief the i-th user stated on the current
+// row's object, as of the resolution the row carries.
+func (rd *RowReader) Belief(i int) (value string, stated bool) {
+	if rd.stated[i] != rd.seq {
+		return "", false
+	}
+	return rd.belief[i], true
 }
 
 // Get resolves one stored object and returns poss(user, object) and
@@ -787,7 +907,7 @@ func (s *Store) resolveStored(ctx context.Context, keys []string) ([]ObjectRow, 
 				return nil, 0, fmt.Errorf("%w: %q", ErrUnknownObject, k)
 			}
 			if c, ok := s.cache[k]; ok && c.epoch == epoch && c.over == s.objVer[k] {
-				rows = append(rows, ObjectRow{Object: k, res: c.res})
+				rows = append(rows, ObjectRow{Object: k, res: c.res, beliefs: bs})
 				continue
 			}
 			if dirty == nil {
@@ -795,7 +915,7 @@ func (s *Store) resolveStored(ctx context.Context, keys []string) ([]ObjectRow, 
 			}
 			dirty[k] = bs // value maps are copy-on-write: safe to read unlocked
 			overs[k] = s.objVer[k]
-			rows = append(rows, ObjectRow{Object: k}) // filled below
+			rows = append(rows, ObjectRow{Object: k, beliefs: bs}) // res filled below
 		}
 		hits = uint64(len(rows) - len(dirty))
 		s.mu.RUnlock()
@@ -848,8 +968,9 @@ const resolvedChunkSize = 1024
 // without materializing the full result set: objects are resolved in
 // bounded chunks against ONE pinned epoch, so a million-object store can
 // be consumed row by row while writers keep publishing. Cache-current
-// objects are served from the cache; freshly resolved chunks do not
-// refill it (the stream is a read-only pass). Iteration stops at the
+// objects are served from the cache and freshly resolved chunks refill
+// it under resolveStored's guard, so a scan-only store re-resolves what
+// changed since the last scan, not everything. Iteration stops at the
 // first error (yielded with a zero ObjectRow) or when the consumer
 // breaks.
 func (s *Store) Resolved(ctx context.Context) iter.Seq2[ObjectRow, error] {
@@ -862,27 +983,26 @@ func (s *Store) Resolved(ctx context.Context) iter.Seq2[ObjectRow, error] {
 		defer func() { e.Release() }()
 
 		// One consistent pass: keys, belief maps (copy-on-write — the refs
-		// stay frozen), and current cache entries, captured under one lock.
-		// The capture retries like resolveStored's: if a publication landed
-		// between the epoch pin and the table read, the table may mention
-		// roots the pinned epoch predates.
+		// stay frozen), belief versions, and current cache entries, captured
+		// under one lock. The capture retries like resolveStored's: if a
+		// publication landed between the epoch pin and the table read, the
+		// table may mention roots the pinned epoch predates.
 		var (
-			epoch   uint64
-			keys    []string
-			beliefs map[string]map[string]string
-			cached  map[string]*BulkResolution
+			epoch uint64
+			rows  []ObjectRow // res set = cache-current
+			overs []uint64
 		)
 		for attempt := 0; ; attempt++ {
 			epoch = e.Seq()
 			s.mu.RLock()
-			keys = s.keysLocked()
-			beliefs = make(map[string]map[string]string, len(keys))
-			cached = make(map[string]*BulkResolution)
-			for _, k := range keys {
-				if c, ok := s.cache[k]; ok && c.epoch == epoch && c.over == s.objVer[k] {
-					cached[k] = c.res
-				} else {
-					beliefs[k] = s.objects[k]
+			keys := s.keysLocked()
+			rows = make([]ObjectRow, len(keys))
+			overs = make([]uint64, len(keys))
+			for i, k := range keys {
+				rows[i] = ObjectRow{Object: k, beliefs: s.objects[k]}
+				overs[i] = s.objVer[k]
+				if c, ok := s.cache[k]; ok && c.epoch == epoch && c.over == overs[i] {
+					rows[i].res = c.res
 				}
 			}
 			s.mu.RUnlock()
@@ -899,17 +1019,17 @@ func (s *Store) Resolved(ctx context.Context) iter.Seq2[ObjectRow, error] {
 			old.Release()
 		}
 
-		for start := 0; start < len(keys); start += resolvedChunkSize {
-			chunk := keys[start:min(start+resolvedChunkSize, len(keys))]
+		for start := 0; start < len(rows); start += resolvedChunkSize {
+			chunk := rows[start:min(start+resolvedChunkSize, len(rows))]
 			var batch map[string]map[string]string
-			for _, k := range chunk {
-				if _, ok := cached[k]; ok {
+			for _, row := range chunk {
+				if row.res != nil {
 					continue
 				}
 				if batch == nil {
 					batch = make(map[string]map[string]string, len(chunk))
 				}
-				batch[k] = beliefs[k]
+				batch[row.Object] = row.beliefs
 			}
 			var res *BulkResolution
 			if len(batch) > 0 {
@@ -920,11 +1040,23 @@ func (s *Store) Resolved(ctx context.Context) iter.Seq2[ObjectRow, error] {
 					return
 				}
 			}
-			for _, k := range chunk {
-				row := ObjectRow{Object: k, res: res}
-				if c, ok := cached[k]; ok {
-					row.res = c
+			s.mu.Lock()
+			for i := range chunk {
+				if chunk[i].res != nil {
+					continue
 				}
+				chunk[i].res = res
+				// Refill only when the object was not mutated or deleted while
+				// we resolved — a stale fill would serve outdated beliefs.
+				k, over := chunk[i].Object, overs[start+i]
+				if _, ok := s.objects[k]; ok && s.objVer[k] == over {
+					s.cache[k] = storeCached{epoch: epoch, over: over, res: res}
+				}
+			}
+			s.hits += uint64(len(chunk) - len(batch))
+			s.misses += uint64(len(batch))
+			s.mu.Unlock()
+			for _, row := range chunk {
 				if !yield(row, nil) {
 					return
 				}

@@ -231,6 +231,132 @@ func TestStoreStreamingMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestRowReaderMatchesLookup holds the column-wise reader to the
+// per-call accessors on every (row, user) cell of a cold stream that
+// crosses the chunk boundary: same possible sets, same certain value,
+// the stored beliefs, and no row for a user the network does not know.
+func TestRowReaderMatchesLookup(t *testing.T) {
+	src := workload.PowerLaw(rand.New(rand.NewSource(8)), 20, 2, 0.3, []tn.Value{"v", "w", "x"})
+	var rootIDs []int
+	for x := 0; x < src.NumUsers(); x++ {
+		if src.HasExplicit(x) {
+			rootIDs = append(rootIDs, x)
+		}
+	}
+	objects := namedObjects(src, workload.BulkObjects(rand.New(rand.NewSource(9)), rootIDs, resolvedChunkSize+10))
+	st := storeFromObjects(t, src, objects, WithWorkers(2))
+	ctx := context.Background()
+
+	users := append(st.Users(), "ghost")
+	rd := NewRowReader(users)
+	for row, err := range st.Resolved(ctx) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rd.Reset(row); err != nil {
+			t.Fatal(err)
+		}
+		for i, u := range users {
+			certain, n, ok := rd.Lookup(i)
+			possible, wantCertain, err := row.Lookup(u)
+			if ok != (err == nil) {
+				t.Fatalf("%s/%s: reader ok=%v, Lookup err=%v", row.Object, u, ok, err)
+			}
+			if !ok {
+				continue
+			}
+			if got := rd.AppendPossible(nil, i); !eqStrs(got, possible) || n != len(possible) || certain != wantCertain {
+				t.Fatalf("%s/%s: reader %v (n=%d, certain %q) vs Lookup %v (certain %q)", row.Object, u, got, n, certain, possible, wantCertain)
+			}
+			want, wantStated := objects[row.Object][u]
+			if got, stated := rd.Belief(i); got != want || stated != wantStated {
+				t.Fatalf("%s/%s: reader belief %q/%v, stored %q/%v", row.Object, u, got, stated, want, wantStated)
+			}
+		}
+	}
+	if err := rd.Reset(ObjectRow{Object: "nowhere"}); !errors.Is(err, ErrUnknownObject) {
+		t.Fatalf("Reset(zero row) = %v, want ErrUnknownObject", err)
+	}
+}
+
+// TestResolvedRowPinsItsBeliefs: a row pulled off the stream keeps the
+// beliefs its resolution was computed from, whatever is written to the
+// object while the consumer still holds the row.
+func TestResolvedRowPinsItsBeliefs(t *testing.T) {
+	n := New()
+	n.AddTrust("alice", "bob", 100)
+	st, err := n.NewStore(WithExtraRoots("bob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, key := range []string{"o1", "o2"} {
+		if err := st.PutObject(ctx, key, map[string]string{"bob": "fish"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd := NewRowReader([]string{"alice", "bob"})
+	for row, err := range st.Resolved(ctx) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutBelief(ctx, "bob", row.Object, "cow"); err != nil {
+			t.Fatal(err)
+		}
+		if err := rd.Reset(row); err != nil {
+			t.Fatal(err)
+		}
+		belief, stated := rd.Belief(1)
+		if certain, _, _ := rd.Lookup(0); !stated || belief != "fish" || certain != "fish" {
+			t.Fatalf("%s: row reads belief %q (stated %v), certain(alice) %q; want the pinned fish/fish", row.Object, belief, stated, certain)
+		}
+	}
+	if _, certain, err := st.Get(ctx, "alice", "o1"); err != nil || certain != "cow" {
+		t.Fatalf("after the stream: certain(alice, o1) = %q, %v; want cow", certain, err)
+	}
+}
+
+// TestStoreScanRefillsCache: a store that is only ever scanned resolves
+// each object once — the stream refills the per-object cache like the
+// batch reads do, and the hit/miss counters say so.
+func TestStoreScanRefillsCache(t *testing.T) {
+	n := New()
+	n.AddTrust("alice", "bob", 100)
+	n.SetBelief("bob", "fish")
+	st, err := n.NewStore(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const numObjects = 6
+	for i := 0; i < numObjects; i++ {
+		if err := st.PutObject(ctx, fmt.Sprintf("o%d", i), map[string]string{"bob": "knot"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func() (hits, misses uint64) {
+		for _, err := range st.Resolved(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := st.Stats()
+		return s.CacheHits, s.CacheMisses
+	}
+	if h, m := scan(); h != 0 || m != numObjects {
+		t.Fatalf("first scan: hits=%d misses=%d, want 0/%d", h, m, numObjects)
+	}
+	if h, m := scan(); h != numObjects || m != numObjects {
+		t.Fatalf("second scan: hits=%d misses=%d, want %d/%d (all cached)", h, m, numObjects, numObjects)
+	}
+	if err := st.PutBelief(ctx, "bob", "o2", "cow"); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := scan(); h != 2*numObjects-1 || m != numObjects+1 {
+		t.Fatalf("scan after one PutBelief: hits=%d misses=%d, want %d/%d (one object dirty)", h, m, 2*numObjects-1, numObjects+1)
+	}
+}
+
 // TestStoreIncrementalInvalidation pins the incremental-maintenance
 // contract: a belief mutation re-resolves only the touched object, a
 // trust mutation invalidates everything (new epoch), and untouched reads
