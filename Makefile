@@ -20,7 +20,7 @@ ENGINE_COVER_FLOOR ?= 75
 API_PKGS ?= .,wire,client
 API_GOLDEN ?= api/API.txt
 
-.PHONY: all build test race bench bench-save bench-diff bench-gate cover smoke crash poison loadgen-smoke replica-smoke cluster-smoke fuzz fmt vet lint api api-save doc-gate ci
+.PHONY: all build test race bench bench-save bench-diff bench-gate cover smoke crash poison loadgen-smoke replica-smoke cluster-smoke fuzz fmt vet lint api api-save doc-gate deps-gate ci
 
 all: build test
 
@@ -181,6 +181,22 @@ doc-gate:
 	$(GO) run ./cmd/apidump -check-docs -pkgs ./...
 	@echo "doc gate: every exported symbol is documented"
 
+# Dependency gate: the served packages — the trustd binary, the Go client
+# and the wire schema — must not link the paper-artifact packages (the SQL
+# lowering and its in-memory SQL engine, the LP baselines, the hardness
+# gadgets, the Orchestra comparison, the figure harness). Those stay
+# reachable from cmd/experiments, internal/bench and the engine's parity
+# tests; this check keeps them from drifting back under the server.
+SERVED_PKGS := ./cmd/trustd ./client ./wire
+PAPER_ONLY_PKGS := trustmap/internal/(bulk|sqlmem|lp|gadgets|orchestra|bench)
+deps-gate:
+	@deps="$$($(GO) list -deps $(SERVED_PKGS))" || exit 1; \
+	bad="$$(echo "$$deps" | grep -E '^$(PAPER_ONLY_PKGS)$$')"; \
+	if [ -n "$$bad" ]; then \
+		echo "served packages ($(SERVED_PKGS)) link paper-artifact packages:"; echo "$$bad"; exit 1; \
+	fi
+	@echo "deps gate: $(SERVED_PKGS) link no paper-artifact package"
+
 # Short coverage-guided fuzz of the incremental-engine parity invariant,
 # the query-plan parity invariant (greedy = naive = brute force), and
 # the /v1/query decoder (arbitrary bytes never panic the planner or the
@@ -199,4 +215,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: build fmt vet api doc-gate race crash bench fuzz
+ci: build fmt vet api doc-gate deps-gate race crash bench fuzz

@@ -212,7 +212,7 @@ func BenchmarkBulkResolve(b *testing.B) {
 		})
 	}
 	// Signature dedup on the clustered 10k-object workload. The compiled
-	// artifact persists across iterations, as in a session: the dedup
+	// artifact persists across iterations, as in a store: the dedup
 	// run's later iterations are served from the cross-batch signature
 	// cache, the no-dedup run pays per object every time.
 	binC, objsC := bench.ClusteredBulkWorkload(10000, 10000, 64, 42)
@@ -262,7 +262,7 @@ func BenchmarkBulkResolve(b *testing.B) {
 
 // BenchmarkIncrementalUpdate measures the mutate-then-re-plan workload on
 // the 10k-user power-law network: a full recompile per mutation (what
-// bulkResolveWith effectively pays) against the engine's delta path
+// a from-scratch resolve effectively pays) against the engine's delta path
 // (engine.CompiledNetwork.Apply) for a small dirty region. The acceptance
 // bar for the delta path is a >= 10x speedup.
 func BenchmarkIncrementalUpdate(b *testing.B) {
@@ -332,7 +332,7 @@ func BenchmarkResolveAllocs(b *testing.B) {
 
 // BenchmarkSessionMutateResolve measures the facade-level steady loop a
 // live community database runs: one trust revocation or re-grant, then one
-// object resolution, served from the session's incrementally maintained
+// object resolution, served from the store's incrementally maintained
 // artifact.
 func BenchmarkSessionMutateResolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
@@ -347,23 +347,24 @@ func BenchmarkSessionMutateResolve(b *testing.B) {
 		}
 	}
 	n.AddTrust("probe", "u0", 50) // leaf reader: revoking it dirties little
-	s, err := n.newSession(sessionOptions{Workers: 1})
+	ctx := context.Background()
+	s, err := n.NewStore(WithWorkers(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := s.Resolve(context.Background(), nil); err != nil {
+	if _, err := s.Resolve(ctx, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%2 == 0 {
-			if ok, err := s.RemoveTrust("probe", "u0"); err != nil || !ok {
+			if ok, err := s.RemoveTrust(ctx, "probe", "u0"); err != nil || !ok {
 				b.Fatalf("probe edge missing: ok=%v err=%v", ok, err)
 			}
-		} else if err := s.AddTrust("probe", "u0", 50); err != nil {
+		} else if err := s.SetTrust(ctx, "probe", "u0", 50); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.Resolve(context.Background(), nil); err != nil {
+		if _, err := s.Resolve(ctx, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -460,13 +461,13 @@ func BenchmarkStoreResolve(b *testing.B) {
 }
 
 // BenchmarkServeMixed measures mixed read/write serving throughput on a
-// shared session: 4 serving goroutines drain one deterministic script
+// shared store: 4 serving goroutines drain one deterministic script
 // (one write batch of trust toggles per 16 ops, reads drawn from 32
 // prototype belief assignments) over a 2000-user tiered community
 // network. Two serving disciplines are compared on the identical engine
 // and maintenance path:
 //
-//   - snapshot: the session's native epoch serving — reads pin the
+//   - snapshot: the store's native epoch serving — reads pin the
 //     current published epoch lock-free, the writer publishes the next
 //     epoch off to the side;
 //   - rwmutex: a naive global sync.RWMutex on top — reads hold RLock for
@@ -479,7 +480,7 @@ func BenchmarkStoreResolve(b *testing.B) {
 // throughput, so the two disciplines measure at parity within the box's
 // run-to-run noise — the assertion this benchmark grounds is that epoch
 // publication is never slower than the lock beyond noise, while removing
-// reader blocking (which the race-mode session tests assert directly).
+// reader blocking (which the race-mode store tests assert directly).
 func BenchmarkServeMixed(b *testing.B) {
 	const (
 		users      = 2000
@@ -521,7 +522,7 @@ func BenchmarkServeMixed(b *testing.B) {
 	run := func(b *testing.B, rwBaseline bool) {
 		n, roots, edges := build()
 		script := workload.MixedServe(rand.New(rand.NewSource(23)), roots, domain, edges, 4096, 16, 4, 32)
-		s, err := n.newSession(sessionOptions{Workers: 1})
+		s, err := n.NewStore(WithWorkers(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -559,7 +560,7 @@ func BenchmarkServeMixed(b *testing.B) {
 					if rwBaseline {
 						lock.Lock()
 					}
-					err := s.Update(func(tx *sessionTx) error {
+					err := s.Update(func(tx *StoreTx) error {
 						for _, tg := range op.Toggles {
 							if ok, _ := tx.RemoveTrust(tg.Truster, tg.Trusted); !ok {
 								if err := tx.AddTrust(tg.Truster, tg.Trusted, tg.Priority); err != nil {

@@ -7,7 +7,9 @@ package trustmap_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -199,5 +201,33 @@ func BenchmarkClusterResolve(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestClusterRejectsEmptyUser is the regression test for one malformed
+// request poisoning a whole cluster: an object write naming the empty
+// user used to be applied on the owner shard ("" became a user and a plan
+// root there), fail the AddRoots broadcast on the next shard, and poison
+// the router for every later write. The public mutators now reject it
+// before anything is applied.
+func TestClusterRejectsEmptyUser(t *testing.T) {
+	rt := newCluster(t, 4)
+	ctx := context.Background()
+	if err := rt.PutObject(ctx, "k", map[string]string{"": "x"}); err == nil || errors.Is(err, trustmap.ErrPoisoned) {
+		t.Fatalf("PutObject with an empty user: err=%v, want a plain rejection", err)
+	}
+	if err := rt.PutBelief(ctx, "", "k", "x"); err == nil || errors.Is(err, trustmap.ErrPoisoned) {
+		t.Fatalf("PutBelief with an empty user: err=%v, want a plain rejection", err)
+	}
+	if err := rt.PutObject(ctx, "k", map[string]string{"alice": "knot"}); err != nil {
+		t.Fatalf("valid write after the rejected ones: %v", err)
+	}
+	if _, ok := rt.Object("k"); !ok {
+		t.Error("valid write did not land")
+	}
+	for i := 0; i < rt.Shards(); i++ {
+		if slices.Contains(rt.Shard(i).Users(), "") {
+			t.Errorf("shard %d lists the empty user", i)
+		}
 	}
 }

@@ -225,11 +225,11 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 	d.lastLSN.Store(log.LastLSN())
 	d.durableLSN.Store(log.LastLSN()) // read back from disk: already durable
 	d.snapLSN.Store(snapLSN)
+	// Every publication from here on carries the logged LSN as its tag
+	// (publishLocked reads it through st.dur), and post-restart epochs
+	// continue the pre-crash numbering.
 	st.dur = d
-	// Every publication from here on carries the logged LSN as its tag,
-	// and post-restart epochs continue the pre-crash numbering.
-	st.sess.lsnFn = d.lastLSN.Load
-	st.sess.rebase(maxEpoch)
+	st.rebase(maxEpoch)
 	return st, nil
 }
 
@@ -264,7 +264,7 @@ func (s *Store) replayBatch(b wire.OpBatch, applied, errs *uint64) {
 			j++
 		}
 		run := b.Ops[i:j]
-		uerr := s.applyUpdate(func(tx *StoreTx) error {
+		uerr := s.applyUpdate(&StoreTx{s: s}, func(tx *StoreTx) error {
 			for _, op := range run {
 				if err := op.Apply(tx); err != nil {
 					*errs++
@@ -296,7 +296,7 @@ func (s *Store) applyObjectOp(op wire.Op) error {
 		s.applyDeleteBelief(op.User, op.Object)
 		return nil
 	case wire.OpRegisterRoots:
-		_, err := s.sess.addObjectRoots(op.Users...)
+		_, err := s.addObjectRoots(op.Users...)
 		return err
 	default:
 		return fmt.Errorf("trustmap: unknown object op %q", op.Op)
@@ -484,7 +484,7 @@ func (s *Store) exportLocked(lsn uint64) *snapshot.File {
 			f.Beliefs[inner.Name(t)] = string(inner.Explicit(t))
 		}
 	}
-	f.ExtraRoots = s.sess.extraRootNames()
+	f.ExtraRoots = s.extraRootNames()
 	s.mu.RLock()
 	for k, bs := range s.objects {
 		m := make(map[string]string, len(bs))

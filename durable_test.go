@@ -13,6 +13,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"trustmap/wire"
 )
 
 func mustOpenStore(t *testing.T, dir string, opts ...StoreOption) *Store {
@@ -487,7 +489,7 @@ func TestExtraRootsSurviveCheckpoint(t *testing.T) {
 	// Reopened WITHOUT the option: the roots come back from the snapshot.
 	r := mustOpenStore(t, dir)
 	defer r.Close()
-	got := r.sess.extraRootNames()
+	got := r.extraRootNames()
 	want := map[string]bool{"curatorX": true, "curatorY": true}
 	for _, name := range got {
 		delete(want, name)
@@ -521,7 +523,43 @@ func TestEpochTagTracksLSN(t *testing.T) {
 
 // tagOf reads the currently published epoch's LSN tag.
 func tagOf(s *Store) uint64 {
-	e := s.sess.pub.Acquire()
+	e := s.pub.Acquire()
 	defer e.Release()
 	return e.Tag()
+}
+
+// TestRecoveryReplaysLoggedEmptyUser pins where the empty-user check
+// lives: the public mutators reject the name, but the replay bodies do
+// not, so a WAL written before the check existed — here shipped in as a
+// replicated batch — still recovers instead of failing the open.
+func TestRecoveryReplaysLoggedEmptyUser(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s := mustOpenStore(t, dir, WithDurability(DurabilityAlways))
+	if err := s.PutObject(ctx, "k", map[string]string{"": "x"}); err == nil {
+		t.Fatal("PutObject accepted an empty user name")
+	}
+	if err := s.PutBelief(ctx, "", "k", "x"); err == nil {
+		t.Fatal("PutBelief accepted an empty user name")
+	}
+	if s.LSN() != 0 || len(s.Users()) != 0 {
+		t.Fatalf("rejected writes left a trace: lsn=%d users=%q", s.LSN(), s.Users())
+	}
+	old := wire.OpBatch{Schema: wire.SchemaVersion, Epoch: s.Epoch(), LSN: 1, Ops: []wire.Op{
+		{Op: wire.OpPutObject, Object: "k", Beliefs: map[string]string{"": "x"}},
+	}}
+	if res, err := s.ApplyReplicated(old); err != nil || res.OpErrors != 0 {
+		t.Fatalf("replaying the legacy record: %+v, %v", res, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpenStore(t, dir)
+	defer r.Close()
+	if st := r.Durability(); st.ReplayErrors != 0 || st.ReplayedOps != 1 {
+		t.Fatalf("recovery: %d ops replayed, %d errors; want 1, 0", st.ReplayedOps, st.ReplayErrors)
+	}
+	if bs, ok := r.Object("k"); !ok || bs[""] != "x" {
+		t.Fatalf("recovered object k = %v, %v", bs, ok)
+	}
 }

@@ -242,7 +242,7 @@ func (r *Router) ResolveObject(ctx context.Context, key string) (trustmap.Object
 // Resolve answers one ad-hoc object. Ad-hoc resolution reads only the
 // spine (plus the passed beliefs), which is identical on every shard,
 // so shard 0 answers for the cluster.
-func (r *Router) Resolve(ctx context.Context, beliefs map[string]string) (SingleResult, error) {
+func (r *Router) Resolve(ctx context.Context, beliefs map[string]string) (trustmap.ObjectRow, error) {
 	return r.shards[0].Resolve(ctx, beliefs)
 }
 

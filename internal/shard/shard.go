@@ -37,18 +37,6 @@ import (
 	"trustmap/wire"
 )
 
-// SingleResult is the resolved view of one ad-hoc object: the surface
-// httpd's /v1/resolve handler needs. *trustmap.ObjectResolution is the
-// single-store implementation.
-type SingleResult interface {
-	// Lookup reports poss/cert for one user; unknown users answer an
-	// error wrapping trustmap.ErrUnknownUser.
-	Lookup(user string) (possible []string, certain string, err error)
-	// Epoch is the publication generation that served the resolution —
-	// on a cluster, the minimum pinned epoch over participating shards.
-	Epoch() uint64
-}
-
 // BulkResult is the resolved view of an ad-hoc object batch: the surface
 // httpd's /v1/bulk-resolve handler needs. *trustmap.BulkResolution is the
 // single-store implementation; a Router answers with a merged view over
@@ -92,7 +80,7 @@ type Backend interface {
 	Mutate(ops []wire.Op) (applied int, err error)
 
 	// Resolve answers one ad-hoc object (spine-only: any shard agrees).
-	Resolve(ctx context.Context, beliefs map[string]string) (SingleResult, error)
+	Resolve(ctx context.Context, beliefs map[string]string) (trustmap.ObjectRow, error)
 	// BulkResolve answers an ad-hoc batch; a Router splits it by
 	// wire.ShardOwner and resolves the sub-batches concurrently.
 	BulkResolve(ctx context.Context, objects map[string]map[string]string) (BulkResult, error)
@@ -196,7 +184,7 @@ func mutateStore(st *trustmap.Store, ops []wire.Op) (applied int, err error) {
 }
 
 // Resolve answers one ad-hoc object.
-func (s *SingleStore) Resolve(ctx context.Context, beliefs map[string]string) (SingleResult, error) {
+func (s *SingleStore) Resolve(ctx context.Context, beliefs map[string]string) (trustmap.ObjectRow, error) {
 	return s.st.Resolve(ctx, beliefs)
 }
 

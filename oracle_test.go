@@ -1,0 +1,66 @@
+package trustmap
+
+import (
+	"context"
+	"fmt"
+	"sort"
+
+	"trustmap/internal/engine"
+	"trustmap/internal/tn"
+)
+
+// bulkResolveFresh is the from-scratch oracle the Store tests compare
+// against: it resolves many objects sharing this network's trust mappings
+// (Section 4) by binarizing and compiling the network anew on every call
+// — no twin, no incremental apply, no epochs, no cache — and scanning the
+// objects with a worker pool. Every user an object mentions becomes a
+// root. Engine ≡ SQL ≡ Algorithm 1 parity for the compiled path itself is
+// internal/engine/parity_test.go's job.
+func (n *Network) bulkResolveFresh(ctx context.Context, objects map[string]map[string]string, workers int) (*BulkResolution, error) {
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	// Mark every user appearing in object maps as a root.
+	shape := n.inner.Clone()
+	for _, bs := range objects {
+		for user := range bs {
+			id := shape.UserID(user)
+			if id < 0 {
+				return nil, fmt.Errorf("trustmap: unknown user %q in object beliefs", user)
+			}
+			shape.SetExplicit(id, "seed")
+		}
+	}
+	b := tn.Binarize(shape)
+	// Root IDs in the binarized network: the hoisted belief nodes. Memoize
+	// the lookup per user rather than redoing it per (object, user).
+	rootOf := make(map[string]int)
+	conv := make(map[string]map[int]tn.Value, len(objects))
+	for k, bs := range objects {
+		m := make(map[int]tn.Value, len(bs))
+		for user, v := range bs {
+			id, ok := rootOf[user]
+			if !ok {
+				id = findRootFor(b, shape.UserID(user))
+				rootOf[user] = id
+			}
+			m[id] = tn.Value(v)
+		}
+		conv[k] = m
+	}
+	keys := make([]string, 0, len(objects))
+	for k := range objects {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	c, err := engine.Compile(b)
+	if err != nil {
+		return nil, err
+	}
+	res, err := c.Resolve(ctx, conv, engine.Options{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	// Original IDs are a prefix of a fresh binarization: binIDs stays nil.
+	return &BulkResolution{src: n.inner.Snapshot(nil), keys: keys, eng: res}, nil
+}

@@ -5,17 +5,17 @@ package trustmap
 // database (Section 4), where the old API treated objects as a transient
 // map threaded through every BulkResolve call.
 //
-// A Store wraps an epoch-published session (internal/serve underneath):
-// reads pin the currently published snapshot lock-free, trust mutations
-// build the next epoch off to the side and swap it in atomically, and the
-// compiled resolution artifact is maintained incrementally across
-// mutations. On top of that the Store adds an object table and a
-// per-object result cache keyed by (epoch, object version): a belief
-// mutation invalidates exactly the touched object, so the next read
-// re-resolves only that object — every other stored object keeps serving
-// its cached resolution — and a trust mutation advances the epoch, after
-// which stale objects are re-resolved lazily in one signature-deduplicated
-// batch.
+// A Store owns the epoch publisher directly (internal/serve underneath;
+// the writer side lives in twin.go): reads pin the currently published
+// snapshot lock-free, trust mutations build the next epoch off to the
+// side and swap it in atomically, and the compiled resolution artifact is
+// maintained incrementally across mutations. Beside it the Store keeps an
+// object table and a per-object result cache keyed by (epoch, object
+// version): a belief mutation invalidates exactly the touched object, so
+// the next read re-resolves only that object — every other stored object
+// keeps serving its cached resolution — and a trust mutation advances the
+// epoch, after which stale objects are re-resolved lazily in one
+// signature-deduplicated batch.
 //
 // # Object model
 //
@@ -34,7 +34,9 @@ package trustmap
 // A Store is safe for concurrent use: any number of goroutines may read
 // while others mutate. Each read observes exactly one published epoch and
 // one self-consistent object table; results remain valid after their
-// epoch is superseded.
+// epoch is superseded. Lock order: the durable critical section (dur.mu),
+// then the writer mutex (wmu), then publication; mu guards only the
+// object table and is never held across either.
 
 import (
 	"context"
@@ -45,15 +47,17 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"trustmap/internal/engine"
+	"trustmap/internal/serve"
+	"trustmap/internal/tn"
 	"trustmap/wire"
 )
 
 // storeConfig collects the functional options of NewStore and OpenStore.
 type storeConfig struct {
 	workers    int
-	noDedup    bool
 	maxDirty   float64
 	extraRoots []string
 	durability DurabilityMode
@@ -65,11 +69,6 @@ type StoreOption func(*storeConfig)
 // WithWorkers sets the worker-pool size for resolves. Zero or negative
 // means GOMAXPROCS.
 func WithWorkers(n int) StoreOption { return func(c *storeConfig) { c.workers = n } }
-
-// WithDedup enables or disables signature deduplication for the store's
-// resolves. The default (enabled) resolves objects sharing one
-// root-assignment signature once per artifact generation.
-func WithDedup(enabled bool) StoreOption { return func(c *storeConfig) { c.noDedup = !enabled } }
 
 // WithMaxDirtyFraction sets the dirty-region share above which a trust
 // mutation recompiles the resolution plan from scratch instead of
@@ -102,13 +101,45 @@ type storeCached struct {
 // it. Create with NewStore (fresh network) or Network.NewStore (adopting
 // an existing facade network). Safe for concurrent use.
 type Store struct {
-	net  *Network
-	sess *session
+	net      *Network
+	workers  int     // worker-pool size for resolves; zero means GOMAXPROCS
+	maxDirty float64 // dirty-region share above which Apply recompiles (0 = engine default)
 
 	// dur is the persistence side (durable.go): nil for in-memory stores
 	// (NewStore), the open WAL + snapshot machinery for OpenStore. When
-	// set, every mutator runs apply-then-log inside dur.mu.
+	// set, every mutator runs apply-then-log inside dur.mu, and every
+	// publication is tagged with the logged LSN.
 	dur *durable
+
+	pub *serve.Publisher[*epochSnap]
+
+	// Writer-side state (twin.go), guarded by wmu. Readers never touch it:
+	// everything a resolve needs is frozen into the published epochSnap.
+	wmu        sync.Mutex
+	bin        *tn.Network // binarized twin, journaling enabled
+	comp       *engine.CompiledNetwork
+	binIDs     []int            // original user ID -> binarized node ID
+	rootNode   map[int]int      // original root ID -> binarized node carrying its belief
+	extraRoots []int            // original IDs of extra roots, in registration order
+	extraSet   map[int]struct{} // membership index over extraRoots
+	// version is the highest inner-network version the store has accounted
+	// for: stored (under wmu) the moment a store mutation lands, before it
+	// is published. Readers compare it against the network's atomic version
+	// counter to tell out-of-store mutations (which need a rebuild) from
+	// in-flight store writes (whose publication is coming; the current
+	// epoch stays correct to serve) — atomically, so the probe never takes
+	// the writer mutex.
+	version atomic.Uint64
+	// pubStale flips when a publication failed (a rebuild error after a
+	// mutation landed): the current epoch no longer reflects the writer
+	// state. Readers observing it upgrade to refresh, which retries the
+	// rebuild and surfaces the error — mutation failures are never
+	// silently absorbed into stale serving.
+	pubStale    atomic.Bool
+	needRebuild bool
+	rootsDirty  bool // rootNode or a default belief changed since the last snapshot
+	stats       SessionStats
+	lastSnap    *epochSnap // previous publication, for O(1) reuse of unchanged tables
 
 	mu      sync.RWMutex
 	objects map[string]map[string]string // object -> user -> value; value maps are copy-on-write
@@ -129,7 +160,7 @@ func NewStore(opts ...StoreOption) (*Store, error) {
 // it: the adapter from the construction API. The network must not be
 // mutated directly afterwards while the store is in use from several
 // goroutines (sequential direct mutation remains supported and is
-// detected, exactly as for sessions).
+// detected by the network's version counter).
 func (n *Network) NewStore(opts ...StoreOption) (*Store, error) {
 	var c storeConfig
 	for _, o := range opts {
@@ -138,25 +169,27 @@ func (n *Network) NewStore(opts ...StoreOption) (*Store, error) {
 	return newStore(n, c)
 }
 
-// newStore builds the in-memory store for a resolved config: the shared
-// body of NewStore and OpenStore (which layers durability on afterwards).
+// newStore validates and compiles the network once and publishes it as
+// epoch 1: the shared body of NewStore and OpenStore (which layers
+// durability on afterwards).
 func newStore(n *Network, c storeConfig) (*Store, error) {
-	s, err := n.newSession(sessionOptions{
-		Workers:          c.workers,
-		ExtraRoots:       c.extraRoots,
-		MaxDirtyFraction: c.maxDirty,
-		DisableDedup:     c.noDedup,
-	})
-	if err != nil {
+	s := &Store{
+		net:      n,
+		workers:  c.workers,
+		maxDirty: c.maxDirty,
+		extraSet: make(map[int]struct{}, len(c.extraRoots)),
+		objects:  make(map[string]map[string]string),
+		objVer:   make(map[string]uint64),
+		cache:    make(map[string]storeCached),
+	}
+	for _, name := range c.extraRoots {
+		s.addExtraRootLocked(n.inner.AddUser(name))
+	}
+	if err := s.rebuild(); err != nil {
 		return nil, err
 	}
-	return &Store{
-		net:     n,
-		sess:    s,
-		objects: make(map[string]map[string]string),
-		objVer:  make(map[string]uint64),
-		cache:   make(map[string]storeCached),
-	}, nil
+	s.pub = serve.NewPublisher(s.snapLocked(), nil)
+	return s, nil
 }
 
 // Network returns the underlying facade network (read-only use — direct
@@ -165,12 +198,16 @@ func (s *Store) Network() *Network { return s.net }
 
 // Epoch returns the sequence number of the currently published epoch. It
 // increases by one per effective trust mutation, batch, or replan.
-func (s *Store) Epoch() uint64 { return s.sess.Epoch() }
+func (s *Store) Epoch() uint64 { return s.pub.Seq() }
 
 // Users returns all user names known to the trust network, sorted.
 func (s *Store) Users() []string { return s.net.Users() }
 
 // --- trust-network mutators -------------------------------------------
+//
+// The single-op mutators are one-op batches: they run through Update, so
+// the critical section, the publication, and the WAL record have exactly
+// one implementation.
 
 // SetTrust states that truster accepts values from trusted with the given
 // priority, creating the mapping or re-prioritizing an existing one
@@ -179,24 +216,7 @@ func (s *Store) SetTrust(ctx context.Context, truster, trusted string, priority 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	unlock, err := s.beginMutation()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	if err := s.applySetTrust(truster, trusted, priority); err != nil {
-		return err
-	}
-	return s.logMutation(wire.Op{Op: wire.OpSetTrust, Truster: truster, Trusted: trusted, Priority: priority})
-}
-
-func (s *Store) applySetTrust(truster, trusted string, priority int) error {
-	return s.sess.Update(func(tx *sessionTx) error {
-		if ok, err := tx.UpdateTrust(truster, trusted, priority); err != nil || ok {
-			return err
-		}
-		return tx.AddTrust(truster, trusted, priority)
-	})
+	return s.Update(func(tx *StoreTx) error { return tx.SetTrust(truster, trusted, priority) })
 }
 
 // RemoveTrust revokes truster -> trusted and reports whether the mapping
@@ -205,16 +225,12 @@ func (s *Store) RemoveTrust(ctx context.Context, truster, trusted string) (bool,
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	unlock, err := s.beginMutation()
-	if err != nil {
-		return false, err
-	}
-	defer unlock()
-	ok, err := s.sess.RemoveTrust(truster, trusted)
-	if err != nil || !ok {
-		return ok, err
-	}
-	return true, s.logMutation(wire.Op{Op: wire.OpRemoveTrust, Truster: truster, Trusted: trusted})
+	var ok bool
+	err := s.Update(func(tx *StoreTx) (err error) {
+		ok, err = tx.RemoveTrust(truster, trusted)
+		return err
+	})
+	return ok, err
 }
 
 // SetDefault states user's network-level belief: the value every object
@@ -223,15 +239,7 @@ func (s *Store) SetDefault(ctx context.Context, user, value string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	unlock, err := s.beginMutation()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	if err := s.sess.SetBelief(user, value); err != nil {
-		return err
-	}
-	return s.logMutation(wire.Op{Op: wire.OpSetBelief, User: user, Value: value})
+	return s.Update(func(tx *StoreTx) error { return tx.SetDefault(user, value) })
 }
 
 // DeleteDefault revokes user's network-level belief. A user mentioned by
@@ -241,52 +249,36 @@ func (s *Store) DeleteDefault(ctx context.Context, user string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	unlock, err := s.beginMutation()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	// Revoking an absent belief is a no-op and must not consume an LSN:
-	// the WAL holds exactly the effective mutation history. The existence
-	// probe is safe here — mutators serialize on dur.mu (in-memory stores
-	// skip it entirely, there is nothing to log).
-	logIt := s.dur != nil && s.net.hasDefault(user)
-	if err := s.sess.RemoveBelief(user); err != nil {
-		return err
-	}
-	if !logIt {
-		return nil
-	}
-	return s.logMutation(wire.Op{Op: wire.OpRemoveBelief, User: user})
+	return s.Update(func(tx *StoreTx) error { return tx.DeleteDefault(user) })
 }
 
 // StoreTx applies several trust-network mutations as one batch inside
 // Store.Update: concurrent readers observe either the whole batch or none
 // of it, and the engine folds the batch into the compiled artifact in one
 // delta application. On a durable store the batch's effective ops are
-// logged as one WAL record when Update returns.
+// logged as one WAL record when Update returns. Its methods run under the
+// store's writer mutex and defer publication to the end of the batch.
 type StoreTx struct {
-	tx  *sessionTx
-	rec *[]wire.Op // effective-op recorder; nil on in-memory stores
+	s   *Store
+	log bool      // record effective ops; false on in-memory stores and on replay
+	ops []wire.Op // the batch's WAL record: exactly the effective mutations
 }
 
-// record notes one effective mutation for the batch's WAL record.
+// record notes one effective mutation for the batch's WAL record. No-ops
+// (an absent mapping or belief revoked) never get here, so they consume
+// no LSN: the WAL holds exactly the effective mutation history.
 func (t *StoreTx) record(op wire.Op) {
-	if t.rec != nil {
-		*t.rec = append(*t.rec, op)
+	if t.log {
+		t.ops = append(t.ops, op)
 	}
 }
 
 // SetTrust is Store.SetTrust within the batch.
 func (t *StoreTx) SetTrust(truster, trusted string, priority int) error {
-	if ok, err := t.tx.UpdateTrust(truster, trusted, priority); err != nil || ok {
-		if err == nil {
-			t.record(wire.Op{Op: wire.OpSetTrust, Truster: truster, Trusted: trusted, Priority: priority})
+	if !t.s.updateTrustLocked(truster, trusted, priority) {
+		if err := t.s.addTrustLocked(truster, trusted, priority); err != nil {
+			return err
 		}
-		return err
-	}
-	if err := t.tx.AddTrust(truster, trusted, priority); err != nil {
-		return err
 	}
 	t.record(wire.Op{Op: wire.OpSetTrust, Truster: truster, Trusted: trusted, Priority: priority})
 	return nil
@@ -295,7 +287,7 @@ func (t *StoreTx) SetTrust(truster, trusted string, priority int) error {
 // AddTrust adds a new mapping, erroring if it already exists (use
 // SetTrust to upsert).
 func (t *StoreTx) AddTrust(truster, trusted string, priority int) error {
-	if err := t.tx.AddTrust(truster, trusted, priority); err != nil {
+	if err := t.s.addTrustLocked(truster, trusted, priority); err != nil {
 		return err
 	}
 	t.record(wire.Op{Op: wire.OpAddTrust, Truster: truster, Trusted: trusted, Priority: priority})
@@ -303,27 +295,29 @@ func (t *StoreTx) AddTrust(truster, trusted string, priority int) error {
 }
 
 // UpdateTrust re-prioritizes an existing mapping and reports whether it
-// existed.
+// existed. The error is always nil (publication errors surface from
+// Update itself); the shape is the one wire.Op.Apply dispatches onto.
 func (t *StoreTx) UpdateTrust(truster, trusted string, priority int) (bool, error) {
-	ok, err := t.tx.UpdateTrust(truster, trusted, priority)
-	if err == nil && ok {
+	ok := t.s.updateTrustLocked(truster, trusted, priority)
+	if ok {
 		t.record(wire.Op{Op: wire.OpUpdateTrust, Truster: truster, Trusted: trusted, Priority: priority})
 	}
-	return ok, err
+	return ok, nil
 }
 
-// RemoveTrust is Store.RemoveTrust within the batch.
+// RemoveTrust is Store.RemoveTrust within the batch. The error is always
+// nil, as for UpdateTrust.
 func (t *StoreTx) RemoveTrust(truster, trusted string) (bool, error) {
-	ok, err := t.tx.RemoveTrust(truster, trusted)
-	if err == nil && ok {
+	ok := t.s.removeTrustLocked(truster, trusted)
+	if ok {
 		t.record(wire.Op{Op: wire.OpRemoveTrust, Truster: truster, Trusted: trusted})
 	}
-	return ok, err
+	return ok, nil
 }
 
 // SetDefault is Store.SetDefault within the batch.
 func (t *StoreTx) SetDefault(user, value string) error {
-	if err := t.tx.SetBelief(user, value); err != nil {
+	if err := t.s.setBeliefLocked(user, value); err != nil {
 		return err
 	}
 	t.record(wire.Op{Op: wire.OpSetBelief, User: user, Value: value})
@@ -332,11 +326,7 @@ func (t *StoreTx) SetDefault(user, value string) error {
 
 // DeleteDefault is Store.DeleteDefault within the batch.
 func (t *StoreTx) DeleteDefault(user string) error {
-	had := t.rec != nil && t.tx.s.net.hasDefault(user) // under the session writer lock
-	if err := t.tx.RemoveBelief(user); err != nil {
-		return err
-	}
-	if had {
+	if t.s.removeBeliefLocked(user) {
 		t.record(wire.Op{Op: wire.OpRemoveBelief, User: user})
 	}
 	return nil
@@ -353,28 +343,44 @@ func (s *Store) Update(fn func(tx *StoreTx) error) error {
 		return err
 	}
 	defer unlock()
-	var ops []wire.Op
-	var rec *[]wire.Op
-	if s.dur != nil {
-		rec = &ops
-	}
-	ferr := s.sess.Update(func(tx *sessionTx) error { return fn(&StoreTx{tx: tx, rec: rec}) })
-	if len(ops) > 0 {
-		if lerr := s.logMutation(ops...); ferr == nil {
+	tx := &StoreTx{s: s, log: s.dur != nil}
+	ferr := s.applyUpdate(tx, fn)
+	if len(tx.ops) > 0 {
+		if lerr := s.logMutation(tx.ops...); ferr == nil {
 			ferr = lerr
 		}
 	}
 	return ferr
 }
 
-// applyUpdate is Update without the durable critical section or the op
-// recorder: the recovery-replay path (ops come FROM the log) and the
-// shared body for in-memory batches.
-func (s *Store) applyUpdate(fn func(tx *StoreTx) error) error {
-	return s.sess.Update(func(tx *sessionTx) error { return fn(&StoreTx{tx: tx}) })
+// applyUpdate runs fn(tx) under the writer mutex and publishes one epoch:
+// Update without the durable critical section or the WAL append, which is
+// all the recovery-replay path needs (its ops come FROM the log).
+func (s *Store) applyUpdate(tx *StoreTx, fn func(tx *StoreTx) error) (err error) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	// Publish in a defer so a panic in fn still publishes the applied
+	// prefix while unwinding: otherwise a recovered panic (net/http
+	// recovers handler panics) would leave the version counters in sync
+	// with mutations no epoch reflects, and readers would silently serve
+	// the pre-batch snapshot.
+	defer func() {
+		tx.s = nil
+		if perr := s.publishLocked(); err == nil {
+			err = perr
+		}
+	}()
+	return fn(tx)
 }
 
 // --- object mutators ---------------------------------------------------
+
+// errEmptyUser rejects the empty user name in the public object mutators,
+// before anything is applied or logged: the name would become a plan root
+// on the owning shard that AddRoots refuses to broadcast to the others,
+// poisoning the cluster. The apply* replay bodies do not check, so a WAL
+// that already holds such a record still recovers.
+var errEmptyUser = errors.New("trustmap: empty user name")
 
 // PutBelief states user's explicit belief about one object, overriding
 // the user's network default for that object. The user becomes a root of
@@ -384,6 +390,9 @@ func (s *Store) applyUpdate(fn func(tx *StoreTx) error) error {
 func (s *Store) PutBelief(ctx context.Context, user, object, value string) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if user == "" {
+		return errEmptyUser
 	}
 	unlock, err := s.beginMutation()
 	if err != nil {
@@ -403,7 +412,7 @@ func (s *Store) applyPutBelief(user, object, value string) error {
 	if value == "" {
 		return errors.New("trustmap: empty value; use DeleteBelief to revoke")
 	}
-	if _, err := s.sess.addObjectRoots(user); err != nil {
+	if _, err := s.addObjectRoots(user); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -458,6 +467,9 @@ func (s *Store) PutObject(ctx context.Context, object string, beliefs map[string
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if _, ok := beliefs[""]; ok {
+		return errEmptyUser
+	}
 	unlock, err := s.beginMutation()
 	if err != nil {
 		return err
@@ -481,7 +493,7 @@ func (s *Store) applyPutObject(object string, beliefs map[string]string) error {
 		users = append(users, user)
 	}
 	sort.Strings(users) // deterministic registration order
-	if _, err := s.sess.addObjectRoots(users...); err != nil {
+	if _, err := s.addObjectRoots(users...); err != nil {
 		return err
 	}
 	m := make(map[string]string, len(beliefs))
@@ -541,7 +553,7 @@ func (s *Store) AddRoots(ctx context.Context, users ...string) error {
 	names := make([]string, 0, len(users))
 	for _, u := range users {
 		if u == "" {
-			return errors.New("trustmap: empty user name")
+			return errEmptyUser
 		}
 		names = append(names, u)
 	}
@@ -555,7 +567,7 @@ func (s *Store) AddRoots(ctx context.Context, users ...string) error {
 		return err
 	}
 	defer unlock()
-	added, err := s.sess.addObjectRoots(names...)
+	added, err := s.addObjectRoots(names...)
 	if err != nil {
 		return err
 	}
@@ -684,7 +696,7 @@ type RowReader struct {
 // readerNodes is the users' translation for one snapshot, identified by
 // its name view and original->binarized table.
 type readerNodes struct {
-	src    userIndex
+	src    *tn.View
 	binIDs []int
 	nodes  []int // position -> resolved-network node, or noUser
 }
@@ -864,98 +876,125 @@ func (s *Store) ResolveAll(ctx context.Context) (*StoreResolution, error) {
 	return res, nil
 }
 
-// resolveStored serves the given stored objects (nil keys = all, sorted)
-// at one pinned epoch: cache-current objects are served as-is, the rest
-// are resolved in one batch and the cache is refilled. Unknown keys error
-// with ErrUnknownObject.
-func (s *Store) resolveStored(ctx context.Context, keys []string) ([]ObjectRow, uint64, error) {
-	e, err := s.sess.snapshot()
-	if err != nil {
-		return nil, 0, err
-	}
-	var (
-		epoch uint64
-		rows  []ObjectRow
-		dirty map[string]map[string]string
-		overs map[string]uint64
-		hits  uint64
-	)
-	// Pin an epoch and capture the object table consistently: PutBelief
-	// and PutObject install a belief entry only AFTER publishing any
-	// replan its new roots needed, so if no publication landed between the
-	// pin and the table read, every captured entry's roots exist in the
-	// pinned epoch. Retries are bounded so a write-heavy store cannot
-	// starve the read; on exhaustion the freshest capture serves (worst
-	// case: the documented coverage error for a just-registered root).
+// pinned is one consistent capture of the object table at a pinned
+// epoch: the shared front half of resolveStored and Resolved.
+type pinned struct {
+	e    *serve.Epoch[*epochSnap]
+	rows []ObjectRow // res set = served from the cache; nil = fill resolves it
+	// overs[i] is rows[i]'s belief version at capture, the guard fill
+	// refills the cache under; nil when every row was cache-current.
+	overs []uint64
+}
+
+// capture pins an epoch and reads the given stored objects (nil keys =
+// all, sorted) consistently with it: keys, belief maps (copy-on-write —
+// the refs stay frozen), belief versions, and current cache entries,
+// under one lock. PutBelief and PutObject install a belief entry only
+// AFTER publishing any replan its new roots needed, so if no publication
+// landed between the pin and the table read, every captured entry's roots
+// exist in the pinned epoch. Retries are bounded so a write-heavy store
+// cannot starve the read; on exhaustion the freshest capture serves
+// (worst case: the documented coverage error for a just-registered root).
+// Unknown keys error with ErrUnknownObject. The caller releases p.e.
+func (s *Store) capture(keys []string) (p pinned, err error) {
 	allKeys := keys == nil
 	for attempt := 0; ; attempt++ {
-		epoch = e.Seq()
-		rows, dirty, overs, hits = nil, nil, nil, 0
+		if p.e, err = s.snapshot(); err != nil {
+			return pinned{}, err
+		}
+		epoch := p.e.Seq()
+		p.overs = nil
 		s.mu.RLock()
 		if allKeys {
 			// Recaptured every attempt: a key deleted between attempts must
 			// drop out, not fail the all-objects read as unknown.
 			keys = s.keysLocked()
 		}
-		rows = make([]ObjectRow, 0, len(keys))
-		overs = make(map[string]uint64)
-		for _, k := range keys {
+		p.rows = make([]ObjectRow, len(keys))
+		for i, k := range keys {
 			bs, ok := s.objects[k]
 			if !ok {
 				s.mu.RUnlock()
-				e.Release()
-				return nil, 0, fmt.Errorf("%w: %q", ErrUnknownObject, k)
+				p.e.Release()
+				return pinned{}, fmt.Errorf("%w: %q", ErrUnknownObject, k)
 			}
+			p.rows[i] = ObjectRow{Object: k, beliefs: bs}
 			if c, ok := s.cache[k]; ok && c.epoch == epoch && c.over == s.objVer[k] {
-				rows = append(rows, ObjectRow{Object: k, res: c.res, beliefs: bs})
+				p.rows[i].res = c.res
 				continue
 			}
-			if dirty == nil {
-				dirty = make(map[string]map[string]string)
+			if p.overs == nil {
+				p.overs = make([]uint64, len(keys))
 			}
-			dirty[k] = bs // value maps are copy-on-write: safe to read unlocked
-			overs[k] = s.objVer[k]
-			rows = append(rows, ObjectRow{Object: k, beliefs: bs}) // res filled below
+			p.overs[i] = s.objVer[k]
 		}
-		hits = uint64(len(rows) - len(dirty))
 		s.mu.RUnlock()
-		if s.sess.Epoch() == epoch || attempt >= 2 {
-			break
+		if s.Epoch() == epoch || attempt >= 2 {
+			return p, nil
 		}
-		e.Release() // a publication raced the capture: re-pin and retry
-		if e, err = s.sess.snapshot(); err != nil {
-			return nil, 0, err
-		}
+		p.e.Release() // a publication raced the capture: re-pin and retry
 	}
-	defer e.Release()
+}
 
-	if len(dirty) > 0 {
-		res, err := resolveSnap(ctx, e, dirty, s.sess.workers, s.sess.noDedup)
-		if err != nil {
-			return nil, 0, err
-		}
-		for i := range rows {
-			if rows[i].res == nil {
-				rows[i].res = res
-			}
-		}
-		s.mu.Lock()
-		for k, over := range overs {
-			// Refill only when the object was not mutated or deleted while
-			// we resolved — a stale fill would serve outdated beliefs.
-			if _, ok := s.objects[k]; ok && s.objVer[k] == over {
-				s.cache[k] = storeCached{epoch: epoch, over: over, res: res}
-			}
-		}
-		s.hits += hits
-		s.misses += uint64(len(dirty))
-		s.mu.Unlock()
-	} else if hits > 0 {
-		s.mu.Lock()
-		s.hits += hits
-		s.mu.Unlock()
+// fill resolves the rows of p.rows[lo:hi] the cache could not serve as
+// one signature-deduplicated batch against the pinned epoch, refills the
+// cache, and counts the hits and misses.
+func (s *Store) fill(ctx context.Context, p pinned, lo, hi int) error {
+	if lo == hi {
+		return nil
 	}
-	return rows, epoch, nil
+	var batch map[string]map[string]string
+	for _, row := range p.rows[lo:hi] {
+		if row.res != nil {
+			continue
+		}
+		if batch == nil {
+			batch = make(map[string]map[string]string, hi-lo)
+		}
+		batch[row.Object] = row.beliefs // value maps are copy-on-write: safe to read unlocked
+	}
+	var res *BulkResolution
+	if len(batch) > 0 {
+		var err error
+		if res, err = s.resolveSnap(ctx, p.e, batch); err != nil {
+			return err
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.hits += uint64(hi - lo - len(batch))
+	s.misses += uint64(len(batch))
+	if res == nil {
+		return nil
+	}
+	for i := lo; i < hi; i++ {
+		if p.rows[i].res != nil {
+			continue
+		}
+		p.rows[i].res = res
+		// Refill only when the object was not mutated or deleted while we
+		// resolved — a stale fill would serve outdated beliefs.
+		k, over := p.rows[i].Object, p.overs[i]
+		if _, ok := s.objects[k]; ok && s.objVer[k] == over {
+			s.cache[k] = storeCached{epoch: p.e.Seq(), over: over, res: res}
+		}
+	}
+	return nil
+}
+
+// resolveStored serves the given stored objects (nil keys = all, sorted)
+// at one pinned epoch: cache-current objects are served as-is, the rest
+// are resolved in one batch and the cache is refilled.
+func (s *Store) resolveStored(ctx context.Context, keys []string) ([]ObjectRow, uint64, error) {
+	p, err := s.capture(keys)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer p.e.Release()
+	if err := s.fill(ctx, p, 0, len(p.rows)); err != nil {
+		return nil, 0, err
+	}
+	return p.rows, p.e.Seq(), nil
 }
 
 // resolvedChunkSize bounds how many stale objects one streaming batch
@@ -969,94 +1008,24 @@ const resolvedChunkSize = 1024
 // bounded chunks against ONE pinned epoch, so a million-object store can
 // be consumed row by row while writers keep publishing. Cache-current
 // objects are served from the cache and freshly resolved chunks refill
-// it under resolveStored's guard, so a scan-only store re-resolves what
-// changed since the last scan, not everything. Iteration stops at the
-// first error (yielded with a zero ObjectRow) or when the consumer
-// breaks.
+// it under fill's guard, so a scan-only store re-resolves what changed
+// since the last scan, not everything. Iteration stops at the first error
+// (yielded with a zero ObjectRow) or when the consumer breaks.
 func (s *Store) Resolved(ctx context.Context) iter.Seq2[ObjectRow, error] {
 	return func(yield func(ObjectRow, error) bool) {
-		e, err := s.sess.snapshot()
+		p, err := s.capture(nil)
 		if err != nil {
 			yield(ObjectRow{}, err)
 			return
 		}
-		defer func() { e.Release() }()
-
-		// One consistent pass: keys, belief maps (copy-on-write — the refs
-		// stay frozen), belief versions, and current cache entries, captured
-		// under one lock. The capture retries like resolveStored's: if a
-		// publication landed between the epoch pin and the table read, the
-		// table may mention roots the pinned epoch predates.
-		var (
-			epoch uint64
-			rows  []ObjectRow // res set = cache-current
-			overs []uint64
-		)
-		for attempt := 0; ; attempt++ {
-			epoch = e.Seq()
-			s.mu.RLock()
-			keys := s.keysLocked()
-			rows = make([]ObjectRow, len(keys))
-			overs = make([]uint64, len(keys))
-			for i, k := range keys {
-				rows[i] = ObjectRow{Object: k, beliefs: s.objects[k]}
-				overs[i] = s.objVer[k]
-				if c, ok := s.cache[k]; ok && c.epoch == epoch && c.over == overs[i] {
-					rows[i].res = c.res
-				}
-			}
-			s.mu.RUnlock()
-			if s.sess.Epoch() == epoch || attempt >= 2 {
-				break
-			}
-			var err error
-			old := e
-			if e, err = s.sess.snapshot(); err != nil {
-				old.Release()
+		defer p.e.Release()
+		for lo := 0; lo < len(p.rows); lo += resolvedChunkSize {
+			hi := min(lo+resolvedChunkSize, len(p.rows))
+			if err := s.fill(ctx, p, lo, hi); err != nil {
 				yield(ObjectRow{}, err)
 				return
 			}
-			old.Release()
-		}
-
-		for start := 0; start < len(rows); start += resolvedChunkSize {
-			chunk := rows[start:min(start+resolvedChunkSize, len(rows))]
-			var batch map[string]map[string]string
-			for _, row := range chunk {
-				if row.res != nil {
-					continue
-				}
-				if batch == nil {
-					batch = make(map[string]map[string]string, len(chunk))
-				}
-				batch[row.Object] = row.beliefs
-			}
-			var res *BulkResolution
-			if len(batch) > 0 {
-				var err error
-				res, err = resolveSnap(ctx, e, batch, s.sess.workers, s.sess.noDedup)
-				if err != nil {
-					yield(ObjectRow{}, err)
-					return
-				}
-			}
-			s.mu.Lock()
-			for i := range chunk {
-				if chunk[i].res != nil {
-					continue
-				}
-				chunk[i].res = res
-				// Refill only when the object was not mutated or deleted while
-				// we resolved — a stale fill would serve outdated beliefs.
-				k, over := chunk[i].Object, overs[start+i]
-				if _, ok := s.objects[k]; ok && s.objVer[k] == over {
-					s.cache[k] = storeCached{epoch: epoch, over: over, res: res}
-				}
-			}
-			s.hits += uint64(len(chunk) - len(batch))
-			s.misses += uint64(len(batch))
-			s.mu.Unlock()
-			for _, row := range chunk {
+			for _, row := range p.rows[lo:hi] {
 				if !yield(row, nil) {
 					return
 				}
@@ -1065,25 +1034,39 @@ func (s *Store) Resolved(ctx context.Context) iter.Seq2[ObjectRow, error] {
 	}
 }
 
+// adhocKey names the one object of an ad-hoc Resolve in its batch.
+const adhocKey = "object"
+
 // Resolve resolves one ad-hoc object (not stored) against the currently
-// published epoch: beliefs overrides the network defaults per root and
-// may be nil when every root has a default.
-func (s *Store) Resolve(ctx context.Context, beliefs map[string]string) (*ObjectResolution, error) {
-	return s.sess.Resolve(ctx, beliefs)
+// published epoch: the mutate-then-resolve fast path. beliefs overrides
+// the network defaults per root and may be nil when every root has a
+// default.
+func (s *Store) Resolve(ctx context.Context, beliefs map[string]string) (ObjectRow, error) {
+	res, err := s.ResolveBatch(ctx, map[string]map[string]string{adhocKey: beliefs})
+	if err != nil {
+		return ObjectRow{}, err
+	}
+	return ObjectRow{Object: adhocKey, res: res, beliefs: beliefs}, nil
 }
 
 // ResolveBatch resolves many ad-hoc objects (not stored) against the
 // currently published epoch. Every user mentioned must already be a root
 // — a belief or default holder, a WithExtraRoots declaration, or a user
-// some stored object mentions.
+// some stored object mentions. Safe to call from any number of
+// goroutines; the whole call is served by one epoch.
 func (s *Store) ResolveBatch(ctx context.Context, objects map[string]map[string]string) (*BulkResolution, error) {
-	return s.sess.BulkResolve(ctx, objects)
+	e, err := s.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	defer e.Release()
+	return s.resolveSnap(ctx, e, objects)
 }
 
 // --- statistics --------------------------------------------------------
 
-// StoreStats extends the session's maintenance counters with the object
-// table and result-cache counters.
+// StoreStats extends the plan-maintenance counters with the object table
+// and result-cache counters.
 type StoreStats struct {
 	SessionStats
 	Objects     int    // stored objects
@@ -1091,13 +1074,12 @@ type StoreStats struct {
 	CacheMisses uint64 // object reads that re-resolved
 }
 
-// Stats returns the store's counters as of the currently published epoch.
-func (s *Store) Stats() StoreStats {
-	return s.statsWith(s.sess.Stats())
-}
-
-func (s *Store) statsWith(sst SessionStats) StoreStats {
-	st := StoreStats{SessionStats: sst}
+// statsAt reads the counters of one pinned epoch, plus the live
+// epoch-reclamation, object-table and cache counters.
+func (s *Store) statsAt(e *serve.Epoch[*epochSnap]) StoreStats {
+	st := StoreStats{SessionStats: e.Value().stats}
+	st.Epoch = e.Seq()
+	st.EpochsReclaimed = s.pub.Stats().Reclaimed
 	s.mu.RLock()
 	st.Objects = len(s.objects)
 	st.CacheHits, st.CacheMisses = s.hits, s.misses
@@ -1105,15 +1087,27 @@ func (s *Store) statsWith(sst SessionStats) StoreStats {
 	return st
 }
 
+// Stats returns the store's counters as of the currently published epoch.
+func (s *Store) Stats() StoreStats {
+	e := s.pub.Acquire()
+	defer e.Release()
+	return s.statsAt(e)
+}
+
 // EpochStats returns the store counters and the engine summary of ONE
 // pinned epoch: unlike calling Stats and EngineStats back to back, the
 // two cannot straddle a publication. For monitoring endpoints that key
 // both on the epoch number (trustd's /v1/stats).
 func (s *Store) EpochStats() (StoreStats, engine.Stats) {
-	sst, eng := s.sess.EpochStats()
-	return s.statsWith(sst), eng
+	e := s.pub.Acquire()
+	defer e.Release()
+	return s.statsAt(e), e.Value().engineStats()
 }
 
 // EngineStats summarizes the compiled artifact of the currently published
 // epoch.
-func (s *Store) EngineStats() engine.Stats { return s.sess.EngineStats() }
+func (s *Store) EngineStats() engine.Stats {
+	e := s.pub.Acquire()
+	defer e.Release()
+	return e.Value().engineStats()
+}

@@ -8,9 +8,30 @@ import (
 	"testing"
 )
 
-// sessionRoots lists the users whose beliefs vary per object for a
-// session built over n with the given extra roots.
-func sessionRoots(n *Network, extras []string) []string {
+// Plan-maintenance tests: the compiled artifact a Store keeps live across
+// mutations (twin.go), driven through the public Store surface — Update,
+// the single-op mutators, ResolveBatch, Resolve — and observed through
+// Stats().SessionStats.
+
+// txAddTrust adds a new mapping through a one-op batch (strict: errors on
+// duplicates, unlike the upserting Store.SetTrust).
+func txAddTrust(s *Store, truster, trusted string, priority int) error {
+	return s.Update(func(tx *StoreTx) error { return tx.AddTrust(truster, trusted, priority) })
+}
+
+// txUpdateTrust re-prioritizes an existing mapping through a one-op batch
+// and reports whether it existed.
+func txUpdateTrust(s *Store, truster, trusted string, priority int) (ok bool, err error) {
+	err = s.Update(func(tx *StoreTx) (err error) {
+		ok, err = tx.UpdateTrust(truster, trusted, priority)
+		return err
+	})
+	return ok, err
+}
+
+// planRoots lists the users whose beliefs vary per object for a
+// store built over n with the given extra roots.
+func planRoots(n *Network, extras []string) []string {
 	seen := map[string]bool{}
 	var out []string
 	for x := 0; x < n.inner.NumUsers(); x++ {
@@ -31,8 +52,8 @@ func sessionRoots(n *Network, extras []string) []string {
 	return out
 }
 
-// sessionObjects builds deterministic per-object beliefs over the roots.
-func sessionObjects(rng *rand.Rand, roots []string, count int) map[string]map[string]string {
+// planObjects builds deterministic per-object beliefs over the roots.
+func planObjects(rng *rand.Rand, roots []string, count int) map[string]map[string]string {
 	out := make(map[string]map[string]string, count)
 	for i := 0; i < count; i++ {
 		bs := make(map[string]string, len(roots))
@@ -44,16 +65,16 @@ func sessionObjects(rng *rand.Rand, roots []string, count int) map[string]map[st
 	return out
 }
 
-// assertSessionMatchesFresh compares the session's bulk resolution with a
-// from-scratch bulkResolveWith on the same network and objects, for every
-// user and object.
-func assertSessionMatchesFresh(t *testing.T, label string, n *Network, s *session, objects map[string]map[string]string) {
+// assertMatchesFresh compares the store's ad-hoc batch resolution
+// with a from-scratch bulkResolveFresh on the same network and objects,
+// for every user and object.
+func assertMatchesFresh(t *testing.T, label string, n *Network, s *Store, objects map[string]map[string]string) {
 	t.Helper()
-	got, err := s.BulkResolve(context.Background(), objects)
+	got, err := s.ResolveBatch(context.Background(), objects)
 	if err != nil {
-		t.Fatalf("%s: session resolve: %v", label, err)
+		t.Fatalf("%s: store resolve: %v", label, err)
 	}
-	want, err := n.bulkResolveWith(context.Background(), objects, bulkOptions{Workers: 2})
+	want, err := n.bulkResolveFresh(context.Background(), objects, 2)
 	if err != nil {
 		t.Fatalf("%s: fresh resolve: %v", label, err)
 	}
@@ -61,24 +82,24 @@ func assertSessionMatchesFresh(t *testing.T, label string, n *Network, s *sessio
 		for _, u := range n.Users() {
 			g, w := got.Possible(u, k), want.Possible(u, k)
 			if len(g) != len(w) {
-				t.Fatalf("%s: poss(%s, %s): session %v vs fresh %v", label, u, k, g, w)
+				t.Fatalf("%s: poss(%s, %s): store %v vs fresh %v", label, u, k, g, w)
 			}
 			for i := range g {
 				if g[i] != w[i] {
-					t.Fatalf("%s: poss(%s, %s): session %v vs fresh %v", label, u, k, g, w)
+					t.Fatalf("%s: poss(%s, %s): store %v vs fresh %v", label, u, k, g, w)
 				}
 			}
 			gc, gok := got.Certain(u, k)
 			wc, wok := want.Certain(u, k)
 			if gc != wc || gok != wok {
-				t.Fatalf("%s: cert(%s, %s): session %q,%v vs fresh %q,%v", label, u, k, gc, gok, wc, wok)
+				t.Fatalf("%s: cert(%s, %s): store %q,%v vs fresh %q,%v", label, u, k, gc, gok, wc, wok)
 			}
 		}
 	}
 }
 
 // TestSessionLifecycle walks the documented lifecycle: compile once,
-// resolve many, mutate through the session, resolve again from the
+// resolve many, mutate through the store, resolve again from the
 // incrementally re-planned artifact.
 func TestSessionLifecycle(t *testing.T) {
 	n := New()
@@ -90,33 +111,34 @@ func TestSessionLifecycle(t *testing.T) {
 	n.SetBelief("carol", "knot")
 	// MaxDirtyFraction 1 keeps even this tiny demo network on the
 	// incremental path (the default threshold would recompile it whole).
-	s, err := n.newSession(sessionOptions{Workers: 2, MaxDirtyFraction: 1})
+	s, err := n.NewStore(WithWorkers(2), WithMaxDirtyFraction(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	objects := map[string]map[string]string{
 		"glyph1": {"bob": "fish", "carol": "knot"},
 		"glyph2": {"bob": "cow", "carol": "cow"},
 	}
-	assertSessionMatchesFresh(t, "initial", n, s, objects)
+	assertMatchesFresh(t, "initial", n, s, objects)
 
-	// Mutate through the session: revoke, re-prioritize, update a belief.
-	if ok, err := s.RemoveTrust("alice", "bob"); err != nil || !ok {
+	// Mutate through the store: revoke, re-prioritize, update a belief.
+	if ok, err := s.RemoveTrust(ctx, "alice", "bob"); err != nil || !ok {
 		t.Fatalf("existing trust not removed: ok=%v err=%v", ok, err)
 	}
-	assertSessionMatchesFresh(t, "after revoke", n, s, objects)
-	if ok, err := s.UpdateTrust("alice", "carol", 120); err != nil || !ok {
+	assertMatchesFresh(t, "after revoke", n, s, objects)
+	if ok, err := txUpdateTrust(s, "alice", "carol", 120); err != nil || !ok {
 		t.Fatalf("existing trust not updated: ok=%v err=%v", ok, err)
 	}
-	if err := s.AddTrust("alice", "bob", 60); err != nil {
+	if err := txAddTrust(s, "alice", "bob", 60); err != nil {
 		t.Fatal(err)
 	}
-	assertSessionMatchesFresh(t, "after re-add", n, s, objects)
-	if err := s.SetBelief("carol", "jar"); err != nil {
+	assertMatchesFresh(t, "after re-add", n, s, objects)
+	if err := s.SetDefault(ctx, "carol", "jar"); err != nil {
 		t.Fatal(err)
 	}
 	// carol's new default applies when an object omits her.
-	r, err := s.Resolve(context.Background(), map[string]string{"bob": "fish"})
+	r, err := s.Resolve(ctx, map[string]string{"bob": "fish"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +147,7 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.Compiles != 1 {
-		t.Errorf("session recompiled from scratch %d times, want 1 (all mutations incremental)", st.Compiles)
+		t.Errorf("store recompiled from scratch %d times, want 1 (all mutations incremental)", st.Compiles)
 	}
 	if st.IncrementalApplies == 0 {
 		t.Error("no incremental applies recorded")
@@ -134,8 +156,8 @@ func TestSessionLifecycle(t *testing.T) {
 
 // TestSessionRandomizedParityWithFresh is the heavyweight translation
 // check: random facade networks (non-binary, cascades, hoisting) mutated
-// through the session must resolve identically to a from-scratch
-// bulkResolveWith at every checkpoint.
+// through the store must resolve identically to a from-scratch
+// bulkResolveFresh at every checkpoint.
 func TestSessionRandomizedParityWithFresh(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		seed := seed
@@ -156,7 +178,8 @@ func TestSessionRandomizedParityWithFresh(t *testing.T) {
 			}
 			n.SetBelief(name(rng.Intn(nUsers)), "v0")
 			extras := []string{name(rng.Intn(nUsers))}
-			s, err := n.newSession(sessionOptions{Workers: 1 + rng.Intn(4), ExtraRoots: extras})
+			ctx := context.Background()
+			s, err := n.NewStore(WithWorkers(1+rng.Intn(4)), WithExtraRoots(extras...))
 			if err != nil {
 				// Random graphs can violate Validate (duplicate trust from
 				// the generator); skip those seeds.
@@ -168,56 +191,58 @@ func TestSessionRandomizedParityWithFresh(t *testing.T) {
 					case 0:
 						a, b := rng.Intn(nUsers), rng.Intn(nUsers)
 						if a != b {
-							s.AddTrust(name(a), name(b), 1+rng.Intn(5)) // dup errors are no-ops
+							txAddTrust(s, name(a), name(b), 1+rng.Intn(5)) // dup errors are no-ops
 						}
 					case 1:
-						s.RemoveTrust(name(rng.Intn(nUsers)), name(rng.Intn(nUsers)))
+						s.RemoveTrust(ctx, name(rng.Intn(nUsers)), name(rng.Intn(nUsers)))
 					case 2:
-						s.UpdateTrust(name(rng.Intn(nUsers)), name(rng.Intn(nUsers)), 1+rng.Intn(5))
+						txUpdateTrust(s, name(rng.Intn(nUsers)), name(rng.Intn(nUsers)), 1+rng.Intn(5))
 					case 3:
-						if err := s.SetBelief(name(rng.Intn(nUsers)), fmt.Sprintf("v%d", rng.Intn(3))); err != nil {
+						if err := s.SetDefault(ctx, name(rng.Intn(nUsers)), fmt.Sprintf("v%d", rng.Intn(3))); err != nil {
 							t.Fatal(err)
 						}
 					case 4:
-						s.RemoveBelief(name(rng.Intn(nUsers)))
+						if err := s.DeleteDefault(ctx, name(rng.Intn(nUsers))); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
-				roots := sessionRoots(n, extras)
+				roots := planRoots(n, extras)
 				if len(roots) == 0 {
-					if err := s.SetBelief(name(0), "v0"); err != nil {
+					if err := s.SetDefault(ctx, name(0), "v0"); err != nil {
 						t.Fatal(err)
 					}
-					roots = sessionRoots(n, extras)
+					roots = planRoots(n, extras)
 				}
-				objects := sessionObjects(rng, roots, 3)
-				assertSessionMatchesFresh(t, fmt.Sprintf("batch %d", batch), n, s, objects)
+				objects := planObjects(rng, roots, 3)
+				assertMatchesFresh(t, fmt.Sprintf("batch %d", batch), n, s, objects)
 			}
 		})
 	}
 }
 
-// TestSessionGrowsUsers adds brand-new users through the session after
+// TestSessionGrowsUsers adds brand-new users through the store after
 // compilation: binarized IDs diverge from original IDs and results must
 // still map back correctly.
 func TestSessionGrowsUsers(t *testing.T) {
 	n := New()
 	n.AddTrust("reader", "curatorA", 10) // curatorA gets a hoisted helper
 	n.SetBelief("curatorA", "fish")
-	s, err := n.newSession(sessionOptions{})
+	s, err := n.NewStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddTrust("reader", "newbie", 20); err != nil {
+	if err := txAddTrust(s, "reader", "newbie", 20); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetBelief("newbie", "jar"); err != nil {
+	if err := s.SetDefault(context.Background(), "newbie", "jar"); err != nil {
 		t.Fatal(err)
 	}
 	objects := map[string]map[string]string{
 		"o1": {"curatorA": "fish", "newbie": "jar"},
 		"o2": {"curatorA": "cow", "newbie": "cow"},
 	}
-	assertSessionMatchesFresh(t, "grown", n, s, objects)
+	assertMatchesFresh(t, "grown", n, s, objects)
 	r, err := s.Resolve(context.Background(), nil) // defaults for both roots
 	if err != nil {
 		t.Fatal(err)
@@ -228,19 +253,19 @@ func TestSessionGrowsUsers(t *testing.T) {
 }
 
 // TestSessionExternalMutationTriggersRebuild mutates the network behind
-// the session's back; the next resolve must detect the version skew and
+// the store's back; the next resolve must detect the version skew and
 // rebuild instead of serving stale results.
 func TestSessionExternalMutationTriggersRebuild(t *testing.T) {
 	n := New()
 	n.AddTrust("a", "b", 10)
 	n.SetBelief("b", "v1")
-	s, err := n.newSession(sessionOptions{})
+	s, err := n.NewStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.AddTrust("a", "c", 20) // behind the session's back
+	n.AddTrust("a", "c", 20) // behind the store's back
 	n.SetBelief("c", "v2")
-	assertSessionMatchesFresh(t, "external", n, s, map[string]map[string]string{
+	assertMatchesFresh(t, "external", n, s, map[string]map[string]string{
 		"k": {"b": "x", "c": "y"},
 	})
 	if s.Stats().Compiles < 2 {
@@ -254,14 +279,14 @@ func TestSessionValueOnlyUpdateIsFree(t *testing.T) {
 	n := New()
 	n.AddTrust("a", "b", 10)
 	n.SetBelief("b", "v1")
-	s, err := n.newSession(sessionOptions{})
+	s, err := n.NewStore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Resolve(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetBelief("b", "v2"); err != nil {
+	if err := s.SetDefault(context.Background(), "b", "v2"); err != nil {
 		t.Fatal(err)
 	}
 	r, err := s.Resolve(context.Background(), nil)
@@ -277,56 +302,70 @@ func TestSessionValueOnlyUpdateIsFree(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsMisuse covers the session's error paths.
+// TestSessionRejectsMisuse covers the mutators' and ad-hoc reads' error
+// paths.
 func TestSessionRejectsMisuse(t *testing.T) {
 	n := New()
 	n.AddTrust("a", "b", 10)
 	n.SetBelief("b", "v")
-	s, err := n.newSession(sessionOptions{})
+	s, err := n.NewStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddTrust("a", "a", 5); err == nil {
+	ctx := context.Background()
+	if err := txAddTrust(s, "a", "a", 5); err == nil {
 		t.Error("self-trust must be rejected")
 	}
-	if err := s.AddTrust("a", "b", 5); err == nil {
+	if err := s.SetTrust(ctx, "a", "a", 5); err == nil {
+		t.Error("self-trust must be rejected by the upsert too")
+	}
+	if err := txAddTrust(s, "a", "b", 5); err == nil {
 		t.Error("duplicate trust must be rejected")
 	}
-	if err := s.SetBelief("a", ""); err == nil {
+	if err := s.SetDefault(ctx, "a", ""); err == nil {
 		t.Error("empty belief value must be rejected")
 	}
-	if ok, err := s.RemoveTrust("a", "nobody"); ok || err != nil {
+	if ok, err := s.RemoveTrust(ctx, "a", "nobody"); ok || err != nil {
 		t.Errorf("unknown users must report false: ok=%v err=%v", ok, err)
 	}
-	if ok, err := s.UpdateTrust("nobody", "b", 1); ok || err != nil {
+	if ok, err := txUpdateTrust(s, "nobody", "b", 1); ok || err != nil {
 		t.Errorf("unknown users must report false: ok=%v err=%v", ok, err)
 	}
-	if _, err := s.BulkResolve(context.Background(), map[string]map[string]string{
+	if st := s.Stats(); st.Epoch != 1 {
+		t.Errorf("rejected and no-op mutations published %d epochs, want none", st.Epoch-1)
+	}
+	if _, err := s.ResolveBatch(ctx, map[string]map[string]string{
 		"k": {"ghost": "v"},
 	}); !errors.Is(err, ErrUnknownUser) {
 		t.Errorf("unknown object user: err=%v want ErrUnknownUser", err)
 	}
-	if _, err := s.BulkResolve(context.Background(), map[string]map[string]string{
+	if _, err := s.ResolveBatch(ctx, map[string]map[string]string{
 		"k": {"a": "v"}, // a is not a root
 	}); err == nil {
 		t.Error("non-root object user must be rejected")
 	}
 }
 
-// TestBulkResolutionLookupSentinels covers the satellite fix: unknown
+// TestBulkResolutionLookupSentinels covers the lookup contract: unknown
 // users and objects answer with explicit errors instead of silent empties.
 func TestBulkResolutionLookupSentinels(t *testing.T) {
 	n := New()
 	n.AddTrust("alice", "bob", 100)
 	n.SetBelief("bob", "fish")
-	for _, useSQL := range []bool{false, true} {
-		r, err := n.bulkResolveWith(context.Background(), map[string]map[string]string{
-			"obj1": {"bob": "fish"},
-		}, bulkOptions{UseSQL: useSQL})
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := map[bool]string{false: "engine", true: "sql"}[useSQL]
+	objects := map[string]map[string]string{"obj1": {"bob": "fish"}}
+	fresh, err := n.bulkResolveFresh(context.Background(), objects, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := n.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := s.ResolveBatch(context.Background(), objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, r := range map[string]*BulkResolution{"fresh": fresh, "store": served} {
 		if _, _, err := r.Lookup("ghost", "obj1"); !errors.Is(err, ErrUnknownUser) {
 			t.Errorf("%s: unknown user: err=%v want ErrUnknownUser", label, err)
 		}

@@ -1,10 +1,11 @@
 package trustmap
 
-// Concurrency integration tests for epoch-served sessions. Before the
-// epoch layer, session was documented single-goroutine: Apply spliced the
-// CSR tables in place underneath readers, so BulkResolve racing AddTrust
-// could observe torn state. These tests are the regression bound for that
-// caveat — they run under `make race` in CI and must stay race-clean.
+// Concurrency integration tests for the epoch-served plan a Store
+// maintains. Before the epoch layer, the compiled artifact was documented
+// single-goroutine: Apply spliced the CSR tables in place underneath
+// readers, so a batch resolve racing a trust mutation could observe torn
+// state. These tests are the regression bound for that caveat — they run
+// under `make race` in CI and must stay race-clean.
 
 import (
 	"context"
@@ -14,7 +15,7 @@ import (
 	"testing"
 )
 
-// TestSessionConcurrentReadWriteEpochConsistency hammers a session with
+// TestSessionConcurrentReadWriteEpochConsistency hammers a store with
 // resolver goroutines while a writer keeps re-wiring which root a chain
 // of users follows. Every batch atomically moves the chain from one root
 // to the other, so any self-consistent epoch gives the two chained
@@ -28,7 +29,7 @@ func TestSessionConcurrentReadWriteEpochConsistency(t *testing.T) {
 	n.AddTrust("relay", "rootOne", 10)
 	n.AddTrust("chainB", "relay", 10)
 	n.AddTrust("chainC", "chainB", 10)
-	s, err := n.newSession(sessionOptions{Workers: 1, MaxDirtyFraction: 1})
+	s, err := n.NewStore(WithWorkers(1), WithMaxDirtyFraction(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestSessionConcurrentReadWriteEpochConsistency(t *testing.T) {
 			if i%2 == 1 {
 				from, to = to, from
 			}
-			err := s.Update(func(tx *sessionTx) error {
+			err := s.Update(func(tx *StoreTx) error {
 				if ok, _ := tx.RemoveTrust("relay", from); !ok {
 					return fmt.Errorf("batch %d: edge relay->%s missing", i, from)
 				}
@@ -112,7 +113,7 @@ func TestSessionConcurrentReadWriteEpochConsistency(t *testing.T) {
 }
 
 // TestSessionConcurrentMutateResolveRegression is the former caveat as a
-// regression test: BulkResolve racing AddTrust/RemoveTrust — including
+// regression test: ResolveBatch racing AddTrust/RemoveTrust — including
 // mutations that grow the user set, which re-snapshot the name index —
 // must stay race-clean and serve well-formed results. Stats and
 // EngineStats readers ride along, as a monitoring endpoint would.
@@ -120,7 +121,7 @@ func TestSessionConcurrentMutateResolveRegression(t *testing.T) {
 	n := New()
 	n.SetBelief("hub", "v")
 	n.AddTrust("spoke", "hub", 5)
-	s, err := n.newSession(sessionOptions{Workers: 1})
+	s, err := n.NewStore(WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestSessionConcurrentMutateResolveRegression(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for !done.Load() {
-				res, err := s.BulkResolve(context.Background(), objects)
+				res, err := s.ResolveBatch(context.Background(), objects)
 				if err != nil {
 					t.Errorf("reader %d: %v", id, err)
 					return
@@ -168,11 +169,11 @@ func TestSessionConcurrentMutateResolveRegression(t *testing.T) {
 
 	for i := 0; i < 60; i++ {
 		fan := fmt.Sprintf("fan%d", i)
-		if err := s.AddTrust(fan, "hub", 5); err != nil { // grows the user set
+		if err := txAddTrust(s, fan, "hub", 5); err != nil { // grows the user set
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
-			if ok, err := s.RemoveTrust(fan, "hub"); err != nil || !ok {
+			if ok, err := s.RemoveTrust(context.Background(), fan, "hub"); err != nil || !ok {
 				t.Fatalf("edge %s->hub missing: ok=%v err=%v", fan, ok, err)
 			}
 		}

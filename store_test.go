@@ -81,9 +81,10 @@ func storeFromObjects(t *testing.T, src *tn.Network, objects map[string]map[stri
 	return st
 }
 
-// TestStoreParityWorkloads is the acceptance check: Store reads must
-// equal the legacy session.BulkResolve and Network.bulkResolveWith paths
-// — and Algorithm 1 itself — on the PowerLaw, NestedSCC, and Fig19
+// TestStoreParityWorkloads is the acceptance check: stored-object reads
+// must equal the ad-hoc ResolveBatch path and the from-scratch
+// bulkResolveFresh oracle — and Algorithm 1 itself — on the PowerLaw,
+// NestedSCC, and Fig19
 // workload families, for every (user, object).
 func TestStoreParityWorkloads(t *testing.T) {
 	domain := []tn.Value{"fish", "knot", "cow", "jar"}
@@ -111,15 +112,15 @@ func TestStoreParityWorkloads(t *testing.T) {
 
 			ctx := context.Background()
 			legacyNet := facadeFromTN(src)
-			legacy, err := legacyNet.bulkResolveWith(ctx, objects, bulkOptions{Workers: 2})
+			legacy, err := legacyNet.bulkResolveFresh(ctx, objects, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := facadeFromTN(src).newSession(sessionOptions{Workers: 2, ExtraRoots: rootNames})
+			adhoc, err := facadeFromTN(src).NewStore(WithWorkers(2), WithExtraRoots(rootNames...))
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaSession, err := sess.BulkResolve(ctx, objects)
+			viaBatch, err := adhoc.ResolveBatch(ctx, objects)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,8 +134,8 @@ func TestStoreParityWorkloads(t *testing.T) {
 			for k := range objects {
 				for _, u := range users {
 					want := legacy.Possible(u, k)
-					if got := viaSession.Possible(u, k); !eqStrs(got, want) {
-						t.Fatalf("%s/%s: session %v vs legacy %v", u, k, got, want)
+					if got := viaBatch.Possible(u, k); !eqStrs(got, want) {
+						t.Fatalf("%s/%s: ad-hoc batch %v vs legacy %v", u, k, got, want)
 					}
 					if got := viaStore.Possible(u, k); !eqStrs(got, want) {
 						t.Fatalf("%s/%s: store %v vs legacy %v", u, k, got, want)
@@ -562,7 +563,7 @@ func TestStoreLifecycle(t *testing.T) {
 
 // TestStoreRandomizedParity interleaves random trust, default, and
 // object-belief mutations through a store and checks every checkpoint
-// against a from-scratch bulkResolveWith of the effective objects
+// against a from-scratch bulkResolveFresh of the effective objects
 // (explicit beliefs overlaid on defaults).
 func TestStoreRandomizedParity(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
@@ -650,7 +651,7 @@ func TestStoreRandomizedParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: store resolve: %v", step, err)
 				}
-				want, err := n.bulkResolveWith(ctx, eff, bulkOptions{Workers: 2})
+				want, err := n.bulkResolveFresh(ctx, eff, 2)
 				if err != nil {
 					t.Fatalf("step %d: legacy resolve: %v", step, err)
 				}
@@ -747,5 +748,44 @@ func TestStoreConcurrentReadWrite(t *testing.T) {
 	}
 	if _, err := st.ResolveAll(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCachedReadAllocs bounds the serve-read hit path: a cached
+// ResolveObject costs at most 2 allocations and a cached Get at most 3
+// (the counts measured before resolveStored and Resolved came to share
+// one capture and one refill), so the shared code cannot tax it unnoticed.
+func TestCachedReadAllocs(t *testing.T) {
+	ctx := context.Background()
+	st, err := NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetTrust(ctx, "alice", "bob", 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutObject(ctx, "obj", map[string]string{"bob": "fish"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ResolveObject(ctx, "obj"); err != nil { // fill the cache
+		t.Fatal(err)
+	}
+	before := st.Stats()
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := st.ResolveObject(ctx, "obj"); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2 {
+		t.Errorf("cached ResolveObject: %v allocs, want <= 2", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, _, err := st.Get(ctx, "alice", "obj"); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 3 {
+		t.Errorf("cached Get: %v allocs, want <= 3", got)
+	}
+	if after := st.Stats(); after.CacheMisses != before.CacheMisses || after.CacheHits == before.CacheHits {
+		t.Errorf("measured reads were not cache hits: before %+v, after %+v", before, after)
 	}
 }

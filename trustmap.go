@@ -17,7 +17,10 @@
 // network and the persistent per-object beliefs, with context-aware
 // error-returning mutators, epoch-snapshot concurrent reads, streaming
 // results, and incremental maintenance (a belief mutation re-resolves
-// only the touched object):
+// only the touched object). There is no layer underneath it in this
+// package: the Store itself keeps the compiled resolution artifact
+// current across trust mutations and owns the epoch publisher
+// (internal/serve) that swaps each new snapshot in for lock-free readers:
 //
 //	st, _ := trustmap.NewStore(trustmap.WithWorkers(4))
 //	ctx := context.Background()
@@ -55,14 +58,12 @@
 package trustmap
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"trustmap/internal/belief"
-	"trustmap/internal/bulk"
 	"trustmap/internal/engine"
 	"trustmap/internal/resolve"
 	"trustmap/internal/skeptic"
@@ -134,14 +135,6 @@ func (n *Network) RemoveBelief(user string) {
 	if id := n.inner.UserID(user); id >= 0 {
 		n.inner.SetExplicit(id, tn.NoValue)
 	}
-}
-
-// hasDefault reports whether user holds an explicit network-level
-// belief. The durable store's delete paths probe it so no-op revocations
-// are not logged; callers must hold the relevant writer serialization.
-func (n *Network) hasDefault(user string) bool {
-	id := n.inner.UserID(user)
-	return id >= 0 && n.inner.HasExplicit(id)
 }
 
 // SetConstraint states that user rejects the given values: a set of
@@ -460,32 +453,22 @@ var (
 	ErrUnknownObject = errors.New("trustmap: unknown object")
 )
 
-// userIndex resolves user names to original IDs: a live *tn.Network for
-// one-shot resolutions, or an immutable *tn.View for session-served ones
-// (the result must stay readable while writers mutate the network).
-type userIndex interface {
-	UserID(name string) int
-}
-
 // BulkResolution gives access to bulk per-object results (Section 4).
 type BulkResolution struct {
-	src   userIndex
-	keys  []string           // object keys, sorted
-	store *bulk.Store        // legacy sequential SQL path
-	eng   *engine.BulkResult // compiled concurrent engine path
+	src  *tn.View           // frozen name index: readable while writers mutate the network
+	keys []string           // object keys, sorted
+	eng  *engine.BulkResult // the compiled engine's per-object results
 	// binIDs maps original user IDs to nodes of the resolved (binarized)
-	// network when they diverge — results served by a session whose user
+	// network when they diverge — results served by a store whose user
 	// set grew after compilation. nil means identity.
 	binIDs []int
-	// epoch is the session publication generation that served the result;
-	// zero for one-shot resolutions.
+	// epoch is the store publication generation that served the result.
 	epoch uint64
 }
 
-// Epoch returns the session publication generation that served this
-// resolution, or zero when it did not come from a session. Comparing
-// epochs tells whether two resolutions observed the same published
-// snapshot.
+// Epoch returns the store publication generation that served this
+// resolution. Comparing epochs tells whether two resolutions observed the
+// same published snapshot.
 func (r *BulkResolution) Epoch() uint64 { return r.epoch }
 
 // binID maps an original user ID into the resolved network.
@@ -525,12 +508,7 @@ func (r *BulkResolution) Lookup(user, object string) (possible []string, certain
 
 // possible returns the sorted possible values of an original user ID.
 func (r *BulkResolution) possible(id int, object string) []string {
-	var poss []tn.Value
-	if r.store != nil {
-		poss = r.store.Possible(id, object)
-	} else {
-		poss = r.eng.Possible(r.binID(id), object)
-	}
+	poss := r.eng.Possible(r.binID(id), object)
 	out := make([]string, len(poss))
 	for i, v := range poss {
 		out[i] = string(v)
@@ -539,114 +517,17 @@ func (r *BulkResolution) possible(id int, object string) []string {
 	return out
 }
 
-// bulkOptions configures BulkResolve's execution strategy.
-type bulkOptions struct {
-	// Workers is the number of concurrent resolution goroutines for the
-	// engine path. Zero or negative means GOMAXPROCS.
-	Workers int
-	// UseSQL selects the legacy sequential SQL path of Section 4
-	// (INSERT ... SELECT over a POSS(X,K,V) relation) instead of the
-	// compiled concurrent engine. Kept for parity testing and for callers
-	// that want the relational trace.
-	UseSQL bool
-	// DisableDedup turns off signature deduplication on the engine path:
-	// by default objects sharing one root-assignment signature are resolved
-	// once and share the canonical result, which makes clustered workloads
-	// sublinear in the object count. Results are identical either way; see
-	// BulkResolution.DedupStats for what a batch deduplicated to.
-	DisableDedup bool
-}
-
-// DedupStats reports what signature deduplication did for one engine-path
-// bulk resolution; see BulkResolution.DedupStats.
+// DedupStats reports what signature deduplication did for one bulk
+// resolution; see BulkResolution.DedupStats.
 type DedupStats = engine.DedupStats
 
-// bulkResolveWith resolves many objects sharing this network's trust
-// mappings (Section 4) by compiling the per-object analysis once and then
-// scanning the objects with a worker pool (or the legacy SQL path when
-// opts.UseSQL is set). Results are identical across strategies and worker
-// counts. It is the one-shot internal engine behind Store.ResolveBatch and
-// the SQL-parity tests; external callers use Store, which keeps the
-// compiled artifact live across calls instead of recompiling per batch.
-func (n *Network) bulkResolveWith(ctx context.Context, objects map[string]map[string]string, opts bulkOptions) (*BulkResolution, error) {
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	// Mark every user appearing in object maps as a root.
-	shape := n.inner.Clone()
-	for _, bs := range objects {
-		for user := range bs {
-			id := shape.UserID(user)
-			if id < 0 {
-				return nil, fmt.Errorf("trustmap: unknown user %q in object beliefs", user)
-			}
-			shape.SetExplicit(id, "seed")
-		}
-	}
-	b := tn.Binarize(shape)
-	// Root IDs in the binarized network: the hoisted belief nodes. Memoize
-	// the lookup per user rather than redoing it per (object, user).
-	rootOf := make(map[string]int)
-	conv := make(map[string]map[int]tn.Value, len(objects))
-	for k, bs := range objects {
-		m := make(map[int]tn.Value, len(bs))
-		for user, v := range bs {
-			id, ok := rootOf[user]
-			if !ok {
-				id = findRootFor(b, shape.UserID(user))
-				rootOf[user] = id
-			}
-			m[id] = tn.Value(v)
-		}
-		conv[k] = m
-	}
-	keys := make([]string, 0, len(objects))
-	for k := range objects {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if opts.UseSQL {
-		// The SQL path is one sequential pass; honor ctx between phases.
-		plan, err := bulk.NewPlan(b)
-		if err != nil {
-			return nil, err
-		}
-		store := bulk.NewStore(plan)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := store.LoadObjects(conv); err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := store.Resolve(); err != nil {
-			return nil, err
-		}
-		return &BulkResolution{src: n.inner, keys: keys, store: store}, nil
-	}
-	c, err := engine.Compile(b)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Resolve(ctx, conv, engine.Options{Workers: opts.Workers, DisableDedup: opts.DisableDedup})
-	if err != nil {
-		return nil, err
-	}
-	return &BulkResolution{src: n.inner, keys: keys, eng: res}, nil
-}
-
-// DedupStats reports the signature-deduplication counters of the engine
-// path: how many objects the batch held, how many distinct signatures they
-// collapsed to, and how many of those came from the cross-batch cache.
-// Zero-valued on the SQL path.
-func (r *BulkResolution) DedupStats() DedupStats {
-	if r.eng == nil {
-		return DedupStats{}
-	}
-	return r.eng.Dedup()
-}
+// DedupStats reports the batch's signature-deduplication counters: how
+// many objects it held, how many distinct signatures they collapsed to,
+// and how many of those came from the cross-batch cache. Objects sharing
+// one root-assignment signature resolve once per artifact generation —
+// the signature cache survives across batches and value-only mutations,
+// and is invalidated by structural ones.
+func (r *BulkResolution) DedupStats() DedupStats { return r.eng.Dedup() }
 
 // Keys returns the resolved object keys, sorted: the deterministic
 // iteration order for per-object reporting.
@@ -665,8 +546,8 @@ func findRootFor(b *tn.Network, x int) int {
 	return x
 }
 
-// Possible returns poss(user, object), sorted ascending regardless of the
-// execution strategy, so outputs are stable across runs and worker counts.
+// Possible returns poss(user, object), sorted ascending, so outputs are
+// stable across runs and worker counts.
 // An unknown user or object returns an empty slice, indistinguishable from
 // a user with no possible values; use Lookup when the distinction matters.
 func (r *BulkResolution) Possible(user, object string) []string {
@@ -685,12 +566,7 @@ func (r *BulkResolution) Certain(user, object string) (string, bool) {
 	if id < 0 {
 		return "", false
 	}
-	var v tn.Value
-	if r.store != nil {
-		v = r.store.Certain(id, object)
-	} else {
-		v = r.eng.Certain(r.binID(id), object)
-	}
+	v := r.eng.Certain(r.binID(id), object)
 	return string(v), v != tn.NoValue
 }
 

@@ -171,7 +171,7 @@ func TestBulkFacade(t *testing.T) {
 		"glyph2": {"Bob": "fish", "Charlie": "knot"},
 		"glyph3": {"Bob": "arrow", "Charlie": "arrow"},
 	}
-	r, err := n.bulkResolveWith(context.Background(), objects, bulkOptions{})
+	r, err := n.bulkResolveFresh(context.Background(), objects, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +183,10 @@ func TestBulkFacade(t *testing.T) {
 	}
 }
 
-// TestBulkFacadeStrategiesAgree checks that the compiled engine (at
-// several worker counts) and the legacy SQL path return identical results
-// through the public facade.
+// TestBulkFacadeStrategiesAgree checks that the compiled engine returns
+// identical results at several worker counts through the facade types.
+// (Its parity with the SQL lowering of Section 4 and with Algorithm 1 is
+// proven below the facade, in internal/engine/parity_test.go.)
 func TestBulkFacadeStrategiesAgree(t *testing.T) {
 	n := indusNetwork()
 	objects := map[string]map[string]string{
@@ -193,30 +194,30 @@ func TestBulkFacadeStrategiesAgree(t *testing.T) {
 		"glyph2": {"Bob": "fish", "Charlie": "knot"},
 		"glyph3": {"Bob": "arrow", "Charlie": "arrow"},
 	}
-	sql, err := n.bulkResolveWith(context.Background(), objects, bulkOptions{UseSQL: true})
+	ref, err := n.bulkResolveFresh(context.Background(), objects, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		eng, err := n.bulkResolveWith(context.Background(), objects, bulkOptions{Workers: workers})
+	for _, workers := range []int{2, 8} {
+		eng, err := n.bulkResolveFresh(context.Background(), objects, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for obj := range objects {
 			for _, user := range n.Users() {
-				a, b := eng.Possible(user, obj), sql.Possible(user, obj)
+				a, b := eng.Possible(user, obj), ref.Possible(user, obj)
 				if len(a) != len(b) {
-					t.Fatalf("workers=%d %s/%s: engine %v vs sql %v", workers, user, obj, a, b)
+					t.Fatalf("workers=%d %s/%s: %v vs sequential %v", workers, user, obj, a, b)
 				}
 				for i := range a {
 					if a[i] != b[i] {
-						t.Fatalf("workers=%d %s/%s: engine %v vs sql %v", workers, user, obj, a, b)
+						t.Fatalf("workers=%d %s/%s: %v vs sequential %v", workers, user, obj, a, b)
 					}
 				}
 				ca, oka := eng.Certain(user, obj)
-				cb, okb := sql.Certain(user, obj)
+				cb, okb := ref.Certain(user, obj)
 				if ca != cb || oka != okb {
-					t.Fatalf("workers=%d cert %s/%s: engine %q,%v vs sql %q,%v", workers, user, obj, ca, oka, cb, okb)
+					t.Fatalf("workers=%d cert %s/%s: %q,%v vs sequential %q,%v", workers, user, obj, ca, oka, cb, okb)
 				}
 			}
 		}
