@@ -198,13 +198,16 @@ deps-gate:
 	@echo "deps gate: $(SERVED_PKGS) link no paper-artifact package"
 
 # Short coverage-guided fuzz of the incremental-engine parity invariant,
-# the query-plan parity invariant (greedy = naive = brute force), and
-# the /v1/query decoder (arbitrary bytes never panic the planner or the
-# executor; every rejection is an ErrBadQuery 400).
+# the query-plan parity invariant (greedy = naive = brute force), the
+# /v1/query decoder (arbitrary bytes never panic the planner or the
+# executor; every rejection is an ErrBadQuery 400), and the replica's
+# /v1/wal frame decoder (arbitrary bytes never panic; every error is
+# io.EOF or a torn stream).
 fuzz:
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzEngineParity -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run=NONE -fuzz=FuzzQueryPlanParity -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run=NONE -fuzz=FuzzWireQueryDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wal -run=NONE -fuzz=FuzzStreamFrames -fuzztime=$(FUZZTIME)
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -180,8 +180,8 @@ func BenchmarkClusterResolve(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Keys()) != objects {
-					b.Fatalf("resolved %d keys, want %d", len(res.Keys()), objects)
+				if len(res) != objects {
+					b.Fatalf("resolved %d keys, want %d", len(res), objects)
 				}
 			}
 		})
@@ -196,8 +196,8 @@ func BenchmarkClusterResolve(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Keys()) != objects {
-					b.Fatalf("resolved %d keys, want %d", len(res.Keys()), objects)
+				if len(res) != objects {
+					b.Fatalf("resolved %d keys, want %d", len(res), objects)
 				}
 			}
 		})

@@ -188,19 +188,25 @@ func runWorker(ctx context.Context, rt *shard.Router, plan []planOp) error {
 
 // runRead exercises one scatter or routed read mid-storm. Contents are
 // in flux, so only structural invariants are checked: merged key order,
-// per-shard epoch fan-out, and error identity for absent keys.
+// one pinned epoch per shard, and error identity for absent keys.
 func runRead(ctx context.Context, rt *shard.Router, op planOp) error {
 	switch op.read {
 	case 0:
-		res, err := rt.ResolveAll(ctx)
+		rows, err := rt.ResolveAll(ctx)
 		if err != nil {
 			return fmt.Errorf("ResolveAll: %w", err)
 		}
-		if keys := res.Keys(); !sort.StringsAreSorted(keys) {
+		if keys := rowKeys(rows); !sort.StringsAreSorted(keys) {
 			return fmt.Errorf("ResolveAll keys not sorted: %q", keys)
 		}
-		if got, want := len(res.ShardEpochs()), rt.Shards(); got != want {
-			return fmt.Errorf("ResolveAll pinned %d shard epochs, want %d", got, want)
+		// Each shard's rows come from one pinned epoch of that shard.
+		epochs := make(map[int]uint64, rt.Shards())
+		for _, row := range rows {
+			o := rt.Owner(row.Object)
+			if e, ok := epochs[o]; ok && e != row.Epoch() {
+				return fmt.Errorf("ResolveAll rows of shard %d span epochs %d and %d", o, e, row.Epoch())
+			}
+			epochs[o] = row.Epoch()
 		}
 	case 1:
 		if keys := rt.Objects(); !sort.StringsAreSorted(keys) {
@@ -211,14 +217,14 @@ func runRead(ctx context.Context, rt *shard.Router, op planOp) error {
 			op.key + "-adhocA": {seedUsers[0]: op.value},
 			op.key + "-adhocB": {op.user: op.value},
 		}
-		res, err := rt.BulkResolve(ctx, batch)
+		rows, err := rt.BulkResolve(ctx, batch)
 		if err != nil {
 			return fmt.Errorf("BulkResolve: %w", err)
 		}
-		if got := res.Keys(); len(got) != len(batch) || !sort.StringsAreSorted(got) {
+		if got := rowKeys(rows); len(got) != len(batch) || got[0] != op.key+"-adhocA" || !sort.StringsAreSorted(got) {
 			return fmt.Errorf("BulkResolve keys = %q, want the %d ad-hoc keys sorted", got, len(batch))
 		}
-		if _, _, err := res.Lookup(seedUsers[0], op.key+"-adhocA"); err != nil {
+		if _, _, err := rows[0].Lookup(seedUsers[0]); err != nil {
 			return fmt.Errorf("BulkResolve lookup: %w", err)
 		}
 	case 3:
@@ -280,6 +286,15 @@ func buildOracle(ctx context.Context, pro []wire.Op, plans [][]planOp) (*trustma
 	return oracle, nil
 }
 
+// rowKeys lists the rows' object keys in row order.
+func rowKeys(rows []trustmap.ObjectRow) []string {
+	keys := make([]string, len(rows))
+	for i, row := range rows {
+		keys[i] = row.Object
+	}
+	return keys
+}
+
 // lookupsAgree compares one (user, object) cell across the cluster and
 // the oracle: possible set, certain value, and error identity.
 func lookupsAgree(gp, wp []string, gc, wc string, gerr, werr error) bool {
@@ -304,16 +319,16 @@ func checkParity(ctx context.Context, rt *shard.Router, oracle *trustmap.Store) 
 	if err != nil {
 		return 0, fmt.Errorf("cluster resolve: %w", err)
 	}
-	wantKeys, gotKeys := want.Keys(), got.Keys()
+	wantKeys, gotKeys := rowKeys(want), rowKeys(got)
 	if !slices.Equal(gotKeys, wantKeys) {
 		return 0, fmt.Errorf("key sets diverge: cluster has %d keys, oracle %d", len(gotKeys), len(wantKeys))
 	}
 	users := oracle.Users()
 	sort.Strings(users)
-	for _, key := range wantKeys {
+	for i, key := range wantKeys {
 		for _, u := range users {
-			wp, wc, werr := want.Lookup(u, key)
-			gp, gc, gerr := got.Lookup(u, key)
+			wp, wc, werr := want[i].Lookup(u)
+			gp, gc, gerr := got[i].Lookup(u)
 			if !lookupsAgree(gp, wp, gc, wc, gerr, werr) {
 				return 0, fmt.Errorf("parity violation at (%s, %s): cluster (%v, %q, %v) vs oracle (%v, %q, %v)",
 					u, key, gp, gc, gerr, wp, wc, werr)

@@ -126,14 +126,14 @@ func (g *gen) skip(n uint64) {
 // object's possible values for every user. Resolution is deterministic,
 // so equal fingerprints mean equal durable state.
 func fingerprint(st *trustmap.Store) (map[string][]string, error) {
-	res, err := st.ResolveAll(context.Background())
+	rows, err := st.ResolveAll(context.Background())
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]string)
-	for _, obj := range res.Keys() {
+	for _, row := range rows {
 		for _, u := range st.Users() {
-			out[u+"/"+obj] = res.Possible(u, obj)
+			out[u+"/"+row.Object] = row.Possible(u)
 		}
 	}
 	return out, nil

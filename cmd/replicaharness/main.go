@@ -149,14 +149,14 @@ func applyStore(ctx context.Context, st *trustmap.Store, o op) error {
 
 // fingerprint flattens a store's full resolved state.
 func fingerprint(st *trustmap.Store) (map[string][]string, error) {
-	res, err := st.ResolveAll(context.Background())
+	rows, err := st.ResolveAll(context.Background())
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]string)
-	for _, obj := range res.Keys() {
+	for _, row := range rows {
 		for _, u := range st.Users() {
-			out[u+"/"+obj] = res.Possible(u, obj)
+			out[u+"/"+row.Object] = row.Possible(u)
 		}
 	}
 	return out, nil

@@ -196,7 +196,7 @@ func runBulkPar(w io.Writer, netFile, objFile string, workers int, users string)
 	if err != nil {
 		return err
 	}
-	r, err := st.ResolveBatch(context.Background(), objects)
+	rows, err := st.ResolveBatch(context.Background(), objects)
 	if err != nil {
 		return err
 	}
@@ -204,8 +204,8 @@ func runBulkPar(w io.Writer, netFile, objFile string, workers int, users string)
 	if err != nil {
 		return err
 	}
-	printBulkTable(w, r, report)
-	printDedupLine(w, r)
+	printBulkTable(w, rows, report)
+	printDedupLine(w, st.Stats().Dedup)
 	return nil
 }
 
@@ -226,9 +226,9 @@ func objectUsers(objects map[string]map[string]string) []string {
 	return out
 }
 
-// printDedupLine summarizes what signature deduplication did for a batch.
-func printDedupLine(w io.Writer, r *trustmap.BulkResolution) {
-	st := r.DedupStats()
+// printDedupLine summarizes what signature deduplication did for the
+// store's batches.
+func printDedupLine(w io.Writer, st trustmap.DedupStats) {
 	if st.Objects == 0 {
 		return
 	}
@@ -279,11 +279,11 @@ func runSession(w io.Writer, netFile, objFile, mutFile string, workers int, user
 		return err
 	}
 	fmt.Fprintln(w, "== before mutations ==")
-	r, err := st.ResolveAll(ctx)
+	rows, err := st.ResolveAll(ctx)
 	if err != nil {
 		return err
 	}
-	printBulkTable(w, r, report)
+	printBulkTable(w, rows, report)
 	// The whole script lands as one batch: a single epoch publication and
 	// one delta application, like trustd's mutate endpoint.
 	if err := st.Update(func(tx *trustmap.StoreTx) error {
@@ -297,11 +297,11 @@ func runSession(w io.Writer, netFile, objFile, mutFile string, workers int, user
 		return err
 	}
 	fmt.Fprintf(w, "\n== after %d mutations ==\n", len(muts))
-	r, err = st.ResolveAll(ctx)
+	rows, err = st.ResolveAll(ctx)
 	if err != nil {
 		return err
 	}
-	printBulkTable(w, r, report)
+	printBulkTable(w, rows, report)
 	sst := st.Stats()
 	fmt.Fprintf(w, "\nstore: epoch %d, %d compile(s), %d incremental applies, %d value-only updates, %d threshold recompiles, %d/%d cache hits/misses\n",
 		sst.Epoch, sst.Compiles, sst.IncrementalApplies, sst.ValueOnlyUpdates, sst.FullRecompiles, sst.CacheHits, sst.CacheMisses)
@@ -466,21 +466,13 @@ func reportUsers(n *trustmap.Network, users string) ([]string, error) {
 	return report, nil
 }
 
-// bulkView is the read surface printBulkTable needs; *BulkResolution and
-// *StoreResolution both provide it.
-type bulkView interface {
-	Keys() []string
-	Possible(user, object string) []string
-	Certain(user, object string) (string, bool)
-}
-
 // printBulkTable prints one row per (object, user).
-func printBulkTable(w io.Writer, r bulkView, report []string) {
+func printBulkTable(w io.Writer, rows []trustmap.ObjectRow, report []string) {
 	fmt.Fprintf(w, "%-16s %-16s %-24s %s\n", "object", "user", "possible", "certain")
-	for _, k := range r.Keys() {
+	for _, row := range rows {
 		for _, u := range report {
-			cert, _ := r.Certain(u, k)
-			fmt.Fprintf(w, "%-16s %-16s %-24s %s\n", k, u, strings.Join(r.Possible(u, k), ","), orDash(cert))
+			poss, cert, _ := row.Lookup(u)
+			fmt.Fprintf(w, "%-16s %-16s %-24s %s\n", row.Object, u, strings.Join(poss, ","), orDash(cert))
 		}
 	}
 }

@@ -69,14 +69,14 @@ func seedDurable(t *testing.T, s *Store) uint64 {
 // map user/object -> possible values.
 func resolvedState(t *testing.T, s *Store) map[string][]string {
 	t.Helper()
-	res, err := s.ResolveAll(context.Background())
+	rows, err := s.ResolveAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[string][]string)
-	for _, obj := range res.Keys() {
+	for _, row := range rows {
 		for _, u := range s.Users() {
-			out[u+"/"+obj] = res.Possible(u, obj)
+			out[u+"/"+row.Object] = row.Possible(u)
 		}
 	}
 	return out

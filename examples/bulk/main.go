@@ -58,21 +58,21 @@ func main() {
 
 	// Batch read: every stored object at one epoch.
 	start := time.Now()
-	r, err := st.ResolveAll(ctx)
+	rows, err := st.ResolveAll(ctx)
 	if err != nil {
 		panic(err)
 	}
 	elapsed := time.Since(start)
 	certain, open := 0, 0
-	for _, k := range r.Keys() {
-		if _, ok := r.Certain("reader", k); ok {
+	for _, row := range rows {
+		if _, ok := row.Certain("reader"); ok {
 			certain++
 		} else {
 			open++
 		}
 	}
 	fmt.Printf("resolved %d objects (%d with conflicting curators) in %v (epoch %d)\n",
-		st.NumObjects(), conflicts, elapsed.Round(time.Millisecond), r.Epoch())
+		st.NumObjects(), conflicts, elapsed.Round(time.Millisecond), rows[0].Epoch())
 	fmt.Printf("reader's snapshot: %d certain values, %d still contested\n", certain, open)
 
 	// Streaming read: the same rows, consumed one by one without

@@ -151,17 +151,17 @@ func main() {
 		map[string]string{"curator1": "cow", "curator2": "cow"}); err != nil {
 		panic(err)
 	}
-	res, err := store.ResolveAll(ctx)
+	rows, err := store.ResolveAll(ctx)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("\nstore facade (epoch %d):\n", res.Epoch())
-	for _, obj := range res.Keys() {
-		poss := res.Possible("reader", obj)
-		if cert, ok := res.Certain("reader", obj); ok {
-			fmt.Printf("  reader/%s: possible=%v certain=%s\n", obj, poss, cert)
+	fmt.Printf("\nstore facade (epoch %d):\n", rows[0].Epoch())
+	for _, row := range rows {
+		poss, cert, _ := row.Lookup("reader")
+		if cert != "" {
+			fmt.Printf("  reader/%s: possible=%v certain=%s\n", row.Object, poss, cert)
 		} else {
-			fmt.Printf("  reader/%s: possible=%v (conflicting)\n", obj, poss)
+			fmt.Printf("  reader/%s: possible=%v (conflicting)\n", row.Object, poss)
 		}
 	}
 

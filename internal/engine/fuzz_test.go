@@ -9,6 +9,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"trustmap/internal/resolve"
@@ -176,6 +177,13 @@ func checkFuzzParity(t *testing.T, c *CompiledNetwork) {
 	for x := 0; x < c.net.NumUsers(); x++ {
 		for _, k := range []string{"k", "kdup"} {
 			g := got.Possible(x, k)
+			// Readers copy these sets without re-sorting (ObjectRow.Lookup,
+			// RowReader.AppendPossible): every one must come back sorted.
+			for label, set := range map[string][]tn.Value{"apply": g, "fresh": want.Possible(x, k), "nodedup": nodedup.Possible(x, k), "cached": cached.Possible(x, k)} {
+				if !slices.IsSorted(set) {
+					t.Fatalf("poss(%s, %s) from %s not sorted: %v", c.net.Name(x), k, label, set)
+				}
+			}
 			if w := want.Possible(x, k); !sameValues(g, w) {
 				t.Fatalf("poss(%s, %s): apply %v vs fresh %v", c.net.Name(x), k, g, w)
 			}

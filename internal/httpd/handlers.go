@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 
 	"trustmap"
@@ -192,23 +191,28 @@ func (srv *Server) handleBulkResolve(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("bulk-resolve: %d objects exceed the batch limit of %d", len(req.Objects), srv.maxBatch))
 		return
 	}
-	res, err := st.BulkResolve(r.Context(), req.Objects)
+	rows, err := st.BulkResolve(r.Context(), req.Objects)
 	if err != nil {
 		srv.resolveError(w, err)
 		return
 	}
+	// The batch epoch is the minimum over its rows: on a cluster each
+	// shard's rows carry that shard's epoch, and the minimum is the
+	// conservative bound every row is at least as fresh as.
 	out := make(map[string]map[string]wire.UserResult, len(req.Objects))
-	for _, key := range res.Keys() {
-		users, err := collectUsers(func(u string) ([]string, string, error) {
-			return res.Lookup(u, key)
-		}, req.Users)
+	var epoch uint64
+	for i, row := range rows {
+		users, err := collectUsers(row.Lookup, req.Users)
 		if err != nil {
 			srv.resolveError(w, err)
 			return
 		}
-		out[key] = users
+		out[row.Object] = users
+		if e := row.Epoch(); i == 0 || e < epoch {
+			epoch = e
+		}
 	}
-	writeJSON(w, http.StatusOK, wire.BulkResolveResponse{Epoch: res.Epoch(), LSN: st.LSN(), Objects: out})
+	writeJSON(w, http.StatusOK, wire.BulkResolveResponse{Epoch: epoch, LSN: st.LSN(), Objects: out})
 }
 
 func (srv *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
@@ -394,7 +398,7 @@ func splitUsers(values []string) []string {
 }
 
 // collectUsers gathers the requested users' results through one lookup
-// function.
+// function. Possible sets come back sorted from the engine.
 func collectUsers(lookup func(user string) ([]string, string, error), users []string) (map[string]wire.UserResult, error) {
 	out := make(map[string]wire.UserResult, len(users))
 	for _, u := range users {
@@ -402,7 +406,6 @@ func collectUsers(lookup func(user string) ([]string, string, error), users []st
 		if err != nil {
 			return nil, err
 		}
-		sort.Strings(poss)
 		out[u] = wire.UserResult{Possible: poss, Certain: cert}
 	}
 	return out, nil

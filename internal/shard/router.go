@@ -27,7 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -260,39 +262,14 @@ func (r *Router) Objects() []string {
 	return out
 }
 
-// mergedBulk is the scatter-gathered BulkResult: per-shard sub-batch
-// resolutions plus the merged key list.
-type mergedBulk struct {
-	keys  []string
-	parts map[int]*trustmap.BulkResolution
-	owner func(key string) int
-	epoch uint64
-}
-
-// Keys returns the resolved object keys, sorted.
-func (m *mergedBulk) Keys() []string { return append([]string(nil), m.keys...) }
-
-// Lookup delegates to the sub-resolution owning object.
-func (m *mergedBulk) Lookup(user, object string) ([]string, string, error) {
-	part, ok := m.parts[m.owner(object)]
-	if !ok {
-		return nil, "", fmt.Errorf("%w: %q", trustmap.ErrUnknownObject, object)
-	}
-	return part.Lookup(user, object)
-}
-
-// Epoch is the minimum pinned epoch over participating shards: the
-// conservative bound every row is at least as fresh as.
-func (m *mergedBulk) Epoch() uint64 { return m.epoch }
-
 // BulkResolve splits the ad-hoc batch by wire.ShardOwner and resolves
 // the sub-batches concurrently — the server-side counterpart of the
 // client's shard-aware ResolveBatch. Any shard could answer any object
 // (ad-hoc resolution is spine-only); splitting exists to spread the
 // resolve work across the shards' independent caches and worker pools.
-func (r *Router) BulkResolve(ctx context.Context, objects map[string]map[string]string) (BulkResult, error) {
+func (r *Router) BulkResolve(ctx context.Context, objects map[string]map[string]string) ([]trustmap.ObjectRow, error) {
 	r.scatterReads.Add(1)
-	split := make(map[int]map[string]map[string]string)
+	split := make([]map[string]map[string]string, len(r.shards))
 	for key, beliefs := range objects {
 		o := r.Owner(key)
 		if split[o] == nil {
@@ -300,121 +277,65 @@ func (r *Router) BulkResolve(ctx context.Context, objects map[string]map[string]
 		}
 		split[o][key] = beliefs
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		parts    = make(map[int]*trustmap.BulkResolution, len(split))
-		firstErr error
-	)
-	for o, sub := range split {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := r.shards[o].ResolveBatch(ctx, sub)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			parts[o] = res
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	merged := &mergedBulk{parts: parts, owner: r.Owner}
-	first := true
-	for _, part := range parts {
-		merged.keys = append(merged.keys, part.Keys()...)
-		if e := part.Epoch(); first || e < merged.epoch {
-			merged.epoch, first = e, false
+	return mergeRows(scatter(len(r.shards), func(i int) ([]trustmap.ObjectRow, error) {
+		if split[i] == nil {
+			return nil, nil
 		}
-	}
-	sort.Strings(merged.keys)
-	return merged, nil
+		return r.shards[i].ResolveBatch(ctx, split[i])
+	}))
 }
-
-// Resolution is the scatter-gathered view over every stored object in
-// the cluster, returned by ResolveAll: rows merged in global key order,
-// one pinned epoch per shard.
-type Resolution struct {
-	keys   []string
-	rows   map[string]trustmap.ObjectRow
-	epochs []uint64
-}
-
-// Keys returns every resolved object key, globally sorted.
-func (r *Resolution) Keys() []string { return append([]string(nil), r.keys...) }
-
-// Lookup reports poss/cert for one user on one object; errors wrap
-// trustmap.ErrUnknownUser / trustmap.ErrUnknownObject.
-func (r *Resolution) Lookup(user, object string) ([]string, string, error) {
-	row, ok := r.rows[object]
-	if !ok {
-		return nil, "", fmt.Errorf("%w: %q", trustmap.ErrUnknownObject, object)
-	}
-	return row.Lookup(user)
-}
-
-// Epoch is the minimum pinned epoch over shards (the conservative
-// bound); ShardEpochs has the per-shard truth.
-func (r *Resolution) Epoch() uint64 {
-	min := uint64(0)
-	for i, e := range r.epochs {
-		if i == 0 || e < min {
-			min = e
-		}
-	}
-	return min
-}
-
-// ShardEpochs returns the epoch each shard's rows were pinned at, in
-// shard-index order. Epoch counters are per shard: the values are not
-// comparable across shards, only against later reads of the same shard.
-func (r *Resolution) ShardEpochs() []uint64 { return append([]uint64(nil), r.epochs...) }
 
 // ResolveAll resolves every stored object across all shards — each
 // shard's batch at its own pinned epoch, resolved concurrently — and
-// merges the rows in global key order.
-func (r *Router) ResolveAll(ctx context.Context) (*Resolution, error) {
+// merges the rows in global key order. Each row carries its shard's
+// epoch: epoch counters are per shard, so rows of different shards are
+// not comparable by epoch, only against later reads of the same shard.
+func (r *Router) ResolveAll(ctx context.Context) ([]trustmap.ObjectRow, error) {
 	r.scatterReads.Add(1)
+	return mergeRows(scatter(len(r.shards), func(i int) ([]trustmap.ObjectRow, error) {
+		return r.shards[i].ResolveAll(ctx)
+	}))
+}
+
+// scatter runs fn for every shard index concurrently and collects the
+// results in shard order; the first error wins.
+func scatter[T any](shards int, fn func(i int) (T, error)) ([]T, error) {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		parts    = make([]*trustmap.StoreResolution, len(r.shards))
+		out      = make([]T, shards)
 		firstErr error
 	)
-	for i, st := range r.shards {
+	for i := range shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := st.ResolveAll(ctx)
+			v, err := fn(i)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
-			parts[i] = res
+			out[i] = v
 		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	out := &Resolution{rows: make(map[string]trustmap.ObjectRow), epochs: make([]uint64, len(parts))}
-	for i, part := range parts {
-		out.epochs[i] = part.Epoch()
-		for row := range part.Rows() {
-			out.keys = append(out.keys, row.Object)
-			out.rows[row.Object] = row
-		}
-	}
-	sort.Strings(out.keys)
 	return out, nil
+}
+
+// mergeRows concatenates per-shard row batches into one sorted by object
+// key. Ownership makes the shards' key sets disjoint and every row
+// carries its own epoch, so the merge needs no wrapper type.
+func mergeRows(parts [][]trustmap.ObjectRow, err error) ([]trustmap.ObjectRow, error) {
+	if err != nil {
+		return nil, err
+	}
+	rows := slices.Concat(parts...)
+	slices.SortFunc(rows, func(a, b trustmap.ObjectRow) int { return strings.Compare(a.Object, b.Object) })
+	return rows, nil
 }
 
 // Resolved streams every stored object's resolution across all shards in
@@ -498,28 +419,11 @@ func (r *Router) Query(ctx context.Context, q wire.Query) (*query.Result, error)
 		return res, nil
 	}
 	r.scatterReads.Add(1)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		parts    = make([]*query.Partial, len(r.shards))
-		firstErr error
-	)
-	for i, st := range r.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			part, err := query.RunPartial(ctx, st, plan)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			parts[i] = part
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	parts, err := scatter(len(r.shards), func(i int) (*query.Partial, error) {
+		return query.RunPartial(ctx, r.shards[i], plan)
+	})
+	if err != nil {
+		return nil, err
 	}
 	res, err := query.Finalize(parts, plan)
 	if err != nil {
@@ -572,6 +476,10 @@ func (r *Router) EpochStats() (trustmap.StoreStats, engine.Stats) {
 		sum.Objects += sst.Objects
 		sum.CacheHits += sst.CacheHits
 		sum.CacheMisses += sst.CacheMisses
+		sum.Dedup.Objects += sst.Dedup.Objects
+		sum.Dedup.DistinctSignatures += sst.Dedup.DistinctSignatures
+		sum.Dedup.CacheHits += sst.Dedup.CacheHits
+		sum.Dedup.Resolved += sst.Dedup.Resolved
 		sum.Compiles += sst.Compiles
 		sum.IncrementalApplies += sst.IncrementalApplies
 		sum.ValueOnlyUpdates += sst.ValueOnlyUpdates

@@ -37,20 +37,6 @@ import (
 	"trustmap/wire"
 )
 
-// BulkResult is the resolved view of an ad-hoc object batch: the surface
-// httpd's /v1/bulk-resolve handler needs. *trustmap.BulkResolution is the
-// single-store implementation; a Router answers with a merged view over
-// per-shard sub-batches.
-type BulkResult interface {
-	// Keys returns the resolved object keys, sorted.
-	Keys() []string
-	// Lookup reports poss/cert for one user on one object.
-	Lookup(user, object string) (possible []string, certain string, err error)
-	// Epoch is the publication generation that served the batch — on a
-	// cluster, the minimum pinned epoch over participating shards.
-	Epoch() uint64
-}
-
 // Backend is the store surface internal/httpd serves: everything the
 // wire-schema handlers need, implemented by SingleStore over one
 // trustmap.Store and by Router over a sharded cluster. Endpoints that
@@ -81,9 +67,10 @@ type Backend interface {
 
 	// Resolve answers one ad-hoc object (spine-only: any shard agrees).
 	Resolve(ctx context.Context, beliefs map[string]string) (trustmap.ObjectRow, error)
-	// BulkResolve answers an ad-hoc batch; a Router splits it by
+	// BulkResolve answers an ad-hoc batch as rows sorted by object key,
+	// each carrying the epoch that served it; a Router splits the batch by
 	// wire.ShardOwner and resolves the sub-batches concurrently.
-	BulkResolve(ctx context.Context, objects map[string]map[string]string) (BulkResult, error)
+	BulkResolve(ctx context.Context, objects map[string]map[string]string) ([]trustmap.ObjectRow, error)
 
 	// Query compiles and executes one wire.Query pattern (POST
 	// /v1/query). A Router scatter-gathers aggregate plans as per-shard
@@ -188,8 +175,8 @@ func (s *SingleStore) Resolve(ctx context.Context, beliefs map[string]string) (t
 	return s.st.Resolve(ctx, beliefs)
 }
 
-// BulkResolve answers an ad-hoc object batch.
-func (s *SingleStore) BulkResolve(ctx context.Context, objects map[string]map[string]string) (BulkResult, error) {
+// BulkResolve answers an ad-hoc object batch, sorted by object key.
+func (s *SingleStore) BulkResolve(ctx context.Context, objects map[string]map[string]string) ([]trustmap.ObjectRow, error) {
 	return s.st.ResolveBatch(ctx, objects)
 }
 

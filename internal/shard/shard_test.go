@@ -96,9 +96,19 @@ func (c cell) equal(o cell) bool {
 	return c.certain == o.certain && c.unknown == o.unknown && slices.Equal(c.possible, o.possible)
 }
 
+// rowKeys lists the rows' object keys in row order.
+func rowKeys(rows []trustmap.ObjectRow) []string {
+	keys := make([]string, len(rows))
+	for i, row := range rows {
+		keys[i] = row.Object
+	}
+	return keys
+}
+
 // TestBackendsAgreeCellByCell is the in-package parity check: one store,
 // a 1-shard router, and a 4-shard router seeded with the same world must
-// answer Resolve, BulkResolve, ResolveObject, and Objects identically.
+// answer Resolve, BulkResolve, ResolveObject, and Objects identically,
+// and the routers' merged ResolveAll rows must match them cell by cell.
 func TestBackendsAgreeCellByCell(t *testing.T) {
 	w := newWorld()
 	st, err := trustmap.NewStore()
@@ -122,6 +132,9 @@ func TestBackendsAgreeCellByCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := rowKeys(refBulk); !slices.Equal(got, w.keys) {
+		t.Fatalf("single: BulkResolve keys %v, want %v", got, w.keys)
+	}
 	for _, be := range backends[1:] {
 		if got, want := be.b.Objects(), ref.b.Objects(); !slices.Equal(got, want) || !slices.Equal(got, w.keys) {
 			t.Fatalf("%s: Objects() = %v, want %v", be.name, got, want)
@@ -130,10 +143,17 @@ func TestBackendsAgreeCellByCell(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: BulkResolve: %v", be.name, err)
 		}
-		if !slices.Equal(bulk.Keys(), refBulk.Keys()) {
-			t.Fatalf("%s: BulkResolve keys %v, want %v", be.name, bulk.Keys(), refBulk.Keys())
+		if got := rowKeys(bulk); !slices.Equal(got, w.keys) {
+			t.Fatalf("%s: BulkResolve keys %v, want %v", be.name, got, w.keys)
 		}
-		for _, k := range w.keys {
+		all, err := be.b.(*Router).ResolveAll(ctx)
+		if err != nil {
+			t.Fatalf("%s: ResolveAll: %v", be.name, err)
+		}
+		if got := rowKeys(all); !slices.Equal(got, w.keys) {
+			t.Fatalf("%s: ResolveAll keys %v, want %v", be.name, got, w.keys)
+		}
+		for i, k := range w.keys {
 			row, err := be.b.ResolveObject(ctx, k)
 			if err != nil {
 				t.Fatalf("%s: ResolveObject(%s): %v", be.name, k, err)
@@ -151,7 +171,8 @@ func TestBackendsAgreeCellByCell(t *testing.T) {
 				for via, got := range map[string]cell{
 					"ResolveObject": cellOf(row.Lookup(u)),
 					"Resolve":       cellOf(adhoc.Lookup(u)),
-					"BulkResolve":   cellOf(bulk.Lookup(u, k)),
+					"BulkResolve":   cellOf(bulk[i].Lookup(u)),
+					"ResolveAll":    cellOf(all[i].Lookup(u)),
 				} {
 					if !got.equal(want) {
 						t.Fatalf("%s: %s(%s, %s) = %+v, single store says %+v", be.name, via, u, k, got, want)

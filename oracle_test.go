@@ -3,7 +3,6 @@ package trustmap
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"trustmap/internal/engine"
 	"trustmap/internal/tn"
@@ -14,9 +13,10 @@ import (
 // (Section 4) by binarizing and compiling the network anew on every call
 // — no twin, no incremental apply, no epochs, no cache — and scanning the
 // objects with a worker pool. Every user an object mentions becomes a
-// root. Engine ≡ SQL ≡ Algorithm 1 parity for the compiled path itself is
+// root. The rows come back sorted by object key, as Store.ResolveBatch
+// returns them. Engine ≡ SQL ≡ Algorithm 1 parity for the compiled path itself is
 // internal/engine/parity_test.go's job.
-func (n *Network) bulkResolveFresh(ctx context.Context, objects map[string]map[string]string, workers int) (*BulkResolution, error) {
+func (n *Network) bulkResolveFresh(ctx context.Context, objects map[string]map[string]string, workers int) ([]ObjectRow, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -48,11 +48,6 @@ func (n *Network) bulkResolveFresh(ctx context.Context, objects map[string]map[s
 		}
 		conv[k] = m
 	}
-	keys := make([]string, 0, len(objects))
-	for k := range objects {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	c, err := engine.Compile(b)
 	if err != nil {
 		return nil, err
@@ -62,5 +57,5 @@ func (n *Network) bulkResolveFresh(ctx context.Context, objects map[string]map[s
 		return nil, err
 	}
 	// Original IDs are a prefix of a fresh binarization: binIDs stays nil.
-	return &BulkResolution{src: n.inner.Snapshot(nil), keys: keys, eng: res}, nil
+	return (&bulkResolution{src: n.inner.Snapshot(nil), eng: res}).rows(objects), nil
 }

@@ -15,7 +15,9 @@ package trustmap
 // the next read re-resolves only that object — every other stored object
 // keeps serving its cached resolution — and a trust mutation advances the
 // epoch, after which stale objects are re-resolved lazily in one
-// signature-deduplicated batch.
+// signature-deduplicated batch. Every read hands out ObjectRows; the rows
+// of one batch share its bulkResolution, and batch reads return them
+// sorted by object key.
 //
 // # Object model
 //
@@ -85,7 +87,7 @@ func WithExtraRoots(users ...string) StoreOption {
 
 // storeCached is one object's cached resolution: valid while both the
 // serving epoch and the object's belief version still match. Objects
-// resolved in one batch share that batch's *BulkResolution, so a
+// resolved in one batch share that batch's *bulkResolution, so a
 // surviving entry keeps its whole batch reachable until the entry is
 // superseded (next epoch or belief touch) — memory is bounded by one
 // batch generation per object, traded for zero per-object copying on the
@@ -94,7 +96,7 @@ func WithExtraRoots(users ...string) StoreOption {
 type storeCached struct {
 	epoch uint64
 	over  uint64 // object belief version at resolution time
-	res   *BulkResolution
+	res   *bulkResolution
 }
 
 // Store owns a trust network and the per-object beliefs resolved against
@@ -145,8 +147,9 @@ type Store struct {
 	objects map[string]map[string]string // object -> user -> value; value maps are copy-on-write
 	objVer  map[string]uint64            // bumped on every object mutation
 	cache   map[string]storeCached
-	hits    uint64 // reads served from the cache
-	misses  uint64 // reads that re-resolved
+	hits    uint64     // reads served from the cache
+	misses  uint64     // reads that re-resolved
+	dedup   DedupStats // summed over every batch the store resolved
 }
 
 // NewStore returns an empty in-memory store: no users, no trust, no
@@ -626,12 +629,13 @@ func (s *Store) Object(object string) (map[string]string, bool) {
 
 // --- resolution reads --------------------------------------------------
 
-// ObjectRow is one stored object's resolution, as returned by
-// ResolveObject, ResolveAll, and the Resolved iterator.
+// ObjectRow is one object's resolution: the element of every read,
+// from ResolveObject and Resolve to the sorted batches of ResolveAll and
+// ResolveBatch and the Resolved stream.
 type ObjectRow struct {
 	// Object is the object key the row resolves.
 	Object string
-	res    *BulkResolution
+	res    *bulkResolution
 	// beliefs is the object's explicit-belief map the resolution was
 	// computed from: the copy-on-write reference captured under the lock
 	// that validated the cache entry, never written afterwards.
@@ -642,28 +646,41 @@ type ObjectRow struct {
 // unknown user returns an empty slice; use Lookup when the distinction
 // matters.
 func (r ObjectRow) Possible(user string) []string {
-	if r.res == nil {
-		return nil
-	}
-	return r.res.Possible(user, r.Object)
+	possible, _, _ := r.Lookup(user)
+	return possible
 }
 
 // Certain returns cert(user, object) for the row's object. ok is false
 // when the user holds no certain value.
 func (r ObjectRow) Certain(user string) (string, bool) {
-	if r.res == nil {
-		return "", false
-	}
-	return r.res.Certain(user, r.Object)
+	_, certain, _ := r.Lookup(user)
+	return certain, certain != ""
 }
 
-// Lookup is Possible and Certain with lookup failures made explicit: an
-// unknown user answers an error wrapping ErrUnknownUser.
+// Lookup returns poss(user, object), sorted, and cert(user, object) with
+// lookup failures made explicit: an unknown user answers an error
+// wrapping ErrUnknownUser, a zero row one wrapping ErrUnknownObject.
+// certain is "" when the user has no certain value for the object; an
+// empty possible slice with a nil error means the user is genuinely
+// unreachable from the object's beliefs.
 func (r ObjectRow) Lookup(user string) (possible []string, certain string, err error) {
 	if r.res == nil {
 		return nil, "", fmt.Errorf("%w: %q", ErrUnknownObject, r.Object)
 	}
-	return r.res.Lookup(user, r.Object)
+	id := r.res.src.UserID(user)
+	if id < 0 {
+		return nil, "", fmt.Errorf("%w: %q", ErrUnknownUser, user)
+	}
+	// The engine's sets are sorted and shared: copy, never re-sort.
+	poss := r.res.eng.Possible(r.res.binID(id), r.Object)
+	possible = make([]string, len(poss))
+	for i, v := range poss {
+		possible[i] = string(v)
+	}
+	if len(possible) == 1 {
+		certain = possible[0]
+	}
+	return possible, certain, nil
 }
 
 // Epoch returns the publication generation that served the row.
@@ -671,7 +688,7 @@ func (r ObjectRow) Epoch() uint64 {
 	if r.res == nil {
 		return 0
 	}
-	return r.res.Epoch()
+	return r.res.epoch
 }
 
 // RowReader reads ObjectRows column-wise for a fixed list of distinct
@@ -741,7 +758,7 @@ func (rd *RowReader) Reset(row ObjectRow) error {
 
 // nodesOf translates the users into res's resolved network, memoised
 // per snapshot.
-func (rd *RowReader) nodesOf(res *BulkResolution) []int {
+func (rd *RowReader) nodesOf(res *bulkResolution) []int {
 	for _, m := range rd.memo {
 		if m.src == res.src && len(m.binIDs) == len(res.binIDs) && (len(m.binIDs) == 0 || sameBacking(m.binIDs, res.binIDs)) {
 			return m.nodes
@@ -806,74 +823,20 @@ func (s *Store) Get(ctx context.Context, user, object string) (possible []string
 // ResolveObject resolves one stored object against the currently
 // published epoch, serving the cached resolution when it is current.
 func (s *Store) ResolveObject(ctx context.Context, object string) (ObjectRow, error) {
-	rows, _, err := s.resolveStored(ctx, []string{object})
+	rows, err := s.resolveStored(ctx, []string{object})
 	if err != nil {
 		return ObjectRow{}, err
 	}
 	return rows[0], nil
 }
 
-// StoreResolution is the batch view over every stored object, returned by
-// ResolveAll: one consistent epoch across all rows.
-type StoreResolution struct {
-	epoch uint64
-	keys  []string
-	rows  map[string]ObjectRow
-}
-
-// Epoch returns the publication generation that served the batch.
-func (r *StoreResolution) Epoch() uint64 { return r.epoch }
-
-// Keys returns the resolved object keys, sorted.
-func (r *StoreResolution) Keys() []string { return append([]string(nil), r.keys...) }
-
-// Rows iterates the per-object rows in sorted key order.
-func (r *StoreResolution) Rows() iter.Seq[ObjectRow] {
-	return func(yield func(ObjectRow) bool) {
-		for _, k := range r.keys {
-			if !yield(r.rows[k]) {
-				return
-			}
-		}
-	}
-}
-
-// Possible returns poss(user, object), or nil for unknown users/objects.
-func (r *StoreResolution) Possible(user, object string) []string {
-	return r.rows[object].Possible(user)
-}
-
-// Certain returns cert(user, object); ok is false when there is none (or
-// the user/object is unknown — use Lookup to tell those apart).
-func (r *StoreResolution) Certain(user, object string) (string, bool) {
-	return r.rows[object].Certain(user)
-}
-
-// Lookup is Possible and Certain with lookup failures made explicit:
-// errors wrap ErrUnknownUser / ErrUnknownObject.
-func (r *StoreResolution) Lookup(user, object string) (possible []string, certain string, err error) {
-	row, ok := r.rows[object]
-	if !ok {
-		return nil, "", fmt.Errorf("%w: %q", ErrUnknownObject, object)
-	}
-	return row.Lookup(user)
-}
-
-// ResolveAll resolves every stored object at one pinned epoch. Objects
-// whose cached resolution is current are served from the cache; the rest
-// are re-resolved as one signature-deduplicated batch. After a belief
-// mutation this re-resolves exactly the touched objects.
-func (s *Store) ResolveAll(ctx context.Context) (*StoreResolution, error) {
-	rows, epoch, err := s.resolveStored(ctx, nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &StoreResolution{epoch: epoch, keys: make([]string, 0, len(rows)), rows: make(map[string]ObjectRow, len(rows))}
-	for _, row := range rows {
-		res.keys = append(res.keys, row.Object)
-		res.rows[row.Object] = row
-	}
-	return res, nil
+// ResolveAll resolves every stored object at one pinned epoch and
+// returns the rows sorted by object key, every row carrying that epoch.
+// Objects whose cached resolution is current are served from the cache;
+// the rest are re-resolved as one signature-deduplicated batch. After a
+// belief mutation this re-resolves exactly the touched objects.
+func (s *Store) ResolveAll(ctx context.Context) ([]ObjectRow, error) {
+	return s.resolveStored(ctx, nil)
 }
 
 // pinned is one consistent capture of the object table at a pinned
@@ -938,7 +901,7 @@ func (s *Store) capture(keys []string) (p pinned, err error) {
 
 // fill resolves the rows of p.rows[lo:hi] the cache could not serve as
 // one signature-deduplicated batch against the pinned epoch, refills the
-// cache, and counts the hits and misses.
+// cache, and counts the hits, misses and dedup work.
 func (s *Store) fill(ctx context.Context, p pinned, lo, hi int) error {
 	if lo == hi {
 		return nil
@@ -953,7 +916,7 @@ func (s *Store) fill(ctx context.Context, p pinned, lo, hi int) error {
 		}
 		batch[row.Object] = row.beliefs // value maps are copy-on-write: safe to read unlocked
 	}
-	var res *BulkResolution
+	var res *bulkResolution
 	if len(batch) > 0 {
 		var err error
 		if res, err = s.resolveSnap(ctx, p.e, batch); err != nil {
@@ -967,6 +930,7 @@ func (s *Store) fill(ctx context.Context, p pinned, lo, hi int) error {
 	if res == nil {
 		return nil
 	}
+	s.addDedupLocked(res)
 	for i := lo; i < hi; i++ {
 		if p.rows[i].res != nil {
 			continue
@@ -985,16 +949,16 @@ func (s *Store) fill(ctx context.Context, p pinned, lo, hi int) error {
 // resolveStored serves the given stored objects (nil keys = all, sorted)
 // at one pinned epoch: cache-current objects are served as-is, the rest
 // are resolved in one batch and the cache is refilled.
-func (s *Store) resolveStored(ctx context.Context, keys []string) ([]ObjectRow, uint64, error) {
+func (s *Store) resolveStored(ctx context.Context, keys []string) ([]ObjectRow, error) {
 	p, err := s.capture(keys)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer p.e.Release()
 	if err := s.fill(ctx, p, 0, len(p.rows)); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return p.rows, p.e.Seq(), nil
+	return p.rows, nil
 }
 
 // resolvedChunkSize bounds how many stale objects one streaming batch
@@ -1042,36 +1006,60 @@ const adhocKey = "object"
 // the network defaults per root and may be nil when every root has a
 // default.
 func (s *Store) Resolve(ctx context.Context, beliefs map[string]string) (ObjectRow, error) {
-	res, err := s.ResolveBatch(ctx, map[string]map[string]string{adhocKey: beliefs})
+	rows, err := s.ResolveBatch(ctx, map[string]map[string]string{adhocKey: beliefs})
 	if err != nil {
 		return ObjectRow{}, err
 	}
-	return ObjectRow{Object: adhocKey, res: res, beliefs: beliefs}, nil
+	return rows[0], nil
 }
 
 // ResolveBatch resolves many ad-hoc objects (not stored) against the
 // currently published epoch. Every user mentioned must already be a root
 // — a belief or default holder, a WithExtraRoots declaration, or a user
 // some stored object mentions. Safe to call from any number of
-// goroutines; the whole call is served by one epoch.
-func (s *Store) ResolveBatch(ctx context.Context, objects map[string]map[string]string) (*BulkResolution, error) {
+// goroutines; the whole call is served by one epoch, and the rows come
+// back sorted by object key.
+func (s *Store) ResolveBatch(ctx context.Context, objects map[string]map[string]string) ([]ObjectRow, error) {
 	e, err := s.snapshot()
 	if err != nil {
 		return nil, err
 	}
 	defer e.Release()
-	return s.resolveSnap(ctx, e, objects)
+	res, err := s.resolveSnap(ctx, e, objects)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.addDedupLocked(res)
+	s.mu.Unlock()
+	return res.rows(objects), nil
+}
+
+// addDedupLocked adds one resolved batch's signature-deduplication
+// counters to the store's running totals. Callers hold mu.
+func (s *Store) addDedupLocked(res *bulkResolution) {
+	d := res.eng.Dedup()
+	s.dedup.Objects += d.Objects
+	s.dedup.DistinctSignatures += d.DistinctSignatures
+	s.dedup.CacheHits += d.CacheHits
+	s.dedup.Resolved += d.Resolved
 }
 
 // --- statistics --------------------------------------------------------
 
-// StoreStats extends the plan-maintenance counters with the object table
-// and result-cache counters.
+// StoreStats extends the plan-maintenance counters with the object table,
+// result-cache and signature-deduplication counters.
 type StoreStats struct {
 	SessionStats
 	Objects     int    // stored objects
 	CacheHits   uint64 // object reads served from the result cache
 	CacheMisses uint64 // object reads that re-resolved
+	// Dedup sums the signature-deduplication counters of every batch the
+	// store resolved, stored and ad-hoc alike. Objects sharing one
+	// root-assignment signature resolve once per artifact generation: the
+	// signature cache survives across batches and value-only mutations,
+	// and is invalidated by structural ones.
+	Dedup DedupStats
 }
 
 // statsAt reads the counters of one pinned epoch, plus the live
@@ -1082,7 +1070,7 @@ func (s *Store) statsAt(e *serve.Epoch[*epochSnap]) StoreStats {
 	st.EpochsReclaimed = s.pub.Stats().Reclaimed
 	s.mu.RLock()
 	st.Objects = len(s.objects)
-	st.CacheHits, st.CacheMisses = s.hits, s.misses
+	st.CacheHits, st.CacheMisses, st.Dedup = s.hits, s.misses, s.dedup
 	s.mu.RUnlock()
 	return st
 }

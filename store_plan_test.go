@@ -78,19 +78,20 @@ func assertMatchesFresh(t *testing.T, label string, n *Network, s *Store, object
 	if err != nil {
 		t.Fatalf("%s: fresh resolve: %v", label, err)
 	}
-	for _, k := range got.Keys() {
+	if len(got) != len(want) {
+		t.Fatalf("%s: store resolved %d rows, fresh %d", label, len(got), len(want))
+	}
+	for i, row := range got {
+		k := row.Object
+		if k != want[i].Object {
+			t.Fatalf("%s: row %d: store %q vs fresh %q", label, i, k, want[i].Object)
+		}
 		for _, u := range n.Users() {
-			g, w := got.Possible(u, k), want.Possible(u, k)
-			if len(g) != len(w) {
+			if g, w := row.Possible(u), want[i].Possible(u); !eqStrs(g, w) {
 				t.Fatalf("%s: poss(%s, %s): store %v vs fresh %v", label, u, k, g, w)
 			}
-			for i := range g {
-				if g[i] != w[i] {
-					t.Fatalf("%s: poss(%s, %s): store %v vs fresh %v", label, u, k, g, w)
-				}
-			}
-			gc, gok := got.Certain(u, k)
-			wc, wok := want.Certain(u, k)
+			gc, gok := row.Certain(u)
+			wc, wok := want[i].Certain(u)
 			if gc != wc || gok != wok {
 				t.Fatalf("%s: cert(%s, %s): store %q,%v vs fresh %q,%v", label, u, k, gc, gok, wc, wok)
 			}
@@ -346,8 +347,9 @@ func TestSessionRejectsMisuse(t *testing.T) {
 	}
 }
 
-// TestBulkResolutionLookupSentinels covers the lookup contract: unknown
-// users and objects answer with explicit errors instead of silent empties.
+// TestBulkResolutionLookupSentinels covers the lookup contract on the rows
+// of a bulk resolution: unknown users and objects answer with explicit
+// errors instead of silent empties.
 func TestBulkResolutionLookupSentinels(t *testing.T) {
 	n := New()
 	n.AddTrust("alice", "bob", 100)
@@ -365,24 +367,34 @@ func TestBulkResolutionLookupSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for label, r := range map[string]*BulkResolution{"fresh": fresh, "store": served} {
-		if _, _, err := r.Lookup("ghost", "obj1"); !errors.Is(err, ErrUnknownUser) {
+	for label, rows := range map[string][]ObjectRow{"fresh": fresh, "store": served} {
+		if len(rows) != 1 || rows[0].Object != "obj1" {
+			t.Fatalf("%s: rows %v, want one row for obj1", label, rows)
+		}
+		r := rows[0]
+		if _, _, err := r.Lookup("ghost"); !errors.Is(err, ErrUnknownUser) {
 			t.Errorf("%s: unknown user: err=%v want ErrUnknownUser", label, err)
 		}
-		if _, _, err := r.Lookup("alice", "obj9"); !errors.Is(err, ErrUnknownObject) {
-			t.Errorf("%s: unknown object: err=%v want ErrUnknownObject", label, err)
-		}
-		poss, cert, err := r.Lookup("alice", "obj1")
+		poss, cert, err := r.Lookup("alice")
 		if err != nil || len(poss) != 1 || poss[0] != "fish" || cert != "fish" {
 			t.Errorf("%s: lookup(alice, obj1)=%v,%q,%v want [fish],fish,nil", label, poss, cert, err)
 		}
 		// The silent paths remain, documented.
-		if got := r.Possible("ghost", "obj1"); got != nil {
+		if got := r.Possible("ghost"); got != nil {
 			t.Errorf("%s: Possible(ghost)=%v want nil", label, got)
 		}
-		if _, ok := r.Certain("alice", "obj9"); ok {
-			t.Errorf("%s: Certain on unknown object must report ok=false", label)
-		}
+	}
+	// A row outside any batch (the zero row) and an object the store never
+	// held answer ErrUnknownObject.
+	unknown := ObjectRow{Object: "obj9"}
+	if _, _, err := unknown.Lookup("alice"); !errors.Is(err, ErrUnknownObject) {
+		t.Errorf("zero row: err=%v want ErrUnknownObject", err)
+	}
+	if _, ok := unknown.Certain("alice"); ok {
+		t.Error("Certain on a zero row must report ok=false")
+	}
+	if _, _, err := s.Get(context.Background(), "alice", "obj9"); !errors.Is(err, ErrUnknownObject) {
+		t.Errorf("unstored object: err=%v want ErrUnknownObject", err)
 	}
 }
 

@@ -137,15 +137,19 @@ func TestSessionConcurrentMutateResolveRegression(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for !done.Load() {
-				res, err := s.ResolveBatch(context.Background(), objects)
+				rows, err := s.ResolveBatch(context.Background(), objects)
 				if err != nil {
 					t.Errorf("reader %d: %v", id, err)
 					return
 				}
-				for _, key := range []string{"obj1", "obj2"} {
-					poss, _, err := res.Lookup("spoke", key)
+				if len(rows) != len(objects) {
+					t.Errorf("reader %d: %d rows for %d objects", id, len(rows), len(objects))
+					return
+				}
+				for _, row := range rows {
+					poss, _, err := row.Lookup("spoke")
 					if err != nil || len(poss) != 1 {
-						t.Errorf("reader %d: lookup(spoke, %s) = %v, %v", id, key, poss, err)
+						t.Errorf("reader %d: lookup(spoke, %s) = %v, %v", id, row.Object, poss, err)
 						return
 					}
 				}

@@ -64,6 +64,15 @@ func eqStrs(a, b []string) bool {
 	return true
 }
 
+// byObject indexes batch rows by object key.
+func byObject(rows []ObjectRow) map[string]ObjectRow {
+	out := make(map[string]ObjectRow, len(rows))
+	for _, row := range rows {
+		out[row.Object] = row
+	}
+	return out
+}
+
 // storeFromObjects builds a store over a fresh facade copy of src and
 // stores the objects.
 func storeFromObjects(t *testing.T, src *tn.Network, objects map[string]map[string]string, opts ...StoreOption) *Store {
@@ -112,7 +121,7 @@ func TestStoreParityWorkloads(t *testing.T) {
 
 			ctx := context.Background()
 			legacyNet := facadeFromTN(src)
-			legacy, err := legacyNet.bulkResolveFresh(ctx, objects, 2)
+			legacyRows, err := legacyNet.bulkResolveFresh(ctx, objects, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,28 +129,29 @@ func TestStoreParityWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaBatch, err := adhoc.ResolveBatch(ctx, objects)
+			batchRows, err := adhoc.ResolveBatch(ctx, objects)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st := storeFromObjects(t, src, objects, WithWorkers(2))
-			viaStore, err := st.ResolveAll(ctx)
+			storeRows, err := st.ResolveAll(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
+			legacy, viaBatch, viaStore := byObject(legacyRows), byObject(batchRows), byObject(storeRows)
 
 			users := legacyNet.Users()
 			for k := range objects {
 				for _, u := range users {
-					want := legacy.Possible(u, k)
-					if got := viaBatch.Possible(u, k); !eqStrs(got, want) {
+					want := legacy[k].Possible(u)
+					if got := viaBatch[k].Possible(u); !eqStrs(got, want) {
 						t.Fatalf("%s/%s: ad-hoc batch %v vs legacy %v", u, k, got, want)
 					}
-					if got := viaStore.Possible(u, k); !eqStrs(got, want) {
+					if got := viaStore[k].Possible(u); !eqStrs(got, want) {
 						t.Fatalf("%s/%s: store %v vs legacy %v", u, k, got, want)
 					}
-					wc, wok := legacy.Certain(u, k)
-					if gc, gok := viaStore.Certain(u, k); gc != wc || gok != wok {
+					wc, wok := legacy[k].Certain(u)
+					if gc, gok := viaStore[k].Certain(u); gc != wc || gok != wok {
 						t.Fatalf("cert %s/%s: store %q,%v vs legacy %q,%v", u, k, gc, gok, wc, wok)
 					}
 				}
@@ -165,7 +175,7 @@ func TestStoreParityWorkloads(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, u := range users {
-					if got, want := viaStore.Possible(u, k), res.Possible(u); !eqStrs(got, want) {
+					if got, want := viaStore[k].Possible(u), res.Possible(u); !eqStrs(got, want) {
 						t.Fatalf("%s/%s: store %v vs Algorithm 1 %v", u, k, got, want)
 					}
 				}
@@ -195,23 +205,26 @@ func TestStoreStreamingMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	users := st.Users()
-	var streamed []string
+	i := 0
 	for row, err := range st.Resolved(ctx) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed = append(streamed, row.Object)
-		if row.Epoch() != batch.Epoch() {
-			t.Fatalf("row %s epoch %d != batch epoch %d", row.Object, row.Epoch(), batch.Epoch())
+		if i >= len(batch) || row.Object != batch[i].Object {
+			t.Fatalf("stream row %d is %s: keys differ from the batch or its order", i, row.Object)
+		}
+		if row.Epoch() != batch[i].Epoch() {
+			t.Fatalf("row %s epoch %d != batch epoch %d", row.Object, row.Epoch(), batch[i].Epoch())
 		}
 		for _, u := range users {
-			if got, want := row.Possible(u), batch.Possible(u, row.Object); !eqStrs(got, want) {
+			if got, want := row.Possible(u), batch[i].Possible(u); !eqStrs(got, want) {
 				t.Fatalf("%s/%s: stream %v vs batch %v", u, row.Object, got, want)
 			}
 		}
+		i++
 	}
-	if !eqStrs(streamed, batch.Keys()) {
-		t.Fatalf("streamed keys %d != batch keys %d (or order differs)", len(streamed), len(batch.Keys()))
+	if i != len(batch) {
+		t.Fatalf("streamed %d rows, batch has %d", i, len(batch))
 	}
 
 	// Early break must not wedge the store: mutations and reads proceed.
@@ -439,7 +452,7 @@ func TestStoreLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := st.ResolveAll(ctx); err != nil || len(res.Keys()) != 0 {
+	if res, err := st.ResolveAll(ctx); err != nil || len(res) != 0 {
 		t.Fatalf("empty store ResolveAll = %v, %v", res, err)
 	}
 
@@ -647,17 +660,18 @@ func TestStoreRandomizedParity(t *testing.T) {
 					}
 					eff[k] = m
 				}
-				got, err := st.ResolveAll(ctx)
+				gotRows, err := st.ResolveAll(ctx)
 				if err != nil {
 					t.Fatalf("step %d: store resolve: %v", step, err)
 				}
-				want, err := n.bulkResolveFresh(ctx, eff, 2)
+				wantRows, err := n.bulkResolveFresh(ctx, eff, 2)
 				if err != nil {
 					t.Fatalf("step %d: legacy resolve: %v", step, err)
 				}
+				got, want := byObject(gotRows), byObject(wantRows)
 				for k := range eff {
 					for _, u := range n.Users() {
-						g, w := got.Possible(u, k), want.Possible(u, k)
+						g, w := got[k].Possible(u), want[k].Possible(u)
 						if !eqStrs(g, w) {
 							t.Fatalf("step %d: poss(%s, %s): store %v vs legacy %v", step, u, k, g, w)
 						}
@@ -699,14 +713,14 @@ func TestStoreConcurrentReadWrite(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				res, err := st.ResolveAll(ctx)
+				rows, err := st.ResolveAll(ctx)
 				if err != nil {
 					t.Errorf("reader: %v", err)
 					return
 				}
-				for row := range res.Rows() {
-					if row.Epoch() != res.Epoch() {
-						t.Errorf("torn batch: row %s epoch %d != %d", row.Object, row.Epoch(), res.Epoch())
+				for _, row := range rows {
+					if row.Epoch() != rows[0].Epoch() {
+						t.Errorf("torn batch: row %s epoch %d != %d", row.Object, row.Epoch(), rows[0].Epoch())
 						return
 					}
 				}

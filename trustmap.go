@@ -33,6 +33,11 @@
 //		_, _ = row, err
 //	}
 //
+// Every read answers ObjectRows, one object's resolution each with the
+// epoch that served it: ResolveObject and Resolve return one row,
+// ResolveAll and ResolveBatch a slice sorted by object key, and Resolved
+// streams the same rows in the same order.
+//
 // cmd/trustd serves a Store over HTTP (schema in the wire package, typed
 // Go client in the client package).
 //
@@ -60,6 +65,7 @@ package trustmap
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -444,7 +450,8 @@ func (n *Network) ExactParadigm(p Paradigm) (map[string][]string, error) {
 	return out, nil
 }
 
-// Sentinel errors for BulkResolution.Lookup (match with errors.Is).
+// Sentinel errors for ObjectRow.Lookup and Store.Get (match with
+// errors.Is).
 var (
 	// ErrUnknownUser reports a user name never registered in the network.
 	ErrUnknownUser = errors.New("trustmap: unknown user")
@@ -453,11 +460,13 @@ var (
 	ErrUnknownObject = errors.New("trustmap: unknown object")
 )
 
-// BulkResolution gives access to bulk per-object results (Section 4).
-type BulkResolution struct {
-	src  *tn.View           // frozen name index: readable while writers mutate the network
-	keys []string           // object keys, sorted
-	eng  *engine.BulkResult // the compiled engine's per-object results
+// bulkResolution is one resolved batch (Section 4): the engine's
+// per-object results plus the frozen tables that translate user names
+// into its nodes. Every ObjectRow of the batch shares it, and a row's
+// object is part of it by construction.
+type bulkResolution struct {
+	src *tn.View           // frozen name index: readable while writers mutate the network
+	eng *engine.BulkResult // the compiled engine's per-object results
 	// binIDs maps original user IDs to nodes of the resolved (binarized)
 	// network when they diverge — results served by a store whose user
 	// set grew after compilation. nil means identity.
@@ -466,72 +475,27 @@ type BulkResolution struct {
 	epoch uint64
 }
 
-// Epoch returns the store publication generation that served this
-// resolution. Comparing epochs tells whether two resolutions observed the
-// same published snapshot.
-func (r *BulkResolution) Epoch() uint64 { return r.epoch }
-
 // binID maps an original user ID into the resolved network.
-func (r *BulkResolution) binID(id int) int {
+func (r *bulkResolution) binID(id int) int {
 	if r.binIDs == nil || id >= len(r.binIDs) {
 		return id
 	}
 	return r.binIDs[id]
 }
 
-// hasKey reports whether object was part of the resolved set.
-func (r *BulkResolution) hasKey(object string) bool {
-	i := sort.SearchStrings(r.keys, object)
-	return i < len(r.keys) && r.keys[i] == object
+// rows wraps every object of the batch in its row, sorted by key.
+func (r *bulkResolution) rows(objects map[string]map[string]string) []ObjectRow {
+	rows := make([]ObjectRow, 0, len(objects))
+	for k, bs := range objects {
+		rows = append(rows, ObjectRow{Object: k, res: r, beliefs: bs})
+	}
+	slices.SortFunc(rows, func(a, b ObjectRow) int { return strings.Compare(a.Object, b.Object) })
+	return rows
 }
 
-// Lookup returns poss(user, object) and cert(user, object) with lookup
-// failures made explicit: an error wrapping ErrUnknownUser or
-// ErrUnknownObject instead of the silent empty results of Possible and
-// Certain. certain is "" when the user has no certain value for the
-// object; an empty possible slice with a nil error means the user is
-// genuinely unreachable from the object's beliefs.
-func (r *BulkResolution) Lookup(user, object string) (possible []string, certain string, err error) {
-	id := r.src.UserID(user)
-	if id < 0 {
-		return nil, "", fmt.Errorf("%w: %q", ErrUnknownUser, user)
-	}
-	if !r.hasKey(object) {
-		return nil, "", fmt.Errorf("%w: %q", ErrUnknownObject, object)
-	}
-	possible = r.possible(id, object)
-	if len(possible) == 1 {
-		certain = possible[0]
-	}
-	return possible, certain, nil
-}
-
-// possible returns the sorted possible values of an original user ID.
-func (r *BulkResolution) possible(id int, object string) []string {
-	poss := r.eng.Possible(r.binID(id), object)
-	out := make([]string, len(poss))
-	for i, v := range poss {
-		out[i] = string(v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DedupStats reports what signature deduplication did for one bulk
-// resolution; see BulkResolution.DedupStats.
+// DedupStats counts what signature deduplication did for the batches a
+// store resolved; see StoreStats.Dedup.
 type DedupStats = engine.DedupStats
-
-// DedupStats reports the batch's signature-deduplication counters: how
-// many objects it held, how many distinct signatures they collapsed to,
-// and how many of those came from the cross-batch cache. Objects sharing
-// one root-assignment signature resolve once per artifact generation —
-// the signature cache survives across batches and value-only mutations,
-// and is invalidated by structural ones.
-func (r *BulkResolution) DedupStats() DedupStats { return r.eng.Dedup() }
-
-// Keys returns the resolved object keys, sorted: the deterministic
-// iteration order for per-object reporting.
-func (r *BulkResolution) Keys() []string { return append([]string(nil), r.keys...) }
 
 // findRootFor locates the node carrying x's explicit belief in the
 // binarized network: x itself if it stayed a root, otherwise the hoisted
@@ -544,30 +508,6 @@ func findRootFor(b *tn.Network, x int) int {
 		return h
 	}
 	return x
-}
-
-// Possible returns poss(user, object), sorted ascending, so outputs are
-// stable across runs and worker counts.
-// An unknown user or object returns an empty slice, indistinguishable from
-// a user with no possible values; use Lookup when the distinction matters.
-func (r *BulkResolution) Possible(user, object string) []string {
-	id := r.src.UserID(user)
-	if id < 0 {
-		return nil
-	}
-	return r.possible(id, object)
-}
-
-// Certain returns cert(user, object). ok is false when the user holds no
-// certain value for the object — and also for an unknown user or object;
-// use Lookup to tell those apart.
-func (r *BulkResolution) Certain(user, object string) (string, bool) {
-	id := r.src.UserID(user)
-	if id < 0 {
-		return "", false
-	}
-	v := r.eng.Certain(r.binID(id), object)
-	return string(v), v != tn.NoValue
 }
 
 // DOT renders the network in Graphviz dot format (edges from trusted user

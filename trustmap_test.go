@@ -171,13 +171,14 @@ func TestBulkFacade(t *testing.T) {
 		"glyph2": {"Bob": "fish", "Charlie": "knot"},
 		"glyph3": {"Bob": "arrow", "Charlie": "arrow"},
 	}
-	r, err := n.bulkResolveFresh(context.Background(), objects, 0)
+	rows, err := n.bulkResolveFresh(context.Background(), objects, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := byObject(rows)
 	cases := map[string]string{"glyph1": "cow", "glyph2": "fish", "glyph3": "arrow"}
 	for obj, want := range cases {
-		if v, ok := r.Certain("Alice", obj); !ok || v != want {
+		if v, ok := r[obj].Certain("Alice"); !ok || v != want {
 			t.Errorf("Alice/%s = %q want %q", obj, v, want)
 		}
 	}
@@ -203,19 +204,14 @@ func TestBulkFacadeStrategiesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for obj := range objects {
+		for i, row := range eng {
+			obj := row.Object
 			for _, user := range n.Users() {
-				a, b := eng.Possible(user, obj), ref.Possible(user, obj)
-				if len(a) != len(b) {
-					t.Fatalf("workers=%d %s/%s: %v vs sequential %v", workers, user, obj, a, b)
+				if a, b := row.Possible(user), ref[i].Possible(user); obj != ref[i].Object || !eqStrs(a, b) {
+					t.Fatalf("workers=%d %s/%s: %v vs sequential %s %v", workers, user, obj, a, ref[i].Object, b)
 				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("workers=%d %s/%s: %v vs sequential %v", workers, user, obj, a, b)
-					}
-				}
-				ca, oka := eng.Certain(user, obj)
-				cb, okb := ref.Certain(user, obj)
+				ca, oka := row.Certain(user)
+				cb, okb := ref[i].Certain(user)
 				if ca != cb || oka != okb {
 					t.Fatalf("workers=%d cert %s/%s: %q,%v vs sequential %q,%v", workers, user, obj, ca, oka, cb, okb)
 				}

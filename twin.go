@@ -39,7 +39,6 @@ package trustmap
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"trustmap/internal/engine"
@@ -593,7 +592,7 @@ func (s *Store) snapshot() (*serve.Epoch[*epochSnap], error) {
 // network-level belief, and default-less roots must appear in every
 // object (assumption ii). The returned resolution stays valid after the
 // epoch is superseded.
-func (s *Store) resolveSnap(ctx context.Context, e *serve.Epoch[*epochSnap], objects map[string]map[string]string) (*BulkResolution, error) {
+func (s *Store) resolveSnap(ctx context.Context, e *serve.Epoch[*epochSnap], objects map[string]map[string]string) (*bulkResolution, error) {
 	snap := e.Value()
 	conv := make(map[string]map[int]tn.Value, len(objects))
 	for key, bs := range objects {
@@ -625,12 +624,7 @@ func (s *Store) resolveSnap(ctx context.Context, e *serve.Epoch[*epochSnap], obj
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, 0, len(objects))
-	for k := range objects {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return &BulkResolution{src: snap.view, keys: keys, eng: res, binIDs: snap.binIDs, epoch: e.Seq()}, nil
+	return &bulkResolution{src: snap.view, eng: res, binIDs: snap.binIDs, epoch: e.Seq()}, nil
 }
 
 // addObjectRoots registers users whose beliefs will vary per object after
