@@ -1,15 +1,7 @@
 GO ?= go
 
-# Benchmark families tracked in the committed trajectory (bench/BENCH_*).
-BENCH_PATTERN ?= BenchmarkBulkResolve|BenchmarkIncrementalUpdate|BenchmarkResolveAllocs|BenchmarkSessionMutateResolve|BenchmarkCompile|BenchmarkServeMixed|BenchmarkStoreResolve|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkAdmission|BenchmarkClientRetry|BenchmarkClusterResolve|BenchmarkQuery
-# Hot-path benchmarks the perf gate fails on; a regression beyond
-# BENCH_GATE_THRESHOLD (current/baseline ns/op) exits non-zero.
-BENCH_GATE_PATTERN ?= BenchmarkBulkResolve|BenchmarkIncrementalUpdate
-BENCH_GATE_THRESHOLD ?= 1.15
-BENCH_COUNT ?= 5
-BENCH_DIR ?= bench
-# When set (CI sets it to $GITHUB_STEP_SUMMARY), bench-gate appends its
-# delta table to this file as markdown.
+# When set (CI sets it to $GITHUB_STEP_SUMMARY), the loadgen and replica
+# smokes append their reports to this file as markdown.
 BENCH_SUMMARY ?=
 FUZZTIME ?= 10s
 # Advisory statement-coverage floor for internal/engine (make cover
@@ -20,7 +12,7 @@ ENGINE_COVER_FLOOR ?= 75
 API_PKGS ?= .,wire,client
 API_GOLDEN ?= api/API.txt
 
-.PHONY: all build test race bench bench-save bench-diff bench-gate cover smoke crash poison loadgen-smoke replica-smoke cluster-smoke fuzz fmt vet lint api api-save doc-gate deps-gate ci
+.PHONY: all build test race bench cover smoke crash poison loadgen-smoke replica-smoke cluster-smoke fuzz fmt vet lint api api-save doc-gate deps-gate ci
 
 all: build test
 
@@ -34,48 +26,11 @@ race:
 	$(GO) test -race ./...
 
 # Bench smoke: compile and run every benchmark exactly once so they can
-# never bit-rot; full measurement runs drop -benchtime=1x.
+# never bit-rot. Perf is gated by counts, not ns/op: the exact and
+# ceilinged budgets in budget_test.go run with `go test`, and
+# `go run ./benchmark` times the serving layers end to end.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-
-# Record a new benchmark baseline (text for benchstat, JSON for the
-# BENCH_* trajectory). Commit the results.
-bench-save:
-	mkdir -p $(BENCH_DIR)
-	$(GO) test -run=NONE -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . > $(BENCH_DIR)/BENCH_baseline.txt
-	@cat $(BENCH_DIR)/BENCH_baseline.txt
-	$(GO) run ./cmd/benchjson -in $(BENCH_DIR)/BENCH_baseline.txt -out $(BENCH_DIR)/BENCH_baseline.json
-
-# Compare the working tree against the committed baseline. Uses benchstat
-# when installed (go install golang.org/x/perf/cmd/benchstat@latest) and
-# degrades to a raw diff otherwise.
-bench-diff:
-	mkdir -p $(BENCH_DIR)
-	$(GO) test -run=NONE -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . > $(BENCH_DIR)/BENCH_current.txt
-	$(GO) run ./cmd/benchjson -in $(BENCH_DIR)/BENCH_current.txt -out $(BENCH_DIR)/BENCH_current.json
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(BENCH_DIR)/BENCH_baseline.txt $(BENCH_DIR)/BENCH_current.txt; \
-	else \
-		echo "benchstat not installed (go install golang.org/x/perf/cmd/benchstat@latest); raw diff:"; \
-		diff -u $(BENCH_DIR)/BENCH_baseline.txt $(BENCH_DIR)/BENCH_current.txt || true; \
-	fi
-
-# Perf gate: re-run the gated hot-path benchmarks and compare against the
-# committed baseline with cmd/benchgate (exit 1 beyond the threshold).
-# benchstat (go install golang.org/x/perf/cmd/benchstat@latest) adds the
-# statistical report when installed but is not required. CI runs this as a
-# non-blocking advisory step; run it locally before committing perf work.
-bench-gate:
-	mkdir -p $(BENCH_DIR)
-	$(GO) test -run=NONE -bench '$(BENCH_GATE_PATTERN)' -benchmem -count=$(BENCH_COUNT) . > $(BENCH_DIR)/BENCH_gate.txt
-	@cat $(BENCH_DIR)/BENCH_gate.txt
-	$(GO) run ./cmd/benchjson -in $(BENCH_DIR)/BENCH_gate.txt -out $(BENCH_DIR)/BENCH_gate.json
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(BENCH_DIR)/BENCH_baseline.txt $(BENCH_DIR)/BENCH_gate.txt || true; \
-	fi
-	$(GO) run ./cmd/benchgate -baseline $(BENCH_DIR)/BENCH_baseline.json -current $(BENCH_DIR)/BENCH_gate.json \
-		-pattern '$(BENCH_GATE_PATTERN)' -threshold $(BENCH_GATE_THRESHOLD) \
-		$(if $(BENCH_SUMMARY),-summary '$(BENCH_SUMMARY)')
 
 # Coverage across all packages, plus an advisory floor report for the
 # engine (the hot core whose coverage should not silently erode). The
@@ -200,14 +155,19 @@ deps-gate:
 # Short coverage-guided fuzz of the incremental-engine parity invariant,
 # the query-plan parity invariant (greedy = naive = brute force), the
 # /v1/query decoder (arbitrary bytes never panic the planner or the
-# executor; every rejection is an ErrBadQuery 400), and the replica's
+# executor; every rejection is an ErrBadQuery 400), the replica's
 # /v1/wal frame decoder (arbitrary bytes never panic; every error is
-# io.EOF or a torn stream).
+# io.EOF or a torn stream), WAL recovery over an arbitrary segment (never
+# panics; replays only CRC-valid, LSN-contiguous batches; truncation is
+# idempotent), and the snapshot decoder a bootstrapping replica feeds
+# with GET /v1/snapshot (never panics; accepted files round-trip).
 fuzz:
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzEngineParity -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run=NONE -fuzz=FuzzQueryPlanParity -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run=NONE -fuzz=FuzzWireQueryDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run=NONE -fuzz=FuzzStreamFrames -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wal -run=NONE -fuzz=FuzzWALOpen -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/snapshot -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME)
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,8 +194,7 @@ func BenchmarkBulkResolve(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Deduplicated worker counts: repeated counts would get `#01`-suffixed,
-	// GOMAXPROCS-dependent sub names, silently changing what bench-gate can
-	// match across machines.
+	// GOMAXPROCS-dependent sub names that do not line up across machines.
 	seenWorkers := map[int]bool{}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		if seenWorkers[workers] {
@@ -328,262 +326,6 @@ func BenchmarkResolveAllocs(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSessionMutateResolve measures the facade-level steady loop a
-// live community database runs: one trust revocation or re-grant, then one
-// object resolution, served from the store's incrementally maintained
-// artifact.
-func BenchmarkSessionMutateResolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	n := New()
-	for i := 0; i < 2000; i++ {
-		user := fmt.Sprintf("u%d", i)
-		if i > 0 {
-			n.AddTrust(user, fmt.Sprintf("u%d", rng.Intn(i)), 1+rng.Intn(100))
-		}
-		if i == 0 || rng.Float64() < 0.1 {
-			n.SetBelief(user, []string{"v", "w"}[rng.Intn(2)])
-		}
-	}
-	n.AddTrust("probe", "u0", 50) // leaf reader: revoking it dirties little
-	ctx := context.Background()
-	s, err := n.NewStore(WithWorkers(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := s.Resolve(ctx, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			if ok, err := s.RemoveTrust(ctx, "probe", "u0"); err != nil || !ok {
-				b.Fatalf("probe edge missing: ok=%v err=%v", ok, err)
-			}
-		} else if err := s.SetTrust(ctx, "probe", "u0", 50); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Resolve(ctx, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStoreResolve measures the Store v2 read path over 1000 stored
-// objects on a 2000-user scale-free community (1 worker), one sub per
-// maintenance scenario:
-//
-//   - coldbatch: a default-belief value change invalidates every cached
-//     object (value-only epoch, plan kept), so ResolveAll re-resolves the
-//     full batch through the engine's signature-deduplicated scan;
-//   - touchone: one per-object belief put dirties exactly one object, so
-//     ResolveAll re-resolves it alone and serves the other 999 from the
-//     per-object result cache — the incremental-maintenance win;
-//   - stream: the Resolved iterator over a fully clean cache, the
-//     steady-state streaming read.
-func BenchmarkStoreResolve(b *testing.B) {
-	const numObjects = 1000
-	ctx := context.Background()
-	build := func(b *testing.B) *Store {
-		b.Helper()
-		rng := rand.New(rand.NewSource(23))
-		n := New()
-		for i := 0; i < 2000; i++ {
-			user := fmt.Sprintf("u%d", i)
-			if i > 0 {
-				n.AddTrust(user, fmt.Sprintf("u%d", rng.Intn(i)), 1+rng.Intn(100))
-			}
-			if i == 0 || rng.Float64() < 0.1 {
-				n.SetBelief(user, []string{"v", "w"}[rng.Intn(2)])
-			}
-		}
-		st, err := n.NewStore(WithWorkers(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < numObjects; i++ {
-			if err := st.PutObject(ctx, fmt.Sprintf("obj%04d", i),
-				map[string]string{"u0": []string{"v", "w", "x"}[i%3]}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := st.ResolveAll(ctx); err != nil { // warm cache + dedup
-			b.Fatal(err)
-		}
-		return st
-	}
-
-	b.Run("coldbatch", func(b *testing.B) {
-		st := build(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := st.SetDefault(ctx, "u0", []string{"v", "w"}[i%2]); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := st.ResolveAll(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("touchone", func(b *testing.B) {
-		st := build(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := st.PutBelief(ctx, "u0", fmt.Sprintf("obj%04d", i%numObjects),
-				[]string{"v", "w"}[i%2]); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := st.ResolveAll(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("stream", func(b *testing.B) {
-		st := build(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rows := 0
-			for _, err := range st.Resolved(ctx) {
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows++
-			}
-			if rows != numObjects {
-				b.Fatalf("streamed %d rows, want %d", rows, numObjects)
-			}
-		}
-	})
-}
-
-// BenchmarkServeMixed measures mixed read/write serving throughput on a
-// shared store: 4 serving goroutines drain one deterministic script
-// (one write batch of trust toggles per 16 ops, reads drawn from 32
-// prototype belief assignments) over a 2000-user tiered community
-// network. Two serving disciplines are compared on the identical engine
-// and maintenance path:
-//
-//   - snapshot: the store's native epoch serving — reads pin the
-//     current published epoch lock-free, the writer publishes the next
-//     epoch off to the side;
-//   - rwmutex: a naive global sync.RWMutex on top — reads hold RLock for
-//     the duration of a resolve, write batches hold the write lock while
-//     the mutation folds and publishes, blocking every reader.
-//
-// On the 1-CPU CI box this compares algorithmic serving paths (blocking
-// discipline and lock traffic), not parallel speedups; ns/op is the mean
-// cost per mixed op. On one core a blocked reader loses latency, not
-// throughput, so the two disciplines measure at parity within the box's
-// run-to-run noise — the assertion this benchmark grounds is that epoch
-// publication is never slower than the lock beyond noise, while removing
-// reader blocking (which the race-mode store tests assert directly).
-func BenchmarkServeMixed(b *testing.B) {
-	const (
-		users      = 2000
-		goroutines = 4
-	)
-	domain := []string{"v", "w", "u"}
-	build := func() (*Network, []string, []workload.TrustToggle) {
-		rng := rand.New(rand.NewSource(17))
-		n := New()
-		var roots []string
-		for i := 0; i < users; i++ {
-			user := fmt.Sprintf("u%d", i)
-			seen := map[int]bool{}
-			for e := 0; e < 2 && i > 0; e++ {
-				z := rng.Intn(i)
-				if seen[z] {
-					continue
-				}
-				seen[z] = true
-				// Coarse priority tiers: frequent ties, support-rich shape.
-				n.AddTrust(user, fmt.Sprintf("u%d", z), 1+rng.Intn(3))
-			}
-			if i == 0 || rng.Float64() < 0.1 {
-				n.SetBelief(user, domain[rng.Intn(len(domain))])
-				roots = append(roots, user)
-			}
-		}
-		// Leaf probe edges for the write batches: toggling them keeps the
-		// dirty region small, the steady mutate shape of a live service.
-		var edges []workload.TrustToggle
-		for i := 0; i < 16; i++ {
-			tg := workload.TrustToggle{Truster: fmt.Sprintf("probe%d", i), Trusted: fmt.Sprintf("u%d", i), Priority: 50}
-			n.AddTrust(tg.Truster, tg.Trusted, tg.Priority)
-			edges = append(edges, tg)
-		}
-		return n, roots, edges
-	}
-
-	run := func(b *testing.B, rwBaseline bool) {
-		n, roots, edges := build()
-		script := workload.MixedServe(rand.New(rand.NewSource(23)), roots, domain, edges, 4096, 16, 4, 32)
-		s, err := n.NewStore(WithWorkers(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Resolve(context.Background(), nil); err != nil {
-			b.Fatal(err) // warm the dictionary and arenas
-		}
-		var lock sync.RWMutex
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= b.N {
-						return
-					}
-					op := script[i%len(script)]
-					if op.Beliefs != nil {
-						if rwBaseline {
-							lock.RLock()
-						}
-						_, err := s.Resolve(context.Background(), op.Beliefs)
-						if rwBaseline {
-							lock.RUnlock()
-						}
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						continue
-					}
-					if rwBaseline {
-						lock.Lock()
-					}
-					err := s.Update(func(tx *StoreTx) error {
-						for _, tg := range op.Toggles {
-							if ok, _ := tx.RemoveTrust(tg.Truster, tg.Trusted); !ok {
-								if err := tx.AddTrust(tg.Truster, tg.Trusted, tg.Priority); err != nil {
-									return err
-								}
-							}
-						}
-						return nil
-					})
-					if rwBaseline {
-						lock.Unlock()
-					}
-					if err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	b.Run("snapshot", func(b *testing.B) { run(b, false) })
-	b.Run("rwmutex", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkEngineCompile measures the one-time per-network compilation the
@@ -755,108 +497,6 @@ func BenchmarkBulkSkeptic(b *testing.B) {
 // rootsOf maps original root IDs into the binarized network (roots keep
 // their IDs when they have no parents, as in Figure 19).
 func rootsOf(bin *tn.Network, roots []int) []int { return roots }
-
-// BenchmarkWALAppend measures the durable mutation path — one effective
-// trust upsert per iteration — under each fsync discipline. Wall-clock
-// ns/op is fsync-bound and machine-noisy; the deterministic counters
-// reported alongside (fsyncs/op, walB/op) are the trajectory numbers:
-// "always" must show 1 fsync/op, "batch" 1/groupEvery, "off" 0.
-func BenchmarkWALAppend(b *testing.B) {
-	ctx := context.Background()
-	for _, mode := range []DurabilityMode{DurabilityOff, DurabilityBatch, DurabilityAlways} {
-		b.Run(mode.String(), func(b *testing.B) {
-			st, err := OpenStore(b.TempDir(), WithDurability(mode))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := st.SetTrust(ctx, "alice", "bob", 1+i%100); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			ds := st.Durability()
-			if ds.LastLSN != uint64(b.N) {
-				b.Fatalf("LastLSN=%d after %d effective ops", ds.LastLSN, b.N)
-			}
-			b.ReportMetric(float64(ds.WALSyncs)/float64(b.N), "fsyncs/op")
-			b.ReportMetric(float64(ds.WALBytes)/float64(b.N), "walB/op")
-		})
-	}
-}
-
-// BenchmarkRecovery measures OpenStore on a prepared data directory: a
-// 1000-batch storm recovered either by replaying the whole WAL tail
-// ("wal-tail") or from a compacted checkpoint with an empty tail
-// ("snapshot"). batches/open and replayedops/open are the deterministic
-// recovery-work counters; ns/op is the end-to-end open latency.
-func BenchmarkRecovery(b *testing.B) {
-	const storm = 1000
-	seedDir := func(b *testing.B, checkpoint bool) string {
-		b.Helper()
-		ctx := context.Background()
-		dir := b.TempDir()
-		st, err := OpenStore(dir, WithDurability(DurabilityOff))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < storm; i++ {
-			switch i % 3 {
-			case 0:
-				err = st.SetTrust(ctx, fmt.Sprintf("u%d", i%50), "root", 1+i%9)
-			case 1:
-				err = st.SetDefault(ctx, fmt.Sprintf("u%d", i%50), "v")
-			default:
-				err = st.PutBelief(ctx, "root", fmt.Sprintf("obj%d", i%100), "w")
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if checkpoint {
-			if _, err := st.Checkpoint(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
-		}
-		return dir
-	}
-	for _, tc := range []struct {
-		name       string
-		checkpoint bool
-		batches    uint64 // WAL batches recovery must replay
-	}{
-		{"wal-tail", false, storm},
-		{"snapshot", true, 0},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			dir := seedDir(b, tc.checkpoint)
-			var replayedOps uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, err := OpenStore(dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ds := st.Durability()
-				if ds.RecoveredBatches != tc.batches || ds.ReplayErrors != 0 || ds.LastLSN != storm {
-					b.Fatalf("recovery stats %+v, want %d batches at lsn %d", ds, tc.batches, storm)
-				}
-				replayedOps = ds.ReplayedOps
-				if err := st.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(tc.batches), "batches/open")
-			b.ReportMetric(float64(replayedOps), "replayedops/open")
-		})
-	}
-}
 
 // BenchmarkAdmission measures the admission gate itself: the uncontended
 // acquire/release cycle every admitted request pays, the shed path an

@@ -1,6 +1,6 @@
 package trustmap_test
 
-// Cluster-level tests and benchmarks for internal/shard over real
+// Cluster-level tests for internal/shard over real
 // stores. These live in the external test package: the root-dir
 // white-box tests (store_test.go) are package trustmap and cannot
 // import internal/shard without a cycle through the public API.
@@ -160,47 +160,6 @@ func TestClusterReadYourWrites(t *testing.T) {
 	}
 	if after := rt.Epoch(); after < before {
 		t.Fatalf("cluster epoch went backwards: %d -> %d", before, after)
-	}
-}
-
-// BenchmarkClusterResolve measures scatter-gather ResolveAll over a
-// 4-shard router against the same object load on one store — the
-// router's merge overhead and its op-count scaling, run on whatever
-// CPUs the container grants.
-func BenchmarkClusterResolve(b *testing.B) {
-	for _, objects := range []int{64, 512} {
-		b.Run(fmt.Sprintf("cluster4/objects=%d", objects), func(b *testing.B) {
-			rt := newCluster(b, 4)
-			putKeys(b, rt, objects)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := rt.ResolveAll(ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res) != objects {
-					b.Fatalf("resolved %d keys, want %d", len(res), objects)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("single/objects=%d", objects), func(b *testing.B) {
-			rt := newCluster(b, 1)
-			putKeys(b, rt, objects)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := rt.ResolveAll(ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res) != objects {
-					b.Fatalf("resolved %d keys, want %d", len(res), objects)
-				}
-			}
-		})
 	}
 }
 

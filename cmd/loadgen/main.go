@@ -41,16 +41,12 @@
 //	-slo-max-queue-depth N server max read-queue depth must not exceed N (requires stats)
 //	-slo-max-p99 D         p99 of admitted requests must not exceed D
 //
-// -json writes the percentiles as a benchjson document (names like
-// loadgen/p99, values in ns/op), so cmd/benchgate can diff and summarize
-// load-harness trajectories with the same machinery as the benchmarks;
 // -summary appends a GitHub-flavored markdown report (e.g. to
 // $GITHUB_STEP_SUMMARY).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -432,29 +428,6 @@ func checkSLO(cfg config, rep *report) []string {
 	return v
 }
 
-// benchjsonResult mirrors cmd/benchjson's Result, so the percentiles ride
-// the same trajectory/summary machinery as the benchmarks.
-type benchjsonResult struct {
-	Name    string  `json:"name"`
-	NsPerOp float64 `json:"ns_per_op"`
-}
-
-func writeBenchJSON(path string, rep *report) error {
-	doc := struct {
-		Results []benchjsonResult `json:"results"`
-	}{Results: []benchjsonResult{
-		{Name: "loadgen/p50", NsPerOp: float64(rep.P50.Nanoseconds())},
-		{Name: "loadgen/p90", NsPerOp: float64(rep.P90.Nanoseconds())},
-		{Name: "loadgen/p99", NsPerOp: float64(rep.P99.Nanoseconds())},
-		{Name: "loadgen/p999", NsPerOp: float64(rep.P999.Nanoseconds())},
-	}}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
 // appendSummary appends the run report as GitHub-flavored markdown;
 // appending (not truncating) is the step-summary contract.
 func appendSummary(path string, cfg config, rep *report) error {
@@ -510,7 +483,6 @@ func main() {
 	flag.Float64Var(&cfg.sloMinShed, "slo-min-shed-frac", 0, "SLO: fail unless shed/issued reaches this — asserts an overload run actually overloaded (0 = off)")
 	flag.IntVar(&cfg.sloQueueDepth, "slo-max-queue-depth", -1, "SLO: fail when the server's max read-queue depth exceeds this (negative = off)")
 	flag.DurationVar(&cfg.sloP99, "slo-max-p99", 0, "SLO: fail when admitted p99 exceeds this (0 = off)")
-	jsonOut := flag.String("json", "", "write percentiles as a benchjson document to this file")
 	summary := flag.String("summary", "", "append the report as markdown to this file (e.g. $GITHUB_STEP_SUMMARY)")
 	flag.Parse()
 
@@ -524,12 +496,6 @@ func main() {
 		os.Exit(1)
 	}
 	printReport(cfg, rep)
-	if *jsonOut != "" {
-		if err := writeBenchJSON(*jsonOut, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-	}
 	if *summary != "" {
 		if err := appendSummary(*summary, cfg, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)

@@ -7,9 +7,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -72,27 +69,6 @@ func TestCheckSLO(t *testing.T) {
 	}
 	if v := checkSLO(config{sloShedFrac: -1, sloQueueDepth: -1, sloMinShed: 0.1}, rep); len(v) != 0 {
 		t.Fatalf("met min-shed gate reported violations: %v", v)
-	}
-}
-
-func TestWriteBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "loadgen.json")
-	rep := &report{P50: time.Millisecond, P90: 2 * time.Millisecond, P99: 3 * time.Millisecond, P999: 4 * time.Millisecond}
-	if err := writeBenchJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Results []benchjsonResult `json:"results"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Results) != 4 || doc.Results[2].Name != "loadgen/p99" || doc.Results[2].NsPerOp != 3e6 {
-		t.Fatalf("benchjson doc = %+v", doc)
 	}
 }
 

@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -155,4 +157,48 @@ func TestPrune(t *testing.T) {
 	if got, _, _ := Latest(dir); got == nil || got.LSN != 4 {
 		t.Fatalf("newest snapshot survived prune(0)? got %v", got)
 	}
+}
+
+// FuzzSnapshotDecode fuzzes Decode, which parses the bytes a
+// bootstrapping replica reads off GET /v1/snapshot — input from outside
+// the process. Arbitrary bytes never panic, and every accepted File
+// survives Write -> Decode unchanged. Files are compared by encoding:
+// JSON decoding turns an empty map into one that re-encodes as absent.
+func FuzzSnapshotDecode(f *testing.F) {
+	dir := f.TempDir()
+	name, err := Write(dir, testFile(7))
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2]) // torn
+	f.Add([]byte(`{"format": 99, "lsn": 6, "trust": []}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Decode(data)
+		if err != nil {
+			return
+		}
+		dir := t.TempDir()
+		name, err := Write(dir, got) // stamps Format = FormatVersion
+		if err != nil {
+			t.Fatalf("write an accepted file: %v", err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Decode(raw)
+		if err != nil {
+			t.Fatalf("decode Write output: %v", err)
+		}
+		want, _ := json.Marshal(got)
+		have, _ := json.Marshal(again)
+		if !bytes.Equal(want, have) {
+			t.Fatalf("Write -> Decode changed the file:\n%s\n%s", want, have)
+		}
+	})
 }

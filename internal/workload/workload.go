@@ -206,57 +206,6 @@ func ObjectKeys(objs map[string]map[int]tn.Value) []string {
 	return keys
 }
 
-// TrustToggle names one facade-level trust edge for the mixed serving
-// workload; applying a toggle removes the edge when present and re-adds
-// it at Priority otherwise, so a script of toggles keeps the network
-// oscillating around its initial shape instead of drifting.
-type TrustToggle struct {
-	Truster  string
-	Trusted  string
-	Priority int
-}
-
-// MixedOp is one operation of a mixed read/write serving script: a read
-// when Beliefs is non-nil (resolve one object whose root beliefs are
-// Beliefs), otherwise a write batch of trust toggles applied atomically.
-type MixedOp struct {
-	Beliefs map[string]string
-	Toggles []TrustToggle
-}
-
-// MixedServe builds a deterministic mixed serving script of numOps
-// operations: every writeEvery-th op is a write batch of batchSize
-// toggles drawn from edges; the rest are reads. Reads draw their
-// per-object root beliefs from protos prototype assignments over the
-// given roots and domain — the clustered shape of production serving
-// traffic, where most objects repeat one of a few conflict patterns (the
-// regime signature deduplication exploits). Generation draws from rng in
-// op order only, so a (seed, arguments) pair always yields the same
-// script.
-func MixedServe(rng *rand.Rand, roots, domain []string, edges []TrustToggle, numOps, writeEvery, batchSize, protos int) []MixedOp {
-	prototypes := make([]map[string]string, protos)
-	for p := range prototypes {
-		bs := make(map[string]string, len(roots))
-		for _, r := range roots {
-			bs[r] = domain[rng.Intn(len(domain))]
-		}
-		prototypes[p] = bs
-	}
-	ops := make([]MixedOp, numOps)
-	for i := range ops {
-		if writeEvery > 0 && len(edges) > 0 && i%writeEvery == writeEvery-1 {
-			batch := make([]TrustToggle, batchSize)
-			for j := range batch {
-				batch[j] = edges[rng.Intn(len(edges))]
-			}
-			ops[i] = MixedOp{Toggles: batch}
-			continue
-		}
-		ops[i] = MixedOp{Beliefs: prototypes[rng.Intn(len(prototypes))]}
-	}
-	return ops
-}
-
 // RandomBTN builds a random binary trust network with nUsers users, edge
 // density controlling parent counts, and explicit beliefs on beliefFrac of
 // the users (at least one).

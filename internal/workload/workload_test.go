@@ -11,58 +11,6 @@ import (
 	"trustmap/internal/tn"
 )
 
-func TestMixedServeDeterministicShape(t *testing.T) {
-	roots := []string{"r1", "r2", "r3"}
-	domain := []string{"v", "w"}
-	edges := []TrustToggle{{Truster: "a", Trusted: "b", Priority: 5}}
-	gen := func() []MixedOp {
-		return MixedServe(rand.New(rand.NewSource(9)), roots, domain, edges, 64, 8, 3, 4)
-	}
-	ops := gen()
-	if len(ops) != 64 {
-		t.Fatalf("len = %d, want 64", len(ops))
-	}
-	writes := 0
-	for i, op := range ops {
-		switch {
-		case op.Beliefs != nil:
-			if len(op.Beliefs) != len(roots) {
-				t.Fatalf("op %d: read covers %d roots, want %d", i, len(op.Beliefs), len(roots))
-			}
-			for _, r := range roots {
-				if v := op.Beliefs[r]; v != "v" && v != "w" {
-					t.Fatalf("op %d: belief %q for %s outside the domain", i, v, r)
-				}
-			}
-		case op.Toggles != nil:
-			writes++
-			if i%8 != 7 {
-				t.Fatalf("op %d: write outside the writeEvery grid", i)
-			}
-			if len(op.Toggles) != 3 {
-				t.Fatalf("op %d: batch of %d, want 3", i, len(op.Toggles))
-			}
-		default:
-			t.Fatalf("op %d: neither read nor write", i)
-		}
-	}
-	if writes != 8 {
-		t.Fatalf("writes = %d, want 8 (one per 8 ops)", writes)
-	}
-	// Deterministic given the seed.
-	again := gen()
-	for i := range ops {
-		if (ops[i].Beliefs == nil) != (again[i].Beliefs == nil) {
-			t.Fatalf("op %d: kind differs across identical seeds", i)
-		}
-		for r, v := range ops[i].Beliefs {
-			if again[i].Beliefs[r] != v {
-				t.Fatalf("op %d: beliefs differ across identical seeds", i)
-			}
-		}
-	}
-}
-
 func TestOscillatorClusters(t *testing.T) {
 	n := OscillatorClusters(5)
 	if n.NumUsers() != 20 || n.NumMappings() != 20 {
