@@ -200,7 +200,7 @@ func runBulkPar(w io.Writer, netFile, objFile string, workers int, users string)
 	if err != nil {
 		return err
 	}
-	report, err := reportUsers(n, users)
+	report, err := reportUsers(st.Users(), users)
 	if err != nil {
 		return err
 	}
@@ -274,7 +274,7 @@ func runSession(w io.Writer, netFile, objFile, mutFile string, workers int, user
 			return err
 		}
 	}
-	report, err := reportUsers(n, users)
+	report, err := reportUsers(st.Users(), users)
 	if err != nil {
 		return err
 	}
@@ -439,17 +439,17 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// reportUsers resolves the -users flag against the network's user set.
-func reportUsers(n *trustmap.Network, users string) ([]string, error) {
-	report := n.Users()
+// reportUsers resolves the -users flag against the store's sorted user
+// list, all.
+func reportUsers(all []string, users string) ([]string, error) {
 	if users == "" {
-		return report, nil
+		return all, nil
 	}
-	known := make(map[string]bool, len(report))
-	for _, u := range report {
+	known := make(map[string]bool, len(all))
+	for _, u := range all {
 		known[u] = true
 	}
-	report = nil
+	var report []string
 	for _, u := range strings.Split(users, ",") {
 		u = strings.TrimSpace(u)
 		if u == "" {

@@ -323,7 +323,7 @@ func openStore(dataDir, file string, demo int, seed int64, opts []trustmap.Store
 	}
 	// -f seeds exactly once: a recovered store (any logged history or
 	// snapshot state) keeps its own truth and the file is ignored.
-	if file != "" && st.LSN() == 0 && st.Network().NumUsers() == 0 && st.NumObjects() == 0 {
+	if file != "" && st.LSN() == 0 && len(st.Users()) == 0 && st.NumObjects() == 0 {
 		if err := seedStore(st, file); err != nil {
 			st.Close()
 			return nil, fmt.Errorf("seeding from %s: %w", file, err)
@@ -398,7 +398,7 @@ func openCluster(n int, dataDir, file string, opts []trustmap.StoreOption) (*sha
 			err error
 		)
 		if dataDir == "" {
-			st, err = trustmap.New().NewStore(opts...)
+			st, err = trustmap.NewStore(opts...)
 		} else {
 			st, err = trustmap.OpenStore(filepath.Join(dataDir, fmt.Sprintf("shard-%d", i)), opts...)
 		}
@@ -419,7 +419,7 @@ func openCluster(n int, dataDir, file string, opts []trustmap.StoreOption) (*sha
 	if file != "" {
 		empty := true
 		for _, st := range shards {
-			if st.LSN() != 0 || st.Network().NumUsers() != 0 || st.NumObjects() != 0 {
+			if st.LSN() != 0 || len(st.Users()) != 0 || st.NumObjects() != 0 {
 				empty = false
 				break
 			}

@@ -12,6 +12,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +22,7 @@ import (
 	"trustmap/client"
 	"trustmap/internal/admission"
 	"trustmap/internal/httpd"
+	"trustmap/internal/shard"
 	"trustmap/wire"
 )
 
@@ -61,6 +64,85 @@ func TestBuildNetworkFromFile(t *testing.T) {
 	if _, _, err := buildNetwork(filepath.Join(t.TempDir(), "absent.json"), 0, 0); err == nil {
 		t.Fatal("missing file must error")
 	}
+}
+
+// seedState is what the seed-once rule must preserve across a reopen.
+type seedState struct {
+	LSN     uint64
+	Users   string
+	Objects int
+}
+
+func stateOf(st *trustmap.Store) seedState {
+	return seedState{LSN: st.LSN(), Users: strings.Join(st.Users(), ","), Objects: st.NumObjects()}
+}
+
+// TestSeedFileAppliesOnce pins -f's seed-once rule on a durable store and
+// on a durable 2-shard cluster: the file seeds an empty data directory,
+// and a reopen over recovered history ignores it.
+func TestSeedFileAppliesOnce(t *testing.T) {
+	const seedFile = "testdata/seed.json"
+	ctx := context.Background()
+	extra := wire.Op{Op: wire.OpSetTrust, Truster: "zed", Trusted: "alice", Priority: 1}
+
+	t.Run("store", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := openStore(dir, seedFile, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seeded := stateOf(st); seeded.LSN == 0 || seeded.Users == "" || seeded.Objects != 3 {
+			t.Fatalf("file did not seed the empty store: %+v", seeded)
+		}
+		if err := st.SetTrust(ctx, extra.Truster, extra.Trusted, extra.Priority); err != nil {
+			t.Fatal(err)
+		}
+		want := stateOf(st)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err = openStore(dir, seedFile, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if got := stateOf(st); got != want {
+			t.Fatalf("reopen with -f: %+v, want %+v (the file must be ignored)", got, want)
+		}
+	})
+
+	t.Run("cluster", func(t *testing.T) {
+		dir := t.TempDir()
+		states := func(rt *shard.Router) []seedState {
+			out := make([]seedState, rt.Shards())
+			for i := range out {
+				out[i] = stateOf(rt.Shard(i))
+			}
+			return out
+		}
+		rt, err := openCluster(2, dir, seedFile, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(rt.Objects()); n != 3 || len(rt.Users()) == 0 {
+			t.Fatalf("file did not seed the empty cluster: %d objects, users %v", n, rt.Users())
+		}
+		if _, err := rt.Mutate([]wire.Op{extra}); err != nil {
+			t.Fatal(err)
+		}
+		want := states(rt)
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rt, err = openCluster(2, dir, seedFile, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		if got := states(rt); !slices.Equal(got, want) {
+			t.Fatalf("reopen with -f: %+v, want %+v (the file must be ignored)", got, want)
+		}
+	})
 }
 
 func TestDemoNetworkCompiles(t *testing.T) {

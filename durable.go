@@ -148,10 +148,7 @@ type DurabilityStats struct {
 // NewStore; WithDurability picks the fsync discipline (default
 // DurabilityBatch).
 func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
-	var c storeConfig
-	for _, o := range opts {
-		o(&c)
-	}
+	c := configOf(opts)
 	d := &durable{dir: dir, mode: c.durability}
 
 	snap, _, err := snapshot.Latest(d.snapDir())
@@ -173,7 +170,7 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 		c.extraRoots = append(c.extraRoots, snap.ExtraRoots...)
 		snapEpoch, snapLSN = snap.Epoch, snap.LSN
 	}
-	st, err := newStore(n, c)
+	st, err := newStore(n.inner, c)
 	if err != nil {
 		return nil, fmt.Errorf("trustmap: compiling snapshot state: %w", err)
 	}
@@ -464,7 +461,6 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 // exportLocked freezes the full store state into a snapshot file.
 // Callers hold d.mu, so no mutator is in flight; readers are unaffected.
 func (s *Store) exportLocked(lsn uint64) *snapshot.File {
-	inner := s.net.inner
 	f := &snapshot.File{
 		Schema:  wire.SchemaVersion,
 		Epoch:   s.Epoch(),
@@ -472,16 +468,16 @@ func (s *Store) exportLocked(lsn uint64) *snapshot.File {
 		Beliefs: make(map[string]string),
 		Objects: make(map[string]map[string]string),
 	}
-	for t := 0; t < inner.NumUsers(); t++ {
-		for _, m := range inner.In(t) {
+	for t := 0; t < s.net.NumUsers(); t++ {
+		for _, m := range s.net.In(t) {
 			f.Trust = append(f.Trust, snapshot.TrustEdge{
-				Truster:  inner.Name(t),
-				Trusted:  inner.Name(m.Parent),
+				Truster:  s.net.Name(t),
+				Trusted:  s.net.Name(m.Parent),
 				Priority: m.Priority,
 			})
 		}
-		if inner.HasExplicit(t) {
-			f.Beliefs[inner.Name(t)] = string(inner.Explicit(t))
+		if s.net.HasExplicit(t) {
+			f.Beliefs[s.net.Name(t)] = string(s.net.Explicit(t))
 		}
 	}
 	f.ExtraRoots = s.extraRootNames()

@@ -128,7 +128,7 @@ func main() {
 	fmt.Printf("re-resolved %d objects against the spliced artifact\n", len(objs))
 
 	// The public facade runs the same engine behind Store: build the trust
-	// network, adopt it, put objects in, and resolve them all against one
+	// network, copy it into a store, put objects in, and resolve them all against one
 	// live compiled artifact (MaxDirtyFraction 1 keeps this tiny demo
 	// network on the incremental path across mutations).
 	ctx := context.Background()

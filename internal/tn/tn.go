@@ -18,7 +18,6 @@ package tn
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"trustmap/internal/graph"
 )
@@ -77,7 +76,7 @@ type Network struct {
 	explicit []Value     // b0; NoValue where undefined
 	nEdges   int
 
-	version    atomic.Uint64 // bumped on every effective mutation
+	version    uint64 // bumped on every effective mutation
 	journaling bool
 	journal    []Mutation
 }
@@ -89,11 +88,10 @@ func New() *Network {
 
 // Version returns a counter bumped on every effective mutation (user
 // added, mapping added/removed/re-prioritized, belief changed). Callers
-// holding derived artifacts compare versions to detect staleness. The
-// counter alone is safe to read while another goroutine mutates the
-// network (it is the one staleness probe a lock-free reader may perform);
-// everything else on a Network requires external synchronization.
-func (n *Network) Version() uint64 { return n.version.Load() }
+// holding derived artifacts compare versions to detect staleness. Like
+// everything else on a Network, reading it while another goroutine
+// mutates the network requires external synchronization.
+func (n *Network) Version() uint64 { return n.version }
 
 // EnableJournal starts recording mutations. The journal is the delta feed
 // for incremental engine maintenance (engine.CompiledNetwork.Apply): mutate
@@ -113,7 +111,7 @@ func (n *Network) DrainJournal() []Mutation {
 
 // record bumps the version and journals the mutation when enabled.
 func (n *Network) record(m Mutation) {
-	n.version.Add(1)
+	n.version++
 	if n.journaling {
 		n.journal = append(n.journal, m)
 	}
@@ -350,7 +348,7 @@ func (n *Network) Clone() *Network {
 	}
 	c.explicit = append([]Value(nil), n.explicit...)
 	c.nEdges = n.nEdges
-	c.version.Store(n.version.Load())
+	c.version = n.version
 	return c
 }
 

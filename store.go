@@ -100,12 +100,12 @@ type storeCached struct {
 }
 
 // Store owns a trust network and the per-object beliefs resolved against
-// it. Create with NewStore (fresh network) or Network.NewStore (adopting
+// it. Create with NewStore (fresh network) or Network.NewStore (a copy of
 // an existing facade network). Safe for concurrent use.
 type Store struct {
-	net      *Network
-	workers  int     // worker-pool size for resolves; zero means GOMAXPROCS
-	maxDirty float64 // dirty-region share above which Apply recompiles (0 = engine default)
+	net      *tn.Network // the store's own trust network; written under wmu only
+	workers  int         // worker-pool size for resolves; zero means GOMAXPROCS
+	maxDirty float64     // dirty-region share above which Apply recompiles (0 = engine default)
 
 	// dur is the persistence side (durable.go): nil for in-memory stores
 	// (NewStore), the open WAL + snapshot machinery for OpenStore. When
@@ -124,14 +124,6 @@ type Store struct {
 	rootNode   map[int]int      // original root ID -> binarized node carrying its belief
 	extraRoots []int            // original IDs of extra roots, in registration order
 	extraSet   map[int]struct{} // membership index over extraRoots
-	// version is the highest inner-network version the store has accounted
-	// for: stored (under wmu) the moment a store mutation lands, before it
-	// is published. Readers compare it against the network's atomic version
-	// counter to tell out-of-store mutations (which need a rebuild) from
-	// in-flight store writes (whose publication is coming; the current
-	// epoch stays correct to serve) — atomically, so the probe never takes
-	// the writer mutex.
-	version atomic.Uint64
 	// pubStale flips when a publication failed (a rebuild error after a
 	// mutation landed): the current epoch no longer reflects the writer
 	// state. Readers observing it upgrade to refresh, which retries the
@@ -156,26 +148,33 @@ type Store struct {
 // objects, no persistence. Build state through the mutators; use
 // OpenStore for a store that survives restarts.
 func NewStore(opts ...StoreOption) (*Store, error) {
-	return New().NewStore(opts...)
+	return newStore(tn.New(), configOf(opts))
 }
 
-// NewStore adopts the network as the store's trust network and compiles
-// it: the adapter from the construction API. The network must not be
-// mutated directly afterwards while the store is in use from several
-// goroutines (sequential direct mutation remains supported and is
-// detected by the network's version counter).
+// NewStore validates the network and compiles a copy of it as the
+// store's trust network: the adapter from the construction API. The
+// store owns the copy, so later changes to n do not reach the store;
+// mutate through the store instead.
 func (n *Network) NewStore(opts ...StoreOption) (*Store, error) {
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	return newStore(n.inner.Clone(), configOf(opts))
+}
+
+// configOf applies the functional options of NewStore and OpenStore.
+func configOf(opts []StoreOption) storeConfig {
 	var c storeConfig
 	for _, o := range opts {
 		o(&c)
 	}
-	return newStore(n, c)
+	return c
 }
 
-// newStore validates and compiles the network once and publishes it as
+// newStore takes ownership of n, compiles it once and publishes it as
 // epoch 1: the shared body of NewStore and OpenStore (which layers
 // durability on afterwards).
-func newStore(n *Network, c storeConfig) (*Store, error) {
+func newStore(n *tn.Network, c storeConfig) (*Store, error) {
 	s := &Store{
 		net:      n,
 		workers:  c.workers,
@@ -186,7 +185,7 @@ func newStore(n *Network, c storeConfig) (*Store, error) {
 		cache:    make(map[string]storeCached),
 	}
 	for _, name := range c.extraRoots {
-		s.addExtraRootLocked(n.inner.AddUser(name))
+		s.addExtraRootLocked(n.AddUser(name))
 	}
 	if err := s.rebuild(); err != nil {
 		return nil, err
@@ -195,16 +194,23 @@ func newStore(n *Network, c storeConfig) (*Store, error) {
 	return s, nil
 }
 
-// Network returns the underlying facade network (read-only use — direct
-// mutation concurrent with store use is a data race; see NewStore).
-func (s *Store) Network() *Network { return s.net }
-
 // Epoch returns the sequence number of the currently published epoch. It
 // increases by one per effective trust mutation, batch, or replan.
 func (s *Store) Epoch() uint64 { return s.pub.Seq() }
 
-// Users returns all user names known to the trust network, sorted.
-func (s *Store) Users() []string { return s.net.Users() }
+// Users returns all user names known to the trust network as of the
+// currently published epoch, sorted.
+func (s *Store) Users() []string {
+	e := s.pub.Acquire()
+	defer e.Release()
+	view := e.Value().view
+	out := make([]string, view.NumUsers())
+	for i := range out {
+		out[i] = view.Name(i)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // --- trust-network mutators -------------------------------------------
 //
@@ -364,9 +370,9 @@ func (s *Store) applyUpdate(tx *StoreTx, fn func(tx *StoreTx) error) (err error)
 	defer s.wmu.Unlock()
 	// Publish in a defer so a panic in fn still publishes the applied
 	// prefix while unwinding: otherwise a recovered panic (net/http
-	// recovers handler panics) would leave the version counters in sync
-	// with mutations no epoch reflects, and readers would silently serve
-	// the pre-batch snapshot.
+	// recovers handler panics) would leave the store's network holding
+	// mutations no epoch reflects, and readers would silently serve the
+	// pre-batch snapshot.
 	defer func() {
 		tx.s = nil
 		if perr := s.publishLocked(); err == nil {

@@ -29,8 +29,17 @@ func txUpdateTrust(s *Store, truster, trusted string, priority int) (ok bool, er
 	return ok, err
 }
 
+// storeNet returns a facade copy of the store's own trust network: the
+// input of the from-scratch oracle, since a store never writes back to
+// the network it was built from.
+func storeNet(s *Store) *Network {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return &Network{inner: s.net.Clone(), constraints: make(map[int][]string)}
+}
+
 // planRoots lists the users whose beliefs vary per object for a
-// store built over n with the given extra roots.
+// store whose network is n, with the given extra roots.
 func planRoots(n *Network, extras []string) []string {
 	seen := map[string]bool{}
 	var out []string
@@ -66,14 +75,15 @@ func planObjects(rng *rand.Rand, roots []string, count int) map[string]map[strin
 }
 
 // assertMatchesFresh compares the store's ad-hoc batch resolution
-// with a from-scratch bulkResolveFresh on the same network and objects,
-// for every user and object.
-func assertMatchesFresh(t *testing.T, label string, n *Network, s *Store, objects map[string]map[string]string) {
+// with a from-scratch bulkResolveFresh on the store's network and the
+// same objects, for every user and object.
+func assertMatchesFresh(t *testing.T, label string, s *Store, objects map[string]map[string]string) {
 	t.Helper()
 	got, err := s.ResolveBatch(context.Background(), objects)
 	if err != nil {
 		t.Fatalf("%s: store resolve: %v", label, err)
 	}
+	n := storeNet(s)
 	want, err := n.bulkResolveFresh(context.Background(), objects, 2)
 	if err != nil {
 		t.Fatalf("%s: fresh resolve: %v", label, err)
@@ -121,20 +131,20 @@ func TestSessionLifecycle(t *testing.T) {
 		"glyph1": {"bob": "fish", "carol": "knot"},
 		"glyph2": {"bob": "cow", "carol": "cow"},
 	}
-	assertMatchesFresh(t, "initial", n, s, objects)
+	assertMatchesFresh(t, "initial", s, objects)
 
 	// Mutate through the store: revoke, re-prioritize, update a belief.
 	if ok, err := s.RemoveTrust(ctx, "alice", "bob"); err != nil || !ok {
 		t.Fatalf("existing trust not removed: ok=%v err=%v", ok, err)
 	}
-	assertMatchesFresh(t, "after revoke", n, s, objects)
+	assertMatchesFresh(t, "after revoke", s, objects)
 	if ok, err := txUpdateTrust(s, "alice", "carol", 120); err != nil || !ok {
 		t.Fatalf("existing trust not updated: ok=%v err=%v", ok, err)
 	}
 	if err := txAddTrust(s, "alice", "bob", 60); err != nil {
 		t.Fatal(err)
 	}
-	assertMatchesFresh(t, "after re-add", n, s, objects)
+	assertMatchesFresh(t, "after re-add", s, objects)
 	if err := s.SetDefault(ctx, "carol", "jar"); err != nil {
 		t.Fatal(err)
 	}
@@ -208,15 +218,15 @@ func TestSessionRandomizedParityWithFresh(t *testing.T) {
 						}
 					}
 				}
-				roots := planRoots(n, extras)
+				roots := planRoots(storeNet(s), extras)
 				if len(roots) == 0 {
 					if err := s.SetDefault(ctx, name(0), "v0"); err != nil {
 						t.Fatal(err)
 					}
-					roots = planRoots(n, extras)
+					roots = planRoots(storeNet(s), extras)
 				}
 				objects := planObjects(rng, roots, 3)
-				assertMatchesFresh(t, fmt.Sprintf("batch %d", batch), n, s, objects)
+				assertMatchesFresh(t, fmt.Sprintf("batch %d", batch), s, objects)
 			}
 		})
 	}
@@ -243,7 +253,7 @@ func TestSessionGrowsUsers(t *testing.T) {
 		"o1": {"curatorA": "fish", "newbie": "jar"},
 		"o2": {"curatorA": "cow", "newbie": "cow"},
 	}
-	assertMatchesFresh(t, "grown", n, s, objects)
+	assertMatchesFresh(t, "grown", s, objects)
 	r, err := s.Resolve(context.Background(), nil) // defaults for both roots
 	if err != nil {
 		t.Fatal(err)
@@ -253,10 +263,10 @@ func TestSessionGrowsUsers(t *testing.T) {
 	}
 }
 
-// TestSessionExternalMutationTriggersRebuild mutates the network behind
-// the store's back; the next resolve must detect the version skew and
-// rebuild instead of serving stale results.
-func TestSessionExternalMutationTriggersRebuild(t *testing.T) {
+// TestAdoptedNetworkIsDetached mutates the network a store was built
+// from. The store owns a copy, so its users, epoch, compile count and
+// every resolved cell stay exactly as they were.
+func TestAdoptedNetworkIsDetached(t *testing.T) {
 	n := New()
 	n.AddTrust("a", "b", 10)
 	n.SetBelief("b", "v1")
@@ -264,14 +274,41 @@ func TestSessionExternalMutationTriggersRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.AddTrust("a", "c", 20) // behind the store's back
-	n.SetBelief("c", "v2")
-	assertMatchesFresh(t, "external", n, s, map[string]map[string]string{
-		"k": {"b": "x", "c": "y"},
-	})
-	if s.Stats().Compiles < 2 {
-		t.Errorf("compiles=%d want >= 2 (external mutation forces rebuild)", s.Stats().Compiles)
+	ctx := context.Background()
+	objects := map[string]map[string]string{"k": {"b": "x"}}
+	before, err := s.ResolveBatch(ctx, objects)
+	if err != nil {
+		t.Fatal(err)
 	}
+	users, epoch := s.Users(), s.Epoch()
+
+	n.AddTrust("a", "c", 20) // c is a brand-new user that outranks b
+	n.SetBelief("c", "v2")
+
+	after, err := s.ResolveBatch(ctx, objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Users(); !eqStrs(got, users) {
+		t.Errorf("users=%v want %v (the caller's new user must not reach the store)", got, users)
+	}
+	if got := s.Epoch(); got != epoch {
+		t.Errorf("epoch=%d want %d", got, epoch)
+	}
+	if got := s.Stats().Compiles; got != 1 {
+		t.Errorf("compiles=%d want 1 (nothing to rebuild)", got)
+	}
+	for _, u := range users {
+		if g, w := after[0].Possible(u), before[0].Possible(u); !eqStrs(g, w) {
+			t.Errorf("poss(%s)=%v want %v", u, g, w)
+		}
+		gc, gok := after[0].Certain(u)
+		wc, wok := before[0].Certain(u)
+		if gc != wc || gok != wok {
+			t.Errorf("cert(%s)=%q,%v want %q,%v", u, gc, gok, wc, wok)
+		}
+	}
+	assertMatchesFresh(t, "detached", s, objects)
 }
 
 // TestSessionValueOnlyUpdateIsFree checks that changing a belief's value

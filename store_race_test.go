@@ -10,6 +10,7 @@ package trustmap
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -184,4 +185,52 @@ func TestSessionConcurrentMutateResolveRegression(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
+}
+
+// TestStoreUsersConcurrentWithWriters lists users while a writer keeps
+// adding fresh ones: Users reads the published epoch's frozen name index,
+// never the writer's live network, so it is race-clean, sorted, and
+// includes every name whose write has returned.
+func TestStoreUsersConcurrentWithWriters(t *testing.T) {
+	s, err := NewStore(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writes = 200
+	fresh := func(i int) string { return fmt.Sprintf("fresh%03d", i) }
+	var written atomic.Int64 // names fresh(0..written-1) have returned
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < writes; i++ {
+			if err := s.SetTrust(context.Background(), fresh(i), "hub", 1); err != nil {
+				t.Error(err)
+				return
+			}
+			written.Store(int64(i + 1))
+		}
+	}()
+	check := func() error {
+		k := int(written.Load())
+		users := s.Users()
+		if !slices.IsSorted(users) {
+			return fmt.Errorf("users not sorted: %v", users)
+		}
+		for i := 0; i < k; i++ {
+			if _, ok := slices.BinarySearch(users, fresh(i)); !ok {
+				return fmt.Errorf("users miss %q, whose write returned", fresh(i))
+			}
+		}
+		return nil
+	}
+	for written.Load() < writes && !t.Failed() {
+		if err := check(); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+	if err := check(); err != nil {
+		t.Error(err)
+	}
 }

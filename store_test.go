@@ -648,6 +648,7 @@ func TestStoreRandomizedParity(t *testing.T) {
 					continue
 				}
 				// Effective objects: stored beliefs overlaid on defaults.
+				n := storeNet(st)
 				eff := map[string]map[string]string{}
 				for _, k := range st.Objects() {
 					bs, _ := st.Object(k)

@@ -56,8 +56,9 @@
 //	r, _ := n.Resolve()
 //	v, _ := r.Certain("Alice")          // "fish"
 //
-// Network.NewStore adopts a facade-built network as a store's trust
-// network; all bulk and multi-object work goes through Store. For
+// Network.NewStore copies a facade-built network into a new store, which
+// owns the copy: later changes to the Network do not reach the store. All
+// bulk and multi-object work goes through Store. For
 // horizontal write scale-out, internal/shard partitions objects across
 // several stores behind one router (served by cmd/trustd -cluster).
 package trustmap

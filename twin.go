@@ -1,6 +1,6 @@
 package trustmap
 
-// The writer side of a Store: the binarized twin of the facade network,
+// The writer side of a Store: the binarized twin of the store's network,
 // the compiled artifact maintained from it, and the epoch publication
 // that hands both to readers. Compiling once and folding each mutation
 // into the artifact through the engine's delta path (engine.Apply) is
@@ -8,13 +8,13 @@ package trustmap
 // the paper's community-database setting implies (Sections 2.5 and 4):
 // a mutation pays for its dirty region instead of the whole network.
 //
-// The store owns the binarized twin and keeps it current by translating
-// facade mutations into binarized ones. Mutations that would restructure
-// the binarization (a user crossing the two-parent threshold, belief
-// changes on heavily-mapped users) mark the store for a full rebuild,
-// which the next publication performs transparently; so does mutating
-// the underlying Network directly instead of through the store (detected
-// by the network's version counter).
+// The store owns its trust network — Network.NewStore takes a copy, so
+// nothing outside the store can write to it — and the binarized twin,
+// which it keeps current by translating each network mutation into
+// binarized ones. Mutations that would restructure the binarization (a
+// user crossing the two-parent threshold, belief changes on
+// heavily-mapped users) mark the store for a full rebuild, which the next
+// publication performs transparently.
 //
 // # Concurrency
 //
@@ -29,12 +29,6 @@ package trustmap
 // returning. Retired epochs stay valid for the readers still pinning
 // them (engine.Apply builds successors copy-on-write) and are reclaimed
 // once their reader count drains.
-//
-// The one remaining single-goroutine caveat is the facade Network itself:
-// mutating it directly (not through the store) while store reads or
-// writes are in flight is a data race. Sequential out-of-store mutation
-// remains supported and is detected by the version counter at the next
-// store operation.
 
 import (
 	"context"
@@ -64,11 +58,11 @@ type SessionStats struct {
 // one pointer swap; readers must treat every field as frozen.
 type epochSnap struct {
 	comp     *engine.CompiledNetwork
-	view     *tn.View         // frozen name index of the facade network
+	view     *tn.View         // frozen name index of the store's network
 	binIDs   []int            // original user ID -> binarized node (len-capped, append-only)
 	rootNode map[int]int      // original root ID -> binarized belief carrier
 	defaults map[int]tn.Value // network-level default belief per root, where stated
-	version  uint64           // facade network version this snapshot reflects
+	version  uint64           // network version this snapshot reflects
 	stats    SessionStats     // maintenance counters at publication
 	eng      *engLazy         // shared between snapshots of one artifact generation
 }
@@ -103,7 +97,7 @@ func (s *Store) rebuild() error {
 	if err := s.net.Validate(); err != nil {
 		return err
 	}
-	shape := s.net.inner.Clone()
+	shape := s.net.Clone()
 	for _, x := range s.extraRoots {
 		if !shape.HasExplicit(x) {
 			shape.SetExplicit(x, "seed")
@@ -117,7 +111,7 @@ func (s *Store) rebuild() error {
 	}
 	s.bin = bin
 	s.comp = comp
-	s.binIDs = make([]int, s.net.inner.NumUsers())
+	s.binIDs = make([]int, s.net.NumUsers())
 	for i := range s.binIDs {
 		s.binIDs[i] = i // fresh binarization keeps original IDs as a prefix
 	}
@@ -129,7 +123,6 @@ func (s *Store) rebuild() error {
 	}
 	s.needRebuild = false
 	s.rootsDirty = true
-	s.version.Store(s.net.inner.Version())
 	s.stats.Compiles++
 	return nil
 }
@@ -148,8 +141,8 @@ func (s *Store) snapLocked() *epochSnap {
 	prev := s.lastSnap
 	snap := &epochSnap{
 		comp:    s.comp,
-		view:    s.net.inner.Snapshot(viewOf(prev)),
-		version: s.net.inner.Version(),
+		view:    s.net.Snapshot(viewOf(prev)),
+		version: s.net.Version(),
 		stats:   s.stats,
 	}
 	if prev != nil && prev.eng.comp == s.comp {
@@ -174,7 +167,7 @@ func (s *Store) snapLocked() *epochSnap {
 		snap.defaults = make(map[int]tn.Value, len(s.rootNode))
 		for x, root := range s.rootNode {
 			snap.rootNode[x] = root
-			if v := s.net.inner.Explicit(x); v != tn.NoValue {
+			if v := s.net.Explicit(x); v != tn.NoValue {
 				snap.defaults[x] = v
 			}
 		}
@@ -208,7 +201,7 @@ func (s *Store) publishLocked() error {
 		s.pubStale.Store(true) // the epoch lags the writer state; readers retry
 		return err
 	}
-	if prev := s.lastSnap; prev == nil || prev.version != s.net.inner.Version() || prev.comp != s.comp {
+	if prev := s.lastSnap; prev == nil || prev.version != s.net.Version() || prev.comp != s.comp {
 		s.pub.PublishTagged(s.snapLocked(), s.LSN())
 	}
 	s.pubStale.Store(false)
@@ -237,28 +230,17 @@ func (s *Store) extraRootNames() []string {
 	defer s.wmu.Unlock()
 	names := make([]string, 0, len(s.extraRoots))
 	for _, x := range s.extraRoots {
-		names = append(names, s.net.inner.Name(x))
+		names = append(names, s.net.Name(x))
 	}
 	return names
 }
 
-// refresh folds mutations made directly on the underlying Network (not
-// through the store) into a fresh epoch. Reads call it when they detect
-// version skew or a failed publication. Not safe concurrently with
-// direct Network mutation — sequence external mutations and store use on
-// one goroutine.
+// refresh retries a failed publication: reads call it when pubStale says
+// the current epoch lags the writer state.
 func (s *Store) refresh() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	return s.publishLocked() // flushLocked runs the version-skew check
-}
-
-// syncCheck marks the twin stale when the underlying network was mutated
-// outside the store since the last operation. Callers hold wmu.
-func (s *Store) syncCheck() {
-	if s.net.inner.Version() != s.version.Load() {
-		s.needRebuild = true
-	}
+	return s.publishLocked()
 }
 
 // binID maps an original user ID to its binarized node.
@@ -269,27 +251,25 @@ func (s *Store) binID(x int) int {
 	return x
 }
 
-// addTrustLocked adds truster -> trusted to the facade network and the
+// addTrustLocked adds truster -> trusted to the store's network and the
 // twin. Unlike Network.AddTrust it rejects self-trust and duplicate
 // mappings immediately instead of at the next validation. Callers hold
 // wmu, as for every *Locked translator below.
 func (s *Store) addTrustLocked(truster, trusted string, priority int) error {
-	s.syncCheck()
 	if truster == trusted {
 		return fmt.Errorf("trustmap: user %q cannot trust itself", truster)
 	}
-	t := s.net.inner.AddUser(truster)
-	z := s.net.inner.AddUser(trusted)
-	for _, m := range s.net.inner.In(t) {
+	t := s.net.AddUser(truster)
+	z := s.net.AddUser(trusted)
+	for _, m := range s.net.In(t) {
 		if m.Parent == z {
 			return fmt.Errorf("trustmap: mapping %q -> %q already exists; use UpdateTrust", trusted, truster)
 		}
 	}
 	// Pre-mutation shape of the truster decides translatability.
-	pre := append([]tn.Mapping(nil), s.net.inner.In(t)...)
+	pre := append([]tn.Mapping(nil), s.net.In(t)...)
 	k := len(pre)
-	s.net.inner.AddMapping(z, t, priority)
-	s.version.Store(s.net.inner.Version())
+	s.net.AddMapping(z, t, priority)
 	if s.needRebuild {
 		return nil
 	}
@@ -333,17 +313,15 @@ func (s *Store) addTrustLocked(truster, trusted string, priority int) error {
 // removeTrustLocked revokes truster -> trusted and reports whether the
 // mapping existed.
 func (s *Store) removeTrustLocked(truster, trusted string) bool {
-	s.syncCheck()
-	t, z := s.net.inner.UserID(truster), s.net.inner.UserID(trusted)
+	t, z := s.net.UserID(truster), s.net.UserID(trusted)
 	if t < 0 || z < 0 {
 		return false
 	}
-	pre := append([]tn.Mapping(nil), s.net.inner.In(t)...)
+	pre := append([]tn.Mapping(nil), s.net.In(t)...)
 	k := len(pre)
-	if !s.net.inner.RemoveMapping(z, t) {
+	if !s.net.RemoveMapping(z, t) {
 		return false
 	}
-	s.version.Store(s.net.inner.Version())
 	if s.needRebuild {
 		return true
 	}
@@ -373,16 +351,14 @@ func (s *Store) removeTrustLocked(truster, trusted string) bool {
 // updateTrustLocked re-prioritizes truster -> trusted and reports whether
 // the mapping existed.
 func (s *Store) updateTrustLocked(truster, trusted string, priority int) bool {
-	s.syncCheck()
-	t, z := s.net.inner.UserID(truster), s.net.inner.UserID(trusted)
+	t, z := s.net.UserID(truster), s.net.UserID(trusted)
 	if t < 0 || z < 0 {
 		return false
 	}
-	k := len(s.net.inner.In(t))
-	if !s.net.inner.SetMappingPriority(z, t, priority) {
+	k := len(s.net.In(t))
+	if !s.net.SetMappingPriority(z, t, priority) {
 		return false
 	}
-	s.version.Store(s.net.inner.Version())
 	if s.needRebuild {
 		return true
 	}
@@ -396,7 +372,7 @@ func (s *Store) updateTrustLocked(truster, trusted string, priority int) bool {
 		s.needRebuild = true // priorities are encoded in the cascade shape
 	case hoisted == 0 && k == 2:
 		// Re-derive the two binarized priorities from the new order.
-		post := s.net.inner.In(t)
+		post := s.net.In(t)
 		if post[0].Priority == post[1].Priority {
 			s.bin.SetMappingPriority(s.binID(post[0].Parent), bt, 1)
 			s.bin.SetMappingPriority(s.binID(post[1].Parent), bt, 1)
@@ -415,15 +391,13 @@ func (s *Store) updateTrustLocked(truster, trusted string, priority int) bool {
 // belief-value-independent, so the next epoch shares the compiled
 // artifact and only swaps the defaults.
 func (s *Store) setBeliefLocked(user, value string) error {
-	s.syncCheck()
 	if value == "" {
 		return fmt.Errorf("trustmap: empty value; use RemoveBelief to revoke")
 	}
-	x := s.net.inner.AddUser(user)
-	k := len(s.net.inner.In(x))
-	s.net.inner.SetExplicit(x, tn.Value(value))
+	x := s.net.AddUser(user)
+	k := len(s.net.In(x))
+	s.net.SetExplicit(x, tn.Value(value))
 	s.rootsDirty = true
-	s.version.Store(s.net.inner.Version())
 	if s.needRebuild {
 		return nil
 	}
@@ -449,15 +423,13 @@ func (s *Store) setBeliefLocked(user, value string) error {
 // removeBeliefLocked revokes user's network-level belief and reports
 // whether there was one (revoking an absent belief is a no-op).
 func (s *Store) removeBeliefLocked(user string) bool {
-	s.syncCheck()
-	x := s.net.inner.UserID(user)
-	if x < 0 || !s.net.inner.HasExplicit(x) {
+	x := s.net.UserID(user)
+	if x < 0 || !s.net.HasExplicit(x) {
 		return false
 	}
-	k := len(s.net.inner.In(x))
-	s.net.inner.SetExplicit(x, tn.NoValue)
+	k := len(s.net.In(x))
+	s.net.SetExplicit(x, tn.NoValue)
 	s.rootsDirty = true
-	s.version.Store(s.net.inner.Version())
 	if s.needRebuild {
 		return true
 	}
@@ -493,7 +465,7 @@ func (s *Store) removeBeliefLocked(user string) bool {
 // takes priority 2 and the real parent priority 1.
 func (s *Store) hoistBelief(x int) {
 	bx := s.binID(x)
-	v := s.net.inner.Explicit(x)
+	v := s.net.Explicit(x)
 	if v == tn.NoValue {
 		v = "seed"
 	}
@@ -501,7 +473,7 @@ func (s *Store) hoistBelief(x int) {
 	for _, m := range s.bin.In(bx) {
 		s.bin.SetMappingPriority(m.Parent, bx, 1)
 	}
-	helper := s.bin.AddUser(s.net.inner.Name(x) + "#b0")
+	helper := s.bin.AddUser(s.net.Name(x) + "#b0")
 	s.bin.SetExplicit(helper, v)
 	s.bin.AddMapping(helper, bx, 2)
 	s.rootNode[x] = helper
@@ -536,10 +508,9 @@ func (s *Store) addExtraRootLocked(x int) {
 }
 
 // flushLocked folds pending binarized mutations into the compiled
-// artifact — rebuilding from scratch when a structural mutation or an
-// out-of-store change demands it. Callers hold wmu.
+// artifact — rebuilding from scratch when a structural mutation demands
+// it. Callers hold wmu.
 func (s *Store) flushLocked() error {
-	s.syncCheck()
 	if s.needRebuild {
 		return s.rebuild()
 	}
@@ -566,18 +537,13 @@ func (s *Store) flushLocked() error {
 	return nil
 }
 
-// snapshot pins the epoch a read should serve from. The staleness probe
-// compares the network's atomic version counter against the highest
-// version the store has accounted for — NOT against the pinned
-// epoch's version, which lags during an in-flight store write; an
-// in-flight write's publication is coming, so the current epoch stays
-// correct to serve and the read never touches the writer lock. Only a
-// mutation made directly on the Network (not through the store)
-// leaves the counters apart, and only then does the read upgrade to a
-// writer, rebuild, and publish first — preserving the sequential
-// out-of-store contract.
+// snapshot pins the epoch a read should serve from. An in-flight store
+// write's publication is coming, so the current epoch stays correct to
+// serve and the read never touches the writer lock. Only after a failed
+// publication does the read upgrade to a writer and retry it first, so
+// the failure surfaces instead of stale serving.
 func (s *Store) snapshot() (*serve.Epoch[*epochSnap], error) {
-	if s.net.inner.Version() != s.version.Load() || s.pubStale.Load() {
+	if s.pubStale.Load() {
 		if err := s.refresh(); err != nil {
 			return nil, err
 		}
@@ -638,9 +604,8 @@ func (s *Store) resolveSnap(ctx context.Context, e *serve.Epoch[*epochSnap], obj
 func (s *Store) addObjectRoots(names ...string) (added []string, err error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	s.syncCheck()
 	for _, name := range names {
-		x := s.net.inner.AddUser(name)
+		x := s.net.AddUser(name)
 		if s.isExtraRoot(x) {
 			continue
 		}
@@ -650,9 +615,6 @@ func (s *Store) addObjectRoots(names ...string) (added []string, err error) {
 			s.needRebuild = true // the plan gains a root: replan required
 		}
 	}
-	// AddUser on unseen names bumps the network version; claim it as an
-	// in-store mutation so readers do not mistake it for external skew.
-	s.version.Store(s.net.inner.Version())
 	if s.needRebuild {
 		return added, s.publishLocked()
 	}
