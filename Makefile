@@ -51,10 +51,12 @@ cover:
 smoke:
 	$(GO) test ./cmd/trustd -run TestSmokeHTTP -count=1 -v
 
-# Durability acceptance: SIGKILL the deterministic write storm mid-flight
-# (the child harness is built with -race inside the test) and require
-# every acked LSN to survive recovery with oracle-identical resolved
-# state. Runs as its own CI job; also part of `go test ./...`.
+# Durability acceptance: SIGKILL the internal/storm write stream
+# mid-flight (the child harness is built with -race inside the test) and
+# require every acked LSN to survive recovery with oracle-identical
+# resolved state. crash, poison, replica-smoke and cluster-smoke run
+# together in the CI storm job; their driver tests are also part of
+# `go test ./...`.
 crash:
 	$(GO) test ./cmd/crashharness -run TestCrashRecovery -count=1 -v
 

@@ -3,21 +3,22 @@
 // final resolved state must match a single-store oracle row for row.
 //
 // The storm is deterministic by construction, not by serialization:
-// each worker owns a disjoint key space (object ops on different keys
-// commute) and a disjoint truster set (spine upserts from different
-// workers commute), so any interleaving the scheduler picks converges
-// to the same final state — which is exactly what replaying every
-// worker's op list serially into one in-memory oracle produces. The
-// storm also interleaves scatter-gather reads (ResolveAll, Resolved,
-// Objects, BulkResolve) whose merge invariants are checked in flight,
-// so running the harness binary under -race doubles as the router's
-// concurrency test.
+// worker w sends its own internal/storm stream, namespace "w<w>-", whose
+// keys, trusters and private root no other worker touches, so any
+// interleaving the scheduler picks converges to storm.Oracle's serial
+// replay of every stream. Every stream's preamble runs first, serially
+// ("spine ok"); the rest runs concurrently. What only this harness adds
+// is the concurrency: workers interleave scatter-gather reads
+// (ResolveAll, Resolved, Objects, BulkResolve, ResolveObject) whose merge
+// invariants are checked in flight, so running the harness binary under
+// -race doubles as the router's concurrency test.
 //
-// After the storm the harness checks three things: oracle parity (every
-// object, every user, possible set + certain value + error identity),
-// placement (every key stored on the shard wire.ShardOwner names), and
-// conservation (ClusterStats.RoutedOps equals both the op count the
-// harness issued and the sum of per-shard ObjectOps counters).
+// After the storm the harness checks oracle parity (storm.Diff: every
+// object, every user, possible set + certain value + error text), that
+// every shard's spine holds the oracle's user set, placement (every key
+// stored on the shard wire.ShardOwner names), and conservation
+// (ClusterStats.RoutedOps equals both the op count the harness issued
+// and the sum of per-shard ObjectOps counters).
 //
 // Output protocol (one line each, in order):
 //
@@ -42,7 +43,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -51,136 +51,49 @@ import (
 
 	"trustmap"
 	"trustmap/internal/shard"
+	"trustmap/internal/storm"
 	"trustmap/wire"
 )
 
-// seedUsers are the always-present roots: every object belief comes from
-// one of these or a worker's own root, and all of them carry network
-// defaults from the prologue, so resolution never trips assumption (ii).
-var seedUsers = [...]string{"seed0", "seed1", "seed2"}
+// ns names worker w's namespace: its keys, trusters and private root.
+func ns(w int) string { return fmt.Sprintf("w%d-", w) }
 
-var values = [...]string{"fish", "cow", "jar", "arrow", "knot"}
-
-// Op kinds in a worker's plan. Object ops stay inside the worker's own
-// key space and spine ops inside its own truster set, so plans commute
-// across workers and the oracle can replay them serially in any order.
-const (
-	kSpine = iota // rt.Mutate: one set-trust upsert (write-lock path)
-	kPutObject
-	kPutBelief
-	kDelBelief
-	kDelObject
-	kRead // one scatter or routed read; never replayed into the oracle
-)
-
-// planOp is one pre-generated storm step: a pure function of the seed,
-// so the oracle replays the identical sequence without rng alignment.
-type planOp struct {
-	kind    int
-	read    int // kRead sub-kind: 0..4
-	key     string
-	user    string
-	value   string
-	truster string
-	prio    int
-	beliefs map[string]string
-}
-
-// workerRoot names worker w's private extra root (defaulted in the
-// prologue, registered cluster-wide by the router's root broadcast).
-func workerRoot(w int) string { return fmt.Sprintf("w%d-root", w) }
-
-// prologue is the fixed spine every run starts from: a network default
-// for each seed user and each worker root, applied as one broadcast
-// batch so every belief writer below is coverage-safe.
-func prologue(workers int) []wire.Op {
-	var ops []wire.Op
-	for _, u := range seedUsers {
-		ops = append(ops, wire.Op{Op: wire.OpSetBelief, User: u, Value: values[0]})
-	}
-	for w := 0; w < workers; w++ {
-		ops = append(ops, wire.Op{Op: wire.OpSetBelief, User: workerRoot(w), Value: values[1]})
-	}
-	return ops
-}
-
-// genPlan draws worker w's op list. Keys are "w<w>-obj<k>" and trusters
-// "w<w>-u<t>": disjoint per worker by construction.
-func genPlan(seed int64, w, n int) []planOp {
-	rng := rand.New(rand.NewSource(seed + int64(w)*1_000_003))
-	root := workerRoot(w)
-	writers := append(append([]string(nil), seedUsers[:]...), root)
-	key := func() string { return fmt.Sprintf("w%d-obj%03d", w, rng.Intn(120)) }
-	val := func() string { return values[rng.Intn(len(values))] }
-	ops := make([]planOp, 0, n)
-	for i := 0; i < n; i++ {
-		switch k := rng.Intn(10); {
-		case k < 1:
-			ops = append(ops, planOp{
-				kind:    kSpine,
-				truster: fmt.Sprintf("w%d-u%d", w, rng.Intn(6)),
-				user:    seedUsers[rng.Intn(len(seedUsers))],
-				prio:    1 + rng.Intn(5),
-			})
-		case k < 5:
-			bs := make(map[string]string, len(writers))
-			for _, u := range writers {
-				if rng.Intn(2) == 0 {
-					bs[u] = val()
-				}
-			}
-			ops = append(ops, planOp{kind: kPutObject, key: key(), beliefs: bs})
-		case k < 7:
-			ops = append(ops, planOp{kind: kPutBelief, key: key(), user: writers[rng.Intn(len(writers))], value: val()})
-		case k < 8:
-			ops = append(ops, planOp{kind: kDelBelief, key: key(), user: writers[rng.Intn(len(writers))]})
-		case k < 9:
-			ops = append(ops, planOp{kind: kDelObject, key: key()})
-		default:
-			ops = append(ops, planOp{kind: kRead, read: rng.Intn(5), key: key(), user: root, value: val()})
-		}
-	}
-	return ops
-}
+// readEvery is the in-flight read cadence: each worker runs one scatter
+// or routed read after every readEvery-th op of its stream.
+const readEvery = 8
 
 // countOps reports how many routed object ops and spine broadcasts the
-// plans will issue — the expected ClusterStats counter values.
-func countOps(plans [][]planOp) (routed, spine uint64) {
-	for _, plan := range plans {
-		for _, op := range plan {
-			switch op.kind {
-			case kSpine:
-				spine++
-			case kPutObject, kPutBelief, kDelBelief, kDelObject:
+// streams issue — the expected ClusterStats counter values.
+func countOps(streams [][]wire.Op) (routed, spine uint64) {
+	for _, ops := range streams {
+		for _, op := range ops {
+			switch op.Op {
+			case wire.OpPutObject, wire.OpPutBelief, wire.OpDeleteBelief, wire.OpDeleteObject:
 				routed++
+			default:
+				spine++
 			}
 		}
 	}
 	return routed, spine
 }
 
-// runWorker executes one plan against the router, checking read
-// invariants in flight. Mutation errors are fatal: every generated
-// object op is valid, so the router must accept it.
-func runWorker(ctx context.Context, rt *shard.Router, plan []planOp) error {
-	for i, op := range plan {
-		var err error
-		switch op.kind {
-		case kSpine:
-			_, err = rt.Mutate([]wire.Op{{Op: wire.OpSetTrust, Truster: op.truster, Trusted: op.user, Priority: op.prio}})
-		case kPutObject:
-			err = rt.PutObject(ctx, op.key, op.beliefs)
-		case kPutBelief:
-			err = rt.PutBelief(ctx, op.user, op.key, op.value)
-		case kDelBelief:
-			_, err = rt.DeleteBelief(ctx, op.user, op.key)
-		case kDelObject:
-			_, err = rt.DeleteObject(ctx, op.key)
-		case kRead:
-			err = runRead(ctx, rt, op)
+// runWorker applies one stream's post-preamble ops to the router,
+// checking read invariants in flight. Mutation errors are fatal: every
+// stream op is effective, so the router must accept it.
+func runWorker(ctx context.Context, rt *shard.Router, prefix string, ops []wire.Op) error {
+	for i := storm.Preamble; i < len(ops); i++ {
+		if err := storm.Apply(ctx, rt, ops[i]); err != nil {
+			return fmt.Errorf("op %d (%s): %w", i+1, ops[i].Op, err)
 		}
-		if err != nil {
-			return fmt.Errorf("op %d (kind %d): %w", i, op.kind, err)
+		if i%readEvery == 0 {
+			key := ops[i].Object
+			if key == "" {
+				key = prefix + "adhoc"
+			}
+			if err := runRead(ctx, rt, i/readEvery%5, key, prefix+"root"); err != nil {
+				return fmt.Errorf("read after op %d: %w", i+1, err)
+			}
 		}
 	}
 	return nil
@@ -189,8 +102,8 @@ func runWorker(ctx context.Context, rt *shard.Router, plan []planOp) error {
 // runRead exercises one scatter or routed read mid-storm. Contents are
 // in flux, so only structural invariants are checked: merged key order,
 // one pinned epoch per shard, and error identity for absent keys.
-func runRead(ctx context.Context, rt *shard.Router, op planOp) error {
-	switch op.read {
+func runRead(ctx context.Context, rt *shard.Router, kind int, key, root string) error {
+	switch kind {
 	case 0:
 		rows, err := rt.ResolveAll(ctx)
 		if err != nil {
@@ -214,22 +127,22 @@ func runRead(ctx context.Context, rt *shard.Router, op planOp) error {
 		}
 	case 2:
 		batch := map[string]map[string]string{
-			op.key + "-adhocA": {seedUsers[0]: op.value},
-			op.key + "-adhocB": {op.user: op.value},
+			key + "-adhocA": {root: "fish"},
+			key + "-adhocB": {root: "cow"},
 		}
 		rows, err := rt.BulkResolve(ctx, batch)
 		if err != nil {
 			return fmt.Errorf("BulkResolve: %w", err)
 		}
-		if got := rowKeys(rows); len(got) != len(batch) || got[0] != op.key+"-adhocA" || !sort.StringsAreSorted(got) {
+		if got := rowKeys(rows); len(got) != len(batch) || got[0] != key+"-adhocA" || !sort.StringsAreSorted(got) {
 			return fmt.Errorf("BulkResolve keys = %q, want the %d ad-hoc keys sorted", got, len(batch))
 		}
-		if _, _, err := rows[0].Lookup(seedUsers[0]); err != nil {
+		if _, _, err := rows[0].Lookup(root); err != nil {
 			return fmt.Errorf("BulkResolve lookup: %w", err)
 		}
 	case 3:
-		if _, err := rt.ResolveObject(ctx, op.key); err != nil && !errors.Is(err, trustmap.ErrUnknownObject) {
-			return fmt.Errorf("ResolveObject(%q): %w", op.key, err)
+		if _, err := rt.ResolveObject(ctx, key); err != nil && !errors.Is(err, trustmap.ErrUnknownObject) {
+			return fmt.Errorf("ResolveObject(%q): %w", key, err)
 		}
 	default:
 		prev := ""
@@ -246,46 +159,6 @@ func runRead(ctx context.Context, rt *shard.Router, op planOp) error {
 	return nil
 }
 
-// buildOracle replays the prologue and every worker's plan serially
-// into one in-memory store. Worker order is irrelevant: plans commute.
-func buildOracle(ctx context.Context, pro []wire.Op, plans [][]planOp) (*trustmap.Store, error) {
-	oracle, err := trustmap.NewStore()
-	if err != nil {
-		return nil, err
-	}
-	if err := oracle.Update(func(tx *trustmap.StoreTx) error {
-		for i, op := range pro {
-			if err := op.Apply(tx); err != nil {
-				return fmt.Errorf("prologue op %d: %w", i, err)
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for w, plan := range plans {
-		for i, op := range plan {
-			var err error
-			switch op.kind {
-			case kSpine:
-				err = oracle.SetTrust(ctx, op.truster, op.user, op.prio)
-			case kPutObject:
-				err = oracle.PutObject(ctx, op.key, op.beliefs)
-			case kPutBelief:
-				err = oracle.PutBelief(ctx, op.user, op.key, op.value)
-			case kDelBelief:
-				_, err = oracle.DeleteBelief(ctx, op.user, op.key)
-			case kDelObject:
-				_, err = oracle.DeleteObject(ctx, op.key)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("oracle worker %d op %d: %w", w, i, err)
-			}
-		}
-	}
-	return oracle, nil
-}
-
 // rowKeys lists the rows' object keys in row order.
 func rowKeys(rows []trustmap.ObjectRow) []string {
 	keys := make([]string, len(rows))
@@ -295,47 +168,23 @@ func rowKeys(rows []trustmap.ObjectRow) []string {
 	return keys
 }
 
-// lookupsAgree compares one (user, object) cell across the cluster and
-// the oracle: possible set, certain value, and error identity.
-func lookupsAgree(gp, wp []string, gc, wc string, gerr, werr error) bool {
-	if (gerr == nil) != (werr == nil) {
-		return false
-	}
-	if gerr != nil {
-		return gerr.Error() == werr.Error()
-	}
-	return slices.Equal(gp, wp) && gc == wc
-}
-
 // checkParity requires the cluster's resolved state to equal the
-// oracle's cell for cell, the streamed merge to agree with the batch
-// one, and every stored key to live on its wire.ShardOwner shard.
+// oracle's cell for cell (storm.Diff), every shard's spine to hold the
+// oracle's user set — Router.Users answers for shard 0 alone — the
+// streamed merge to agree with the batch one, and every stored key to
+// live on its wire.ShardOwner shard.
 func checkParity(ctx context.Context, rt *shard.Router, oracle *trustmap.Store) (objects int, err error) {
-	want, err := oracle.ResolveAll(ctx)
-	if err != nil {
-		return 0, fmt.Errorf("oracle resolve: %w", err)
-	}
-	got, err := rt.ResolveAll(ctx)
-	if err != nil {
-		return 0, fmt.Errorf("cluster resolve: %w", err)
-	}
-	wantKeys, gotKeys := rowKeys(want), rowKeys(got)
-	if !slices.Equal(gotKeys, wantKeys) {
-		return 0, fmt.Errorf("key sets diverge: cluster has %d keys, oracle %d", len(gotKeys), len(wantKeys))
+	if err := storm.Diff(ctx, rt, oracle); err != nil {
+		return 0, fmt.Errorf("parity violation: %w", err)
 	}
 	users := oracle.Users()
-	sort.Strings(users)
-	for i, key := range wantKeys {
-		for _, u := range users {
-			wp, wc, werr := want[i].Lookup(u)
-			gp, gc, gerr := got[i].Lookup(u)
-			if !lookupsAgree(gp, wp, gc, wc, gerr, werr) {
-				return 0, fmt.Errorf("parity violation at (%s, %s): cluster (%v, %q, %v) vs oracle (%v, %q, %v)",
-					u, key, gp, gc, gerr, wp, wc, werr)
-			}
+	for i := 0; i < rt.Shards(); i++ {
+		if got := rt.Shard(i).Users(); !slices.Equal(got, users) {
+			return 0, fmt.Errorf("spine violation: shard %d holds %d users, oracle %d", i, len(got), len(users))
 		}
 	}
 	// The streamed merge must visit the same keys in the same order.
+	keys := oracle.Objects()
 	var streamed []string
 	for row, rerr := range rt.Resolved(ctx) {
 		if rerr != nil {
@@ -343,8 +192,8 @@ func checkParity(ctx context.Context, rt *shard.Router, oracle *trustmap.Store) 
 		}
 		streamed = append(streamed, row.Object)
 	}
-	if !slices.Equal(streamed, wantKeys) {
-		return 0, fmt.Errorf("Resolved stream visited %d keys, ResolveAll %d", len(streamed), len(wantKeys))
+	if !slices.Equal(streamed, keys) {
+		return 0, fmt.Errorf("Resolved stream visited %d keys, oracle stores %d", len(streamed), len(keys))
 	}
 	// Placement: each shard holds exactly the keys it owns.
 	for i := 0; i < rt.Shards(); i++ {
@@ -354,7 +203,7 @@ func checkParity(ctx context.Context, rt *shard.Router, oracle *trustmap.Store) 
 			}
 		}
 	}
-	return len(wantKeys), nil
+	return len(keys), nil
 }
 
 // checkStats enforces the conservation invariant and, after a storm,
@@ -391,10 +240,14 @@ func run() error {
 	dir := flag.String("dir", "", "durable shard directory (<dir>/shard-<i>); empty = in-memory")
 	verifyOnly := flag.Bool("verify-only", false, "skip the storm: check the recovered durable cluster against the oracle")
 	flag.Parse()
-	if *shards < 2 {
+	switch {
+	case *shards < 2:
 		return fmt.Errorf("-shards must be at least 2 (got %d)", *shards)
-	}
-	if *verifyOnly && *dir == "" {
+	case *workers < 1:
+		return fmt.Errorf("-workers must be at least 1 (got %d)", *workers)
+	case *opsPer < storm.Preamble:
+		return fmt.Errorf("-ops must be at least %d, the stream preamble (got %d)", storm.Preamble, *opsPer)
+	case *verifyOnly && *dir == "":
 		return fmt.Errorf("-verify-only needs -dir: an in-memory cluster has nothing recovered to verify")
 	}
 	ctx := context.Background()
@@ -418,26 +271,32 @@ func run() error {
 	defer rt.Close()
 	fmt.Printf("shards %d\n", rt.Shards())
 
-	pro := prologue(*workers)
-	plans := make([][]planOp, *workers)
-	for w := range plans {
-		plans[w] = genPlan(*seed, w, *opsPer)
+	// Namespaced streams commute: any interleaving converges to their
+	// serial replay.
+	streams := make([][]wire.Op, *workers)
+	for w := range streams {
+		streams[w] = storm.Ops(*seed, ns(w), *opsPer)
 	}
-	wantRouted, wantSpine := countOps(plans)
-	wantSpine++ // the prologue broadcast
+	wantRouted, wantSpine := countOps(streams)
 
 	if !*verifyOnly {
-		if _, err := rt.Mutate(pro); err != nil {
-			return fmt.Errorf("prologue: %w", err)
+		// Every stream's preamble first, serially: the fixed spine the
+		// concurrent storm builds on.
+		for _, ops := range streams {
+			for _, op := range ops[:storm.Preamble] {
+				if err := storm.Apply(ctx, rt, op); err != nil {
+					return fmt.Errorf("preamble: %w", err)
+				}
+			}
 		}
 		fmt.Println("spine ok")
 		errs := make([]error, *workers)
 		var wg sync.WaitGroup
-		for w := range plans {
+		for w := range streams {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errs[w] = runWorker(ctx, rt, plans[w])
+				errs[w] = runWorker(ctx, rt, ns(w), streams[w])
 			}()
 		}
 		wg.Wait()
@@ -449,7 +308,7 @@ func run() error {
 		fmt.Printf("storm ok %d %d\n", wantRouted, wantSpine)
 	}
 
-	oracle, err := buildOracle(ctx, pro, plans)
+	oracle, err := storm.Oracle(ctx, streams...)
 	if err != nil {
 		return err
 	}

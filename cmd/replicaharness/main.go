@@ -8,9 +8,10 @@
 // The driver (the default mode) spawns this same binary as a killable
 // primary child (-mode serve: a durable DurabilityAlways store behind
 // the real internal/httpd handler), runs a read replica in-process (an
-// internal/replica tailer behind its own handler), and storms through
-// the failover-aware client — mutations pinned to the primary, reads
-// load-balanced — one op per request, so op i acks at exactly LSN i.
+// internal/replica tailer behind its own handler), and sends the
+// internal/storm stream (puts and deletes) through the failover-aware
+// client — mutations pinned to the primary, reads load-balanced — one op
+// per request, so op i acks at exactly LSN i.
 // After -kill-after acks it SIGKILLs the child between requests (so the
 // acked-durable frontier is exact), salvages the dead primary's WAL
 // tail into the replica (replica.Salvage — the runbook step that closes
@@ -18,7 +19,9 @@
 // continues the same storm against the new primary: the client rides
 // the dead endpoint's connection refusals onto the promoted one. A
 // concurrent reader hammers the replica's read endpoints throughout,
-// counting post-kill successes and the worst staleness it saw.
+// counting post-kill successes and the worst staleness it saw. At the
+// end storm.Diff holds the promoted store, and its restart, to
+// storm.Oracle's replay of the whole stream.
 //
 // Output protocol (one line each, acked repeated):
 //
@@ -42,12 +45,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
-	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -57,109 +58,31 @@ import (
 	"trustmap/client"
 	"trustmap/internal/httpd"
 	"trustmap/internal/replica"
+	"trustmap/internal/storm"
 	"trustmap/wire"
 )
 
-// op is one storm mutation, applied identically through the HTTP client
-// (against the fleet) and directly (into the oracle). Every op is an
-// upsert, so op i always lands at LSN i.
-type op struct {
-	kind    int // 0 set-trust, 1 set-default, 2 put-object, 3 put-belief
-	a, b, v string
-	prio    int
-	beliefs map[string]string
-}
-
-var (
-	seedUsers = [...]string{"seed0", "seed1", "seed2"}
-	universe  = [...]string{"u0", "u1", "u2", "u3", "u4", "u5", "u6", "u7"}
-	values    = [...]string{"fish", "cow", "jar", "arrow", "knot"}
-)
-
-// genOps draws the whole storm up front: op i (1-based) is a pure
-// function of (seed, i). The first ops are fixed defaults for the seed
-// roots, so every later object resolves.
-func genOps(seed int64, n uint64) []op {
-	rng := rand.New(rand.NewSource(seed))
-	ops := make([]op, 0, n)
-	for i := uint64(1); i <= n; i++ {
-		if i <= uint64(len(seedUsers)) {
-			ops = append(ops, op{kind: 1, a: seedUsers[i-1], v: values[0]})
-			continue
-		}
-		switch k := rng.Intn(10); {
-		case k < 4:
-			ops = append(ops, op{kind: 0,
-				a:    universe[rng.Intn(len(universe))],
-				b:    seedUsers[rng.Intn(len(seedUsers))],
-				prio: 1 + rng.Intn(5)})
-		case k < 6:
-			ops = append(ops, op{kind: 1,
-				a: universe[rng.Intn(len(universe))],
-				v: values[rng.Intn(len(values))]})
-		case k < 9:
-			bs := make(map[string]string, len(seedUsers))
-			for _, u := range seedUsers {
-				bs[u] = values[rng.Intn(len(values))]
-			}
-			ops = append(ops, op{kind: 2,
-				a: fmt.Sprintf("obj%03d", rng.Intn(100)), beliefs: bs})
-		default:
-			ops = append(ops, op{kind: 3,
-				a: fmt.Sprintf("obj%03d", rng.Intn(100)),
-				b: seedUsers[rng.Intn(len(seedUsers))],
-				v: values[rng.Intn(len(values))]})
-		}
-	}
-	return ops
-}
-
-// applyClient sends one op through the failover-aware client and
-// returns the LSN the fleet acked it at.
-func applyClient(ctx context.Context, c *client.Client, o op) (uint64, error) {
-	switch o.kind {
-	case 0:
-		res, err := c.Mutate(ctx, []wire.Op{{Op: wire.OpSetTrust, Truster: o.a, Trusted: o.b, Priority: o.prio}})
+// send applies one storm op through the failover-aware client and
+// returns the LSN the fleet acked it at. The client is the transport
+// under test, so it gets its own dispatch rather than storm.Apply.
+func send(ctx context.Context, c *client.Client, op wire.Op) (uint64, error) {
+	switch op.Op {
+	case wire.OpPutObject:
+		res, err := c.PutObject(ctx, op.Object, op.Beliefs)
 		return res.LSN, err
-	case 1:
-		res, err := c.Mutate(ctx, []wire.Op{{Op: wire.OpSetBelief, User: o.a, Value: o.v}})
+	case wire.OpPutBelief:
+		res, err := c.PutBelief(ctx, op.Object, op.User, op.Value)
 		return res.LSN, err
-	case 2:
-		res, err := c.PutObject(ctx, o.a, o.beliefs)
+	case wire.OpDeleteBelief:
+		res, err := c.DeleteBelief(ctx, op.Object, op.User)
+		return res.LSN, err
+	case wire.OpDeleteObject:
+		res, err := c.DeleteObject(ctx, op.Object)
 		return res.LSN, err
 	default:
-		res, err := c.PutBelief(ctx, o.a, o.b, o.v)
+		res, err := c.Mutate(ctx, []wire.Op{op})
 		return res.LSN, err
 	}
-}
-
-// applyStore replays one op into the oracle store.
-func applyStore(ctx context.Context, st *trustmap.Store, o op) error {
-	switch o.kind {
-	case 0:
-		return st.SetTrust(ctx, o.a, o.b, o.prio)
-	case 1:
-		return st.SetDefault(ctx, o.a, o.v)
-	case 2:
-		return st.PutObject(ctx, o.a, o.beliefs)
-	default:
-		return st.PutBelief(ctx, o.b, o.a, o.v)
-	}
-}
-
-// fingerprint flattens a store's full resolved state.
-func fingerprint(st *trustmap.Store) (map[string][]string, error) {
-	rows, err := st.ResolveAll(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]string)
-	for _, row := range rows {
-		for _, u := range st.Users() {
-			out[u+"/"+row.Object] = row.Possible(u)
-		}
-	}
-	return out, nil
 }
 
 // serve is the killable primary child: a durable store behind the real
@@ -298,8 +221,9 @@ func drive(primaryDir, replicaDir string, seed int64, maxOps, killAfter uint64, 
 
 	// The failover-aware client under test: mutations pinned to the
 	// primary, reads load-balanced, retries riding transport failures
-	// onto the next endpoint. RetryMutations is safe here: every storm op
-	// is an upsert.
+	// onto the next endpoint. RetryMutations is safe here: a retried op
+	// that had already applied would fail the LSN check or, for a delete,
+	// answer 404 — never pass silently.
 	c := client.New(primaryURL, client.WithEndpoints(replicaURL),
 		client.WithRetry(client.RetryPolicy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, RetryMutations: true, Seed: seed}))
 
@@ -307,9 +231,9 @@ func drive(primaryDir, replicaDir string, seed int64, maxOps, killAfter uint64, 
 	rd := &reader{url: replicaURL, stop: make(chan struct{}), done: make(chan struct{})}
 	go rd.run()
 
-	ops := genOps(seed, maxOps)
+	ops := storm.Ops(seed, "", int(maxOps))
 	for i := uint64(1); i <= killAfter; i++ {
-		lsn, err := applyClient(ctx, c, ops[i-1])
+		lsn, err := send(ctx, c, ops[i-1])
 		if err != nil {
 			return fmt.Errorf("op %d: %w", i, err)
 		}
@@ -354,7 +278,7 @@ func drive(primaryDir, replicaDir string, seed int64, maxOps, killAfter uint64, 
 	// Continue the same storm: the client's believed primary is dead, so
 	// the retry path must walk onto the promoted replica.
 	for i := killAfter + 1; i <= maxOps; i++ {
-		lsn, err := applyClient(ctx, c, ops[i-1])
+		lsn, err := send(ctx, c, ops[i-1])
 		if err != nil {
 			return fmt.Errorf("post-promote op %d: %w", i, err)
 		}
@@ -364,27 +288,14 @@ func drive(primaryDir, replicaDir string, seed int64, maxOps, killAfter uint64, 
 		fmt.Printf("acked %d\n", lsn)
 	}
 
-	// Oracle parity: the full op sequence replayed into a fresh in-memory
+	// Oracle parity: the full stream replayed into a fresh in-memory
 	// store must resolve identically to the failed-over fleet's state.
-	oracle, err := trustmap.NewStore()
+	oracle, err := storm.Oracle(ctx, ops)
 	if err != nil {
 		return err
 	}
-	for i, o := range ops {
-		if err := applyStore(ctx, oracle, o); err != nil {
-			return fmt.Errorf("oracle op %d: %w", i+1, err)
-		}
-	}
-	want, err := fingerprint(oracle)
-	if err != nil {
-		return err
-	}
-	got, err := fingerprint(rst)
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("parity violation at lsn %d: promoted state diverges from oracle", maxOps)
+	if err := storm.Diff(ctx, rst, oracle); err != nil {
+		return fmt.Errorf("parity violation at lsn %d: promoted state diverges from oracle: %w", maxOps, err)
 	}
 	fmt.Printf("parity ok %d\n", maxOps)
 
@@ -417,8 +328,8 @@ func drive(primaryDir, replicaDir string, seed int64, maxOps, killAfter uint64, 
 	if again.LSN() != maxOps {
 		return fmt.Errorf("promoted store recovered at lsn %d, want %d", again.LSN(), maxOps)
 	}
-	if got, err := fingerprint(again); err != nil || !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("promoted store restart parity: err=%v diverged=%v", err, !reflect.DeepEqual(got, want))
+	if err := storm.Diff(ctx, again, oracle); err != nil {
+		return fmt.Errorf("promoted store restart parity: %w", err)
 	}
 	fmt.Printf("restart ok %d\n", again.LSN())
 
@@ -475,8 +386,8 @@ func main() {
 		switch {
 		case *primaryDir == "" || *replicaDir == "":
 			err = fmt.Errorf("drive mode requires -primary-dir and -replica-dir")
-		case *killAfter < uint64(len(seedUsers))+1 || *killAfter >= *maxOps:
-			err = fmt.Errorf("-kill-after must be in [%d, max-ops)", len(seedUsers)+1)
+		case *killAfter < storm.Preamble+1 || *killAfter >= *maxOps:
+			err = fmt.Errorf("-kill-after must be in [%d, max-ops)", storm.Preamble+1)
 		default:
 			err = drive(*primaryDir, *replicaDir, *seed, *maxOps, *killAfter, *summary)
 		}

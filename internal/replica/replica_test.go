@@ -9,9 +9,7 @@ package replica_test
 
 import (
 	"context"
-	"fmt"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +18,8 @@ import (
 	"trustmap/internal/faultinject"
 	"trustmap/internal/httpd"
 	"trustmap/internal/replica"
+	"trustmap/internal/shard"
+	"trustmap/internal/storm"
 )
 
 // startPrimary opens a durable store in dir and serves it.
@@ -47,46 +47,31 @@ func openReplicaStore(t *testing.T, dir string) *trustmap.Store {
 	return st
 }
 
-// writeOps drives n deterministic effective mutations (LSNs from+1..from+n).
-func writeOps(t *testing.T, st *trustmap.Store, from uint64, n int) {
+// stream is the op stream every test writes; seed 9 draws deletes at
+// LSNs 6, 8, 16 and 18, so tailing and salvage replay them too.
+var stream = storm.Ops(9, "", 20)
+
+// write applies stream[from:to] to st: on a fresh primary op i lands at
+// LSN i, so the primary ends at LSN to.
+func write(t *testing.T, st *trustmap.Store, from, to int) {
 	t.Helper()
-	ctx := context.Background()
-	for i := 0; i < n; i++ {
-		lsn := from + uint64(i) + 1
-		var err error
-		switch lsn % 3 {
-		case 0:
-			err = st.PutBelief(ctx, "seed", fmt.Sprintf("obj%d", lsn%5), fmt.Sprintf("v%d", lsn))
-		case 1:
-			err = st.SetDefault(ctx, fmt.Sprintf("u%d", lsn), fmt.Sprintf("d%d", lsn))
-		default:
-			err = st.SetTrust(ctx, fmt.Sprintf("u%d", lsn), "seed", int(lsn%7)+1)
+	b := shard.NewSingleStore(st)
+	for i := from; i < to; i++ {
+		if err := storm.Apply(context.Background(), b, stream[i]); err != nil {
+			t.Fatalf("write lsn %d: %v", i+1, err)
 		}
-		if err != nil {
-			t.Fatalf("write lsn %d: %v", lsn, err)
-		}
-		if got := st.LSN(); got != lsn {
-			t.Fatalf("write landed at lsn %d, want %d", got, lsn)
+		if got := st.LSN(); got != uint64(i+1) {
+			t.Fatalf("write landed at lsn %d, want %d", got, i+1)
 		}
 	}
 }
 
-// fingerprint flattens a store's full resolved state for parity checks.
-func fingerprint(t *testing.T, st *trustmap.Store) string {
+// sameState fails the test unless the replica resolves like the primary.
+func sameState(t *testing.T, replica, primary *trustmap.Store) {
 	t.Helper()
-	rows, err := st.ResolveAll(context.Background())
-	if err != nil {
-		t.Fatalf("resolve all: %v", err)
+	if err := storm.Diff(context.Background(), replica, primary); err != nil {
+		t.Fatalf("replica resolved state diverges: %v", err)
 	}
-	users := st.Users()
-	sort.Strings(users)
-	var b strings.Builder
-	for _, row := range rows {
-		for _, u := range users {
-			fmt.Fprintf(&b, "%s/%s=%v;", u, row.Object, row.Possible(u))
-		}
-	}
-	return b.String()
 }
 
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -103,7 +88,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 func TestTailerLiveFollow(t *testing.T) {
 	p, ts := startPrimary(t, t.TempDir())
-	writeOps(t, p, 0, 10)
+	write(t, p, 0, 10)
 
 	r := openReplicaStore(t, t.TempDir())
 	tail := replica.Start(r, ts.URL, replica.WithBackoff(5*time.Millisecond, 100*time.Millisecond))
@@ -111,7 +96,7 @@ func TestTailerLiveFollow(t *testing.T) {
 
 	waitFor(t, 5*time.Second, "replica to reach lsn 10", func() bool { return r.LSN() == 10 })
 	// Writes landing while the stream is live keep flowing.
-	writeOps(t, p, 10, 7)
+	write(t, p, 10, 17)
 	// The store makes LSN 17 visible (and so drains Lag) before the tailer
 	// counts the batch, so wait for the tailer to account for all 17, as
 	// TestTailerTornStreamReconnects does.
@@ -121,9 +106,7 @@ func TestTailerLiveFollow(t *testing.T) {
 	})
 	waitFor(t, 5*time.Second, "lag to drain", func() bool { return tail.Lag() == 0 })
 
-	if got, want := fingerprint(t, r), fingerprint(t, p); got != want {
-		t.Fatalf("replica resolved state diverges:\n got %s\nwant %s", got, want)
-	}
+	sameState(t, r, p)
 	s := tail.Stats()
 	if s.Role != "replica" || s.Primary != ts.URL || !s.Connected {
 		t.Fatalf("stats role/primary/connected wrong: %+v", s)
@@ -138,7 +121,7 @@ func TestTailerLiveFollow(t *testing.T) {
 func TestTailerTornStreamReconnects(t *testing.T) {
 	defer faultinject.Reset()
 	p, ts := startPrimary(t, t.TempDir())
-	writeOps(t, p, 0, 20)
+	write(t, p, 0, 20)
 
 	// The 8th shipped record is cut 5 bytes in: a partial frame header
 	// lands on the wire and the stream ends — the shape a primary crash
@@ -170,18 +153,16 @@ func TestTailerTornStreamReconnects(t *testing.T) {
 	if r.DurableLSN() != 20 {
 		t.Fatalf("replica durable lsn = %d, want 20", r.DurableLSN())
 	}
-	if got, want := fingerprint(t, r), fingerprint(t, p); got != want {
-		t.Fatalf("post-reconnect resolved state diverges")
-	}
+	sameState(t, r, p)
 }
 
 func TestBootstrapFromSnapshot(t *testing.T) {
 	p, ts := startPrimary(t, t.TempDir())
-	writeOps(t, p, 0, 10)
+	write(t, p, 0, 10)
 	if _, err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	writeOps(t, p, 10, 5) // WAL suffix above the snapshot
+	write(t, p, 10, 15) // WAL suffix above the snapshot
 
 	rdir := t.TempDir()
 	installed, lsn, err := replica.Bootstrap(context.Background(), rdir, ts.URL, nil)
@@ -195,13 +176,11 @@ func TestBootstrapFromSnapshot(t *testing.T) {
 	tail := replica.Start(r, ts.URL, replica.WithBackoff(5*time.Millisecond, 100*time.Millisecond))
 	defer tail.Stop()
 	waitFor(t, 5*time.Second, "bootstrapped replica to catch up", func() bool { return r.LSN() == 15 })
-	if got, want := fingerprint(t, r), fingerprint(t, p); got != want {
-		t.Fatalf("bootstrapped replica resolved state diverges")
-	}
+	sameState(t, r, p)
 
 	// A primary with no checkpoint yet answers 204: nothing installed.
 	p2, ts2 := startPrimary(t, t.TempDir())
-	writeOps(t, p2, 0, 3)
+	write(t, p2, 0, 3)
 	if installed, _, err := replica.Bootstrap(context.Background(), t.TempDir(), ts2.URL, nil); err != nil || installed {
 		t.Fatalf("bootstrap without snapshot: installed=%v err=%v, want false/nil", installed, err)
 	}
@@ -211,11 +190,11 @@ func TestBootstrapFromSnapshot(t *testing.T) {
 // gets the unambiguous 410 signal, not a silent gap.
 func TestTailerPrunedLogNeedsBootstrap(t *testing.T) {
 	p, ts := startPrimary(t, t.TempDir())
-	writeOps(t, p, 0, 10)
+	write(t, p, 0, 10)
 	if _, err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	writeOps(t, p, 10, 5)
+	write(t, p, 10, 15)
 	if _, err := p.Checkpoint(); err != nil { // rotates again: first segment pruned
 		t.Fatal(err)
 	}
@@ -235,7 +214,7 @@ func TestTailerPrunedLogNeedsBootstrap(t *testing.T) {
 func TestSalvageDeadPrimaryTail(t *testing.T) {
 	pdir := t.TempDir()
 	p, ts := startPrimary(t, pdir)
-	writeOps(t, p, 0, 12)
+	write(t, p, 0, 12)
 
 	r := openReplicaStore(t, t.TempDir())
 	tail := replica.Start(r, ts.URL, replica.WithBackoff(5*time.Millisecond, 100*time.Millisecond))
@@ -244,7 +223,7 @@ func TestSalvageDeadPrimaryTail(t *testing.T) {
 
 	// The "primary" dies with 6 batches the replica never saw: simulate
 	// by writing them after the tail stopped, then closing the store.
-	writeOps(t, p, 12, 6)
+	write(t, p, 12, 18)
 	ts.Close()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -256,6 +235,11 @@ func TestSalvageDeadPrimaryTail(t *testing.T) {
 	if r.LSN() != 18 || r.DurableLSN() != 18 {
 		t.Fatalf("salvaged replica lsn=%d durable=%d, want 18", r.LSN(), r.DurableLSN())
 	}
+	oracle, err := storm.Oracle(context.Background(), stream[:18])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, r, oracle)
 	// Salvage is idempotent: nothing left to ship.
 	if n, err := replica.Salvage(pdir, r); err != nil || n != 0 {
 		t.Fatalf("second salvage = %d, %v; want 0", n, err)
@@ -265,7 +249,7 @@ func TestSalvageDeadPrimaryTail(t *testing.T) {
 func TestTailerSurvivesPrimaryRestart(t *testing.T) {
 	pdir := t.TempDir()
 	p, ts := startPrimary(t, pdir)
-	writeOps(t, p, 0, 5)
+	write(t, p, 0, 5)
 
 	r := openReplicaStore(t, t.TempDir())
 	tail := replica.Start(r, ts.URL, replica.WithBackoff(5*time.Millisecond, 100*time.Millisecond))
@@ -277,7 +261,7 @@ func TestTailerSurvivesPrimaryRestart(t *testing.T) {
 	// httptest server gets a new port, so the resume is exercised via the
 	// error path + reconnect counter rather than a same-port restart.)
 	ts.CloseClientConnections()
-	writeOps(t, p, 5, 3)
+	write(t, p, 5, 8)
 	waitFor(t, 5*time.Second, "replica to resync after drop", func() bool { return r.LSN() == 8 })
 	if s := tail.Stats(); s.Reconnects < 1 {
 		t.Fatalf("reconnects = %d, want >= 1", s.Reconnects)
