@@ -97,21 +97,25 @@ func allocatedBytes(f func()) uint64 {
 
 // TestCompileApplyBytesBudget ceilings the bytes a full Compile (plan
 // plus root supports) and a journaled one-edge Apply allocate on the
-// tiered power-law network at two sizes. The ceilings sit 10% above the
-// measured value, which spans the runtime's run-to-run spread. At 4× the
-// users Compile allocates 13.6× the bytes, where a quasi-linear plan
-// would stay near 4×: the budget records that superlinear growth until
-// Compile becomes linear in what it plans, which lowers the constants.
+// tiered power-law network at three sizes. The ceilings sit 10% above the
+// measured value, which spans the runtime's run-to-run spread. Compile is
+// linear in what it plans: each Step-2 round runs Tarjan over one
+// component's members on reused scratch, so 4× the users costs about 4.4×
+// the bytes. A Tarjan pass over the whole graph per flood round would
+// blow the n=4000 ceiling more than a hundredfold.
 func TestCompileApplyBytesBudget(t *testing.T) {
-	// Last moved: measured at db37d05. Compile spread over four runs was
-	// 3 787 712–3 788 608 B at n=250 and 51 554 976–51 561 088 B at n=1000;
-	// Apply measured exactly 112 944 B and 441 648 B.
+	// Last moved: measured on 0d04d3a plus the member-list Tarjan
+	// (graph.SCCOf) in planInto and Apply. Compile spread over twelve
+	// runs was 315 872–321 472 B at n=250, 1 388 960–1 394 928 B at n=1000
+	// and 6 314 032–6 319 520 B at n=4000; Apply measured 106 912 B,
+	// 421 856 B and 1 664 256 B (one run 112 416 B at n=250).
 	for _, c := range []struct {
 		users          int
 		compile, apply uint64
 	}{
-		{250, 3_788_608 * 11 / 10, 112_944 * 11 / 10},
-		{1000, 51_561_088 * 11 / 10, 441_648 * 11 / 10},
+		{250, 321_472 * 11 / 10, 106_912 * 11 / 10},
+		{1000, 1_394_928 * 11 / 10, 421_856 * 11 / 10},
+		{4000, 6_319_520 * 11 / 10, 1_664_256 * 11 / 10},
 	} {
 		n := tn.Binarize(workload.PowerLawTiered(rand.New(rand.NewSource(1)), c.users, 3, 3, 0.1, []tn.Value{"a", "b", "c"}))
 		n.EnableJournal()

@@ -41,6 +41,7 @@ package engine
 import (
 	"fmt"
 
+	"trustmap/internal/graph"
 	"trustmap/internal/tn"
 )
 
@@ -285,6 +286,7 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 	// dirty); fresh components take ids from ncomp upward, and descending
 	// local SCC ids are a topological order among them.
 	dead := make(map[int]bool)
+	var region []int // dirty reachable nodes, ascending: the SCC roots
 	for x := 0; x < nuNew; x++ {
 		if dirty[x] {
 			if cv := n.comp[x]; cv >= 0 {
@@ -294,26 +296,25 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 				}
 				n.comp[x] = -1
 			}
+			if n.reach[x] {
+				region = append(region, x)
+			}
 		}
 	}
 	st.DeadComps = len(dead)
 	n.deadComps += len(dead)
-	sub, nsub := n.g.SCC(func(v int) bool { return dirty[v] && n.reach[v] })
+	scratch := new(graph.SCCScratch)
+	nsub := n.g.SCCOf(region, func(v int) bool { return dirty[v] && n.reach[v] }, scratch)
 	st.NewComps = nsub
 	newComps := make([]int, 0, nsub)
 	for local := nsub - 1; local >= 0; local-- {
 		newComps = append(newComps, n.ncomp+local)
 	}
-	for x := 0; x < nuNew; x++ {
-		if sub[x] >= 0 {
-			n.comp[x] = n.ncomp + sub[x]
-		}
-	}
 	n.sccMembers = append(n.sccMembers, make([][]int, nsub)...)
-	for x := 0; x < nuNew; x++ { // ascending member order, as Compile builds it
-		if sub[x] >= 0 {
-			n.sccMembers[n.ncomp+sub[x]] = append(n.sccMembers[n.ncomp+sub[x]], x)
-		}
+	for _, x := range region { // ascending member order, as Compile builds it
+		cx := n.ncomp + scratch.Comp(x)
+		n.comp[x] = cx
+		n.sccMembers[cx] = append(n.sccMembers[cx], x)
 	}
 	n.ncomp += nsub
 	n.sccOrder = make([]int, 0, len(c.sccOrder)+nsub)
@@ -343,7 +344,7 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 			closed[x] = true
 		}
 	}
-	n.planInto(newComps, closed)
+	n.planInto(newComps, closed, scratch)
 	st.NewSteps = len(n.steps) - st.ReusedSteps
 
 	// Support splice: replay only the appended steps. Sources are clean

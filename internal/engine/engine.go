@@ -46,15 +46,21 @@
 // region exceeds a threshold it falls back to a full Compile.
 //
 // Unlike the iterated global Tarjan passes of resolve.Resolve (quadratic
-// on the nested-SCC family of Figure 14a), the planner here localizes each
-// Tarjan pass to one condensation component, so compilation stays
-// quasi-linear even on that worst case.
+// on the nested-SCC family of Figure 14a), the planner runs each Step-2
+// Tarjan pass over one condensation component's member list
+// (graph.SCCOf), on a generation-stamped graph.SCCScratch that one plan
+// reuses for every pass, so a pass costs that component's members and
+// their out-edges and allocates nothing once the scratch is warm. A
+// component left with a single open node skips Tarjan altogether.
+// Compilation is therefore linear in what it plans; only a component that
+// needs several flood rounds pays its size once per round.
 package engine
 
 import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -202,7 +208,7 @@ func Compile(network *tn.Network) (*CompiledNetwork, error) {
 			closed[x] = true
 		}
 	}
-	c.planInto(c.sccOrder, closed)
+	c.planInto(c.sccOrder, closed, new(graph.SCCScratch))
 	return c, nil
 }
 
@@ -259,10 +265,14 @@ func (c *CompiledNetwork) buildCondensation() {
 
 // planInto records the control flow of Algorithm 1 over the given
 // condensation components (in topological order) as steps appended to
-// c.steps, visiting one component per Tarjan pass so every pass is local.
+// c.steps. Each component is planned on its own: Step 1 drains the copies
+// its closed parents enable, and every Step-2 round runs SCCOf rooted at
+// the component's member list on the caller's scratch, so a round costs
+// the component's members and their out-edges, not the whole graph. A
+// component left with one open node floods it without a Tarjan pass.
 // closed marks the nodes already resolved before the plan starts: roots,
 // unreachable nodes, and — on the incremental path — every clean node.
-func (c *CompiledNetwork) planInto(comps []int, closed []bool) {
+func (c *CompiledNetwork) planInto(comps []int, closed []bool, scratch *graph.SCCScratch) {
 	nu := c.net.NumUsers()
 	// preferredChildren[z] lists open nodes whose effective preferred
 	// parent is z, for O(1) discovery of applicable Step-1 copies.
@@ -276,21 +286,47 @@ func (c *CompiledNetwork) planInto(comps []int, closed []bool) {
 		}
 	}
 
-	for _, comp := range comps {
-		firstStep := len(c.steps)
-		members := c.sccMembers[comp]
-		// Step-1 queue, local to this component. Parents outside the
-		// component are already closed (topological order), so the initial
-		// scan plus enqueues on close find every applicable copy.
-		var queue []int
-		enqueue := func(z int) {
-			for _, x := range preferredChildren[z] {
-				if !closed[x] && c.comp[x] == comp {
-					queue = append(queue, x)
+	var (
+		comp  int   // the component being planned
+		queue []int // Step-1 queue, local to comp
+		nOpen int   // comp's members not yet closed
+	)
+	// Parents outside comp are already closed (topological order), so the
+	// initial scan plus enqueues on close find every applicable copy.
+	enqueue := func(z int) {
+		for _, x := range preferredChildren[z] {
+			if !closed[x] && c.comp[x] == comp {
+				queue = append(queue, x)
+			}
+		}
+	}
+	open := func(v int) bool { return c.comp[v] == comp && !closed[v] }
+	flood := func(members []int) {
+		var sources []int
+		for _, x := range members {
+			for _, m := range c.net.In(x) {
+				if closed[m.Parent] && c.reach[m.Parent] {
+					sources = append(sources, m.Parent)
 				}
 			}
 		}
-		nOpen := 0
+		sort.Ints(sources)
+		sources = slices.Compact(sources)
+		c.steps = append(c.steps, Step{Kind: StepFlood, Members: members, Sources: sources})
+		for _, x := range members {
+			closed[x] = true
+		}
+		nOpen -= len(members)
+		for _, x := range members {
+			enqueue(x)
+		}
+	}
+
+	for _, comp = range comps {
+		firstStep := len(c.steps)
+		members := c.sccMembers[comp]
+		queue = queue[:0]
+		nOpen = 0
 		for _, x := range members {
 			if closed[x] {
 				continue
@@ -302,9 +338,8 @@ func (c *CompiledNetwork) planInto(comps []int, closed []bool) {
 		}
 		for nOpen > 0 {
 			// (S1) Drain preferred-edge copies.
-			for len(queue) > 0 {
-				x := queue[0]
-				queue = queue[1:]
+			for head := 0; head < len(queue); head++ {
+				x := queue[head]
 				if closed[x] {
 					continue
 				}
@@ -314,58 +349,49 @@ func (c *CompiledNetwork) planInto(comps []int, closed []bool) {
 				nOpen--
 				enqueue(x)
 			}
+			queue = queue[:0]
 			if nOpen == 0 {
 				break
+			}
+			if nOpen == 1 {
+				// A lone open node is its own minimal SCC.
+				for _, x := range members {
+					if !closed[x] {
+						flood([]int{x})
+						break
+					}
+				}
+				continue
 			}
 			// (S2) Flood the minimal SCCs of the remaining open members.
 			// Restricting Tarjan to this component is equivalent to the
 			// global pass of resolve.Resolve: all nodes outside it are
 			// either closed (earlier components) or unreachable from here
 			// (later components), so sub-component minimality within the
-			// member slice equals global minimality.
-			inComp := func(v int) bool { return c.comp[v] == comp && !closed[v] }
-			sub, nsub := c.g.SCC(inComp)
+			// member slice equals global minimality. Rooting the pass at
+			// the ascending member list numbers sub-components exactly as
+			// a whole-graph pass would.
+			nsub := c.g.SCCOf(members, open, scratch)
 			if nsub == 0 {
 				break
 			}
 			hasIncoming := make([]bool, nsub)
 			memberList := make([][]int, nsub)
 			for _, v := range members {
-				if sub[v] < 0 {
+				sv := scratch.Comp(v)
+				if sv < 0 {
 					continue
 				}
-				memberList[sub[v]] = append(memberList[sub[v]], v)
+				memberList[sv] = append(memberList[sv], v)
 				for _, m := range c.net.In(v) {
-					if cp := sub[m.Parent]; cp >= 0 && cp != sub[v] {
-						hasIncoming[sub[v]] = true
+					if sp := scratch.Comp(m.Parent); sp >= 0 && sp != sv {
+						hasIncoming[sv] = true
 					}
 				}
 			}
-			for s := 0; s < nsub; s++ {
-				if hasIncoming[s] {
-					continue
-				}
-				flood := memberList[s]
-				srcSet := map[int]bool{}
-				for _, x := range flood {
-					for _, m := range c.net.In(x) {
-						if closed[m.Parent] && c.reach[m.Parent] {
-							srcSet[m.Parent] = true
-						}
-					}
-				}
-				sources := make([]int, 0, len(srcSet))
-				for z := range srcSet {
-					sources = append(sources, z)
-				}
-				sort.Ints(sources)
-				c.steps = append(c.steps, Step{Kind: StepFlood, Members: flood, Sources: sources})
-				for _, x := range flood {
-					closed[x] = true
-					nOpen--
-				}
-				for _, x := range flood {
-					enqueue(x)
+			for sv, sub := range memberList {
+				if !hasIncoming[sv] {
+					flood(sub)
 				}
 			}
 		}

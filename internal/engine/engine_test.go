@@ -2,10 +2,14 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"trustmap/internal/tn"
+	"trustmap/internal/workload"
 )
 
 // buildOscillator returns the Figure 4b network (binary, two roots).
@@ -232,5 +236,60 @@ func TestBitset(t *testing.T) {
 	o.or(b)
 	if o.empty() || o.key() == b.key() {
 		t.Error("or/key broken")
+	}
+}
+
+// planDigest hashes the compiled plan (every step's kind, target, source,
+// members and sources) and its per-component step ranges with FNV-64a.
+func planDigest(c *CompiledNetwork) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
+		h.Write(buf[:])
+	}
+	putAll := func(vs []int) {
+		put(len(vs))
+		for _, v := range vs {
+			put(v)
+		}
+	}
+	for _, s := range c.steps {
+		put(int(s.Kind))
+		put(s.Target)
+		put(s.Source)
+		putAll(s.Members)
+		putAll(s.Sources)
+	}
+	for _, r := range c.planRanges {
+		put(int(r.comp))
+		put(int(r.lo))
+		put(int(r.hi))
+	}
+	return h.Sum64()
+}
+
+// TestCompilePlanDigest pins the plan Compile records on three network
+// families: the planner's SCC strategy may change how it finds each flood,
+// never which steps it emits, in which order, or how they group into
+// components.
+func TestCompilePlanDigest(t *testing.T) {
+	vals := []tn.Value{"a", "b", "c"}
+	for _, c := range []struct {
+		name   string
+		net    *tn.Network
+		digest uint64
+	}{
+		{"powerlaw-tiered-1500", tn.Binarize(workload.PowerLawTiered(rand.New(rand.NewSource(1)), 1500, 2, 3, 0.1, vals)), 0x91991917813860e3},
+		{"nested-scc-30", tn.Binarize(workload.NestedSCC(30)), 0x1c2be17e32a73c9e},
+		{"oscillators-8", tn.Binarize(workload.OscillatorClusters(8)), 0x231c18d2d86e44a5},
+	} {
+		cn, err := Compile(c.net)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := planDigest(cn); got != c.digest {
+			t.Errorf("%s: plan digest %#016x, want %#016x (%d steps, %d ranges)", c.name, got, c.digest, len(cn.steps), len(cn.planRanges))
+		}
 	}
 }

@@ -91,6 +91,12 @@ func FuzzEngineParity(f *testing.F) {
 	f.Add([]byte{8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{4, 3, 1, 0, 0, 2, 1, 1, 5, 1, 3, 0, 1, 1, 2, 2, 4, 0})
 	f.Add([]byte{12, 0, 1, 2, 0, 2, 1, 1, 0, 3, 2, 2, 5, 0, 4, 1, 1, 2, 0, 5, 1, 3, 0, 0, 1, 2})
+	// A 3-cycle u1->u2->u3->u1 whose entries u0->u1 and u0->u2 tie with
+	// the cycle edges, so Compile floods all three members through SCCOf.
+	// The two batches raise u0->u1 above its tie and lower it back:
+	// Apply replans the component with two open members (u1 copies, u2
+	// floods alone, u3 copies), then floods the whole cycle again.
+	f.Add([]byte{2, 0, 0, 2, 1, 1, 0, 3, 2, 1, 0, 1, 3, 1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 || len(data) > 512 {
 			t.Skip()

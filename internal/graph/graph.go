@@ -1,7 +1,9 @@
 // Package graph provides the directed-graph algorithms that the conflict
 // resolution algorithms of the paper are built on: Tarjan's strongly
 // connected components (used by Algorithms 1 and 2 on every iteration of
-// their Step 2), condensation, reachability, topological order, and the
+// their Step 2: SCC over the whole graph, or SCCOf over a caller's root
+// list on reusable, generation-stamped scratch, so a pass costs only what
+// it visits), condensation, reachability, topological order, and the
 // max-flow based disjoint-path checks used by the possible-pairs extension
 // (Proposition 2.13).
 //
@@ -103,87 +105,143 @@ func (g *Digraph) Clone() *Digraph {
 // paper's orientation: no outgoing edges to other components).
 //
 // The implementation is Tarjan's algorithm with an explicit stack so that
-// deep graphs (long chains) do not overflow the goroutine stack.
+// deep graphs (long chains) do not overflow the goroutine stack. It is
+// SCCOf rooted at every node, on a scratch of its own.
 func (g *Digraph) SCC(active func(int) bool) (comp []int, ncomp int) {
-	const unvisited = -1
-	n := g.n
-	comp = make([]int, n)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range comp {
-		comp[i] = -1
-		index[i] = unvisited
+	var s SCCScratch
+	s.reset(g.n)
+	for v := 0; v < g.n; v++ {
+		s.visit(g, v, active)
 	}
-	next := 0
-	var stack []int // Tarjan stack
-	// Explicit DFS state: frame holds the node and the next out-edge index.
-	type frame struct {
-		v  int
-		ei int
+	comp = make([]int, g.n)
+	for v := range comp {
+		comp[v] = s.Comp(v)
 	}
-	var dfs []frame
+	return comp, s.ncomp
+}
 
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited || (active != nil && !active(root)) {
-			continue
-		}
-		dfs = append(dfs[:0], frame{v: root})
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(dfs) > 0 {
-			f := &dfs[len(dfs)-1]
-			v := f.v
-			advanced := false
-			for f.ei < len(g.adj[v]) {
-				w := g.adj[v][f.ei]
-				f.ei++
+// SCCScratch is the reusable state of SCCOf. Its per-node arrays are
+// stamped with a generation per call instead of being cleared, so a call
+// costs only what it visits. The zero value is ready to use; a scratch must
+// not be shared by concurrent calls.
+type SCCScratch struct {
+	gen   uint32
+	stamp []uint32 // stamp[v] == gen: v was visited by the current call
+	index []int32
+	low   []int32
+	comp  []int32 // -1 while v is on the Tarjan stack
+	stack []int
+	dfs   []sccFrame
+	next  int32
+	ncomp int
+}
+
+// sccFrame is one explicit-DFS frame: a node and its next out-edge index.
+type sccFrame struct{ v, ei int }
+
+// SCCOf computes the strongly connected components of the subgraph
+// induced by active (nil for every node), rooting Tarjan's DFS at roots in
+// order, on caller-owned scratch. Roots must be ascending and must include
+// every active node; inactive roots are skipped. The numbering then equals
+// SCC(active)'s, and a call costs O(len(roots) + the out-edges of the
+// active nodes) with no allocation once s has grown to g's size. It
+// returns the number of components; s.Comp reads the labelling until the
+// next call on s.
+func (g *Digraph) SCCOf(roots []int, active func(int) bool, s *SCCScratch) (ncomp int) {
+	s.reset(g.n)
+	for _, r := range roots {
+		s.visit(g, r, active)
+	}
+	return s.ncomp
+}
+
+// Comp returns v's component from the last SCCOf call on s, or -1 when
+// that call did not label v.
+func (s *SCCScratch) Comp(v int) int {
+	if v < 0 || v >= len(s.stamp) || s.stamp[v] != s.gen {
+		return -1
+	}
+	return int(s.comp[v])
+}
+
+// reset starts a new generation over n nodes. Stamps are cleared only when
+// the generation counter wraps, so no stale stamp can match.
+func (s *SCCScratch) reset(n int) {
+	if len(s.stamp) < n {
+		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
+		s.index = append(s.index, make([]int32, n-len(s.index))...)
+		s.low = append(s.low, make([]int32, n-len(s.low))...)
+		s.comp = append(s.comp, make([]int32, n-len(s.comp))...)
+	}
+	s.gen++
+	if s.gen == 0 {
+		clear(s.stamp)
+		s.gen = 1
+	}
+	s.next, s.ncomp = 0, 0
+}
+
+// visit runs Tarjan's DFS from root unless root is inactive or already
+// visited in this generation, numbering every component it closes.
+func (s *SCCScratch) visit(g *Digraph, root int, active func(int) bool) {
+	if s.stamp[root] == s.gen || (active != nil && !active(root)) {
+		return
+	}
+	s.open(root)
+	s.dfs = append(s.dfs[:0], sccFrame{v: root})
+	for len(s.dfs) > 0 {
+		f := &s.dfs[len(s.dfs)-1]
+		v := f.v
+		advanced := false
+		for f.ei < len(g.adj[v]) {
+			w := g.adj[v][f.ei]
+			f.ei++
+			if s.stamp[w] != s.gen {
 				if active != nil && !active(w) {
 					continue
 				}
-				if index[w] == unvisited {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					dfs = append(dfs, frame{v: w})
-					advanced = true
+				s.open(w)
+				s.dfs = append(s.dfs, sccFrame{v: w})
+				advanced = true
+				break
+			}
+			if s.comp[w] < 0 && s.index[w] < s.low[v] {
+				s.low[v] = s.index[w]
+			}
+		}
+		if advanced {
+			continue
+		}
+		// v is finished.
+		if s.low[v] == s.index[v] {
+			for {
+				w := s.stack[len(s.stack)-1]
+				s.stack = s.stack[:len(s.stack)-1]
+				s.comp[w] = int32(s.ncomp)
+				if w == v {
 					break
 				}
-				if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
 			}
-			if advanced {
-				continue
-			}
-			// v is finished.
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = ncomp
-					if w == v {
-						break
-					}
-				}
-				ncomp++
-			}
-			dfs = dfs[:len(dfs)-1]
-			if len(dfs) > 0 {
-				p := dfs[len(dfs)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
+			s.ncomp++
+		}
+		s.dfs = s.dfs[:len(s.dfs)-1]
+		if len(s.dfs) > 0 {
+			p := s.dfs[len(s.dfs)-1].v
+			if s.low[v] < s.low[p] {
+				s.low[p] = s.low[v]
 			}
 		}
 	}
-	return comp, ncomp
+}
+
+// open stamps v, numbers it, and pushes it on the Tarjan stack.
+func (s *SCCScratch) open(v int) {
+	s.stamp[v] = s.gen
+	s.index[v] = s.next
+	s.low[v] = s.next
+	s.comp[v] = -1
+	s.next++
+	s.stack = append(s.stack, v)
 }
 
 // Condense builds the condensation of g given a component labelling (as

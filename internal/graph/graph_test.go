@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -78,6 +79,117 @@ func TestSCCDeepChainNoOverflow(t *testing.T) {
 	_, ncomp := g.SCC(nil)
 	if ncomp != n {
 		t.Fatalf("want %d components, got %d", n, ncomp)
+	}
+}
+
+// TestSCCOfDeepChainNoOverflow is the deep-chain case through SCCOf.
+func TestSCCOfDeepChainNoOverflow(t *testing.T) {
+	n := 200000
+	g := New(n)
+	roots := make([]int, n)
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(i, i+1)
+		roots[i+1] = i + 1
+	}
+	var s SCCScratch
+	if ncomp := g.SCCOf(roots, nil, &s); ncomp != n {
+		t.Fatalf("want %d components, got %d", n, ncomp)
+	}
+	if s.Comp(0) != n-1 || s.Comp(n-1) != 0 {
+		t.Fatalf("chain numbering: comp(0)=%d comp(n-1)=%d", s.Comp(0), s.Comp(n-1))
+	}
+}
+
+// randomActiveCase draws a digraph with self-loops and parallel edges, an
+// active subset, and an ascending root list covering it: sometimes exactly
+// the active nodes, sometimes every node.
+func randomActiveCase(rng *rand.Rand) (*Digraph, func(int) bool, []int) {
+	n := 1 + rng.Intn(40)
+	g := New(n)
+	for e := 0; e < rng.Intn(3*n); e++ {
+		u := rng.Intn(n)
+		v := rng.Intn(n)
+		switch rng.Intn(8) {
+		case 0:
+			v = u // self-loop
+		case 1:
+			g.AddEdge(u, v) // parallel pair
+		}
+		g.AddEdge(u, v)
+	}
+	on := make([]bool, n)
+	var roots []int
+	every := rng.Intn(3) == 0
+	for v := range on {
+		on[v] = rng.Intn(4) != 0
+		if on[v] || every {
+			roots = append(roots, v)
+		}
+	}
+	return g, func(v int) bool { return on[v] }, roots
+}
+
+// checkSCCOf asserts SCCOf's labelling and count equal SCC(active)'s.
+func checkSCCOf(t *testing.T, g *Digraph, active func(int) bool, roots []int, s *SCCScratch) {
+	t.Helper()
+	want, wantN := g.SCC(active)
+	if got := g.SCCOf(roots, active, s); got != wantN {
+		t.Fatalf("SCCOf found %d components, SCC %d", got, wantN)
+	}
+	for v := range want {
+		if got := s.Comp(v); got != want[v] {
+			t.Fatalf("node %d: SCCOf comp %d, SCC comp %d (roots %v)", v, got, want[v], roots)
+		}
+	}
+}
+
+func TestSCCOfMatchesSCC(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var s SCCScratch // shared across graphs of varying size
+	for i := 0; i < 2000; i++ {
+		g, active, roots := randomActiveCase(rng)
+		checkSCCOf(t, g, active, roots, &s)
+	}
+}
+
+func TestSCCOfZeroAllocsWarm(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g, active, roots := randomActiveCase(rng)
+	for len(roots) < 20 {
+		g, active, roots = randomActiveCase(rng)
+	}
+	var s SCCScratch
+	g.SCCOf(roots, active, &s)
+	if a := testing.AllocsPerRun(100, func() { g.SCCOf(roots, active, &s) }); a != 0 {
+		t.Fatalf("warm SCCOf allocated %.1f times per call", a)
+	}
+}
+
+// TestSCCOfGenerationWrap starts the generation counter just below the
+// wrap after stamping every node: stamps from before the wrap must not
+// label nodes a later call never visited.
+func TestSCCOfGenerationWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g, _, _ := randomActiveCase(rng)
+	for g.N() < 10 {
+		g, _, _ = randomActiveCase(rng)
+	}
+	all := make([]int, g.N())
+	for v := range all {
+		all[v] = v
+	}
+	var s SCCScratch
+	g.SCCOf(all, nil, &s) // stamps every node with generation 1
+	s.gen = math.MaxUint32 - 1
+	for i := 0; i < 6; i++ { // crosses MaxUint32, 0 and 1
+		on := make([]bool, g.N())
+		var roots []int
+		for v := range on {
+			if on[v] = rng.Intn(3) == 0; on[v] {
+				roots = append(roots, v)
+			}
+		}
+		checkSCCOf(t, g, func(v int) bool { return on[v] }, roots, &s)
 	}
 }
 
