@@ -161,8 +161,10 @@ deps-gate:
 # /v1/wal frame decoder (arbitrary bytes never panic; every error is
 # io.EOF or a torn stream), WAL recovery over an arbitrary segment (never
 # panics; replays only CRC-valid, LSN-contiguous batches; truncation is
-# idempotent), and the snapshot decoder a bootstrapping replica feeds
-# with GET /v1/snapshot (never panics; accepted files round-trip).
+# idempotent), the snapshot decoder a bootstrapping replica feeds
+# with GET /v1/snapshot (never panics; accepted files round-trip), and the
+# store's binarized twin (any trust/belief mutation sequence resolves like
+# a fresh compile of the store's network).
 fuzz:
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzEngineParity -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run=NONE -fuzz=FuzzQueryPlanParity -fuzztime=$(FUZZTIME)
@@ -170,6 +172,7 @@ fuzz:
 	$(GO) test ./internal/wal -run=NONE -fuzz=FuzzStreamFrames -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run=NONE -fuzz=FuzzWALOpen -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snapshot -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME)
+	$(GO) test . -run=NONE -fuzz=FuzzStoreTwinParity -fuzztime=$(FUZZTIME)
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -11,12 +11,13 @@ import "fmt"
 // Two transformations are applied:
 //
 //  1. Every node x with an explicit belief and at least one parent gets a
-//     fresh root x0 carrying the belief, connected to x with a priority
-//     strictly above all of x's existing mappings.
+//     fresh root x0 (named CarrierName(x)) carrying the belief, connected
+//     to x with a priority strictly above all of x's existing mappings.
 //  2. Every node x with k > 2 parents is cascaded into a chain of binary
 //     steps y_2 .. y_{k-1} following rules (a)-(e) of Figure 9, ordered
 //     from lowest to highest priority so that equal-priority groups form
-//     subtrees (Figure 10).
+//     subtrees (Figure 10). Nodes with k <= 2 parents are encoded by
+//     EncodeParents.
 //
 // In the output, binary nodes use priority 2 for a preferred edge and 1 for
 // non-preferred edges, as in the paper.
@@ -28,11 +29,11 @@ func Binarize(n *Network) *Network {
 	// Step 1: hoist explicit beliefs off internal nodes.
 	// We record, per node, the full parent list (possibly extended with the
 	// hoisted root) before cascading.
-	parents := make([][]edge, n.NumUsers())
+	parents := make([][]Mapping, n.NumUsers())
 	for x := 0; x < n.NumUsers(); x++ {
 		in := n.in[x]                       // sorted by priority desc
 		for i := len(in) - 1; i >= 0; i-- { // ascending priority
-			parents[x] = append(parents[x], edge{in[i].Parent, in[i].Priority})
+			parents[x] = append(parents[x], in[i])
 		}
 		v := n.explicit[x]
 		if v == NoValue {
@@ -42,49 +43,77 @@ func Binarize(n *Network) *Network {
 			b.SetExplicit(x, v)
 			continue
 		}
-		x0 := b.AddUser(fmt.Sprintf("%s#b0", n.names[x]))
+		x0 := b.AddUser(CarrierName(n.names[x]))
 		b.SetExplicit(x0, v)
-		top := in[0].Priority
-		parents[x] = append(parents[x], edge{x0, top + 1})
+		parents[x] = append(parents[x], Mapping{Parent: x0, Child: x, Priority: in[0].Priority + 1})
 	}
 	// Step 2: emit mappings, cascading where k > 2.
 	for x := 0; x < n.NumUsers(); x++ {
 		ps := parents[x] // ascending priority: p1 <= p2 <= ... <= pk
-		k := len(ps)
-		switch {
-		case k == 0:
-			// root; nothing to do
-		case k == 1:
-			b.AddMapping(ps[0].parent, x, 2)
-		case k == 2:
-			if ps[0].priority == ps[1].priority {
-				b.AddMapping(ps[0].parent, x, 1)
-				b.AddMapping(ps[1].parent, x, 1)
-			} else {
-				b.AddMapping(ps[0].parent, x, 1)
-				b.AddMapping(ps[1].parent, x, 2)
-			}
-		default:
+		if len(ps) > 2 {
 			cascade(b, n.names[x], x, ps)
+			continue
+		}
+		EncodeParents(ps)
+		for _, m := range ps {
+			b.AddMapping(m.Parent, x, m.Priority)
 		}
 	}
 	return b
 }
 
-// cascade emits the binary cascade for node x with parents ps (ascending
-// priority, k >= 3), following rules (a)-(e) of Figure 9. Notation matches
-// the paper: z_i = ps[i-1].parent, y_1 = z_1, y_k = x, and y_2..y_{k-1} are
-// fresh nodes. Priorities in the binarized graph are 2 (preferred) and 1
-// (non-preferred).
-// edge is a (parent, priority) pair used while building the cascade.
-type edge struct {
-	parent, priority int
+// EncodeParents rewrites, in place, the priorities of a node's incoming
+// mappings to their binarized ones, for a node with at most two parents
+// (its helper belief carrier counted, see Binarize): a sole parent is
+// preferred (2); of two, the higher priority is preferred (2) over the
+// other (1), and a tie leaves both non-preferred (1). More parents need
+// Binarize's cascade.
+func EncodeParents(ps []Mapping) {
+	switch len(ps) {
+	case 0:
+	case 1:
+		ps[0].Priority = 2
+	case 2:
+		lo, hi := &ps[0], &ps[1]
+		if lo.Priority > hi.Priority {
+			lo, hi = hi, lo
+		}
+		if lo.Priority == hi.Priority {
+			lo.Priority, hi.Priority = 1, 1
+		} else {
+			lo.Priority, hi.Priority = 1, 2
+		}
+	default:
+		panic(fmt.Sprintf("tn: EncodeParents of %d parents; Binarize cascades them", len(ps)))
+	}
 }
 
-func cascade(b *Network, xname string, x int, ps []edge) {
+// CarrierName names the helper root that carries the explicit belief of
+// the user called name once that user has parents (Binarize's step 1).
+func CarrierName(name string) string { return name + "#b0" }
+
+// Carrier locates the node carrying x's explicit belief in the binarized
+// network b: x itself if it stayed a root, otherwise its helper named by
+// CarrierName.
+func Carrier(b *Network, x int) int {
+	if b.HasExplicit(x) {
+		return x
+	}
+	if h := b.UserID(CarrierName(b.Name(x))); h >= 0 {
+		return h
+	}
+	return x
+}
+
+// cascade emits the binary cascade for node x with parents ps (ascending
+// priority, k >= 3), following rules (a)-(e) of Figure 9. Notation matches
+// the paper: z_i = ps[i-1].Parent, y_1 = z_1, y_k = x, and y_2..y_{k-1} are
+// fresh nodes. Priorities in the binarized graph are 2 (preferred) and 1
+// (non-preferred).
+func cascade(b *Network, xname string, x int, ps []Mapping) {
 	k := len(ps)
-	pr := func(i int) int { return ps[i-1].priority } // p_i, 1-based
-	z := func(i int) int { return ps[i-1].parent }    // z_i, 1-based
+	pr := func(i int) int { return ps[i-1].Priority } // p_i, 1-based
+	z := func(i int) int { return ps[i-1].Parent }    // z_i, 1-based
 	y := make([]int, k+1)                             // y_1..y_k, 1-based
 	y[1] = z(1)
 	for i := 2; i < k; i++ {

@@ -28,7 +28,7 @@ func (n *Network) bulkResolveFresh(ctx context.Context, objects map[string]map[s
 			if id < 0 {
 				return nil, fmt.Errorf("trustmap: unknown user %q in object beliefs", user)
 			}
-			shape.SetExplicit(id, "seed")
+			shape.SetExplicit(id, seedBelief)
 		}
 	}
 	b := tn.Binarize(shape)
@@ -41,7 +41,7 @@ func (n *Network) bulkResolveFresh(ctx context.Context, objects map[string]map[s
 		for user, v := range bs {
 			id, ok := rootOf[user]
 			if !ok {
-				id = findRootFor(b, shape.UserID(user))
+				id = tn.Carrier(b, shape.UserID(user))
 				rootOf[user] = id
 			}
 			m[id] = tn.Value(v)

@@ -282,10 +282,14 @@ func (t *StoreTx) record(op wire.Op) {
 	}
 }
 
+// Each mutator below applies its change to the store's network, then
+// has reencode bring the touched user's binarized encoding in line
+// (twin.go).
+
 // SetTrust is Store.SetTrust within the batch.
 func (t *StoreTx) SetTrust(truster, trusted string, priority int) error {
-	if !t.s.updateTrustLocked(truster, trusted, priority) {
-		if err := t.s.addTrustLocked(truster, trusted, priority); err != nil {
+	if !t.reprioritize(truster, trusted, priority) {
+		if err := t.addMapping(truster, trusted, priority); err != nil {
 			return err
 		}
 	}
@@ -296,10 +300,30 @@ func (t *StoreTx) SetTrust(truster, trusted string, priority int) error {
 // AddTrust adds a new mapping, erroring if it already exists (use
 // SetTrust to upsert).
 func (t *StoreTx) AddTrust(truster, trusted string, priority int) error {
-	if err := t.s.addTrustLocked(truster, trusted, priority); err != nil {
+	if err := t.addMapping(truster, trusted, priority); err != nil {
 		return err
 	}
 	t.record(wire.Op{Op: wire.OpAddTrust, Truster: truster, Trusted: trusted, Priority: priority})
+	return nil
+}
+
+// addMapping adds truster -> trusted. Unlike Network.AddTrust it rejects
+// self-trust and duplicate mappings immediately instead of at the next
+// validation.
+func (t *StoreTx) addMapping(truster, trusted string, priority int) error {
+	if truster == trusted {
+		return fmt.Errorf("trustmap: user %q cannot trust itself", truster)
+	}
+	s := t.s
+	x, z := s.net.AddUser(truster), s.net.AddUser(trusted)
+	pre := len(s.net.In(x))
+	for _, m := range s.net.In(x) {
+		if m.Parent == z {
+			return fmt.Errorf("trustmap: mapping %q -> %q already exists; use UpdateTrust", trusted, truster)
+		}
+	}
+	s.net.AddMapping(z, x, priority)
+	s.reencode(x, pre, true)
 	return nil
 }
 
@@ -307,35 +331,61 @@ func (t *StoreTx) AddTrust(truster, trusted string, priority int) error {
 // existed. The error is always nil (publication errors surface from
 // Update itself); the shape is the one wire.Op.Apply dispatches onto.
 func (t *StoreTx) UpdateTrust(truster, trusted string, priority int) (bool, error) {
-	ok := t.s.updateTrustLocked(truster, trusted, priority)
+	ok := t.reprioritize(truster, trusted, priority)
 	if ok {
 		t.record(wire.Op{Op: wire.OpUpdateTrust, Truster: truster, Trusted: trusted, Priority: priority})
 	}
 	return ok, nil
 }
 
+// reprioritize re-prioritizes truster -> trusted and reports whether the
+// mapping existed.
+func (t *StoreTx) reprioritize(truster, trusted string, priority int) bool {
+	s := t.s
+	x, z := s.net.UserID(truster), s.net.UserID(trusted)
+	if x < 0 || z < 0 || !s.net.SetMappingPriority(z, x, priority) {
+		return false
+	}
+	s.reencode(x, len(s.net.In(x)), true)
+	return true
+}
+
 // RemoveTrust is Store.RemoveTrust within the batch. The error is always
 // nil, as for UpdateTrust.
 func (t *StoreTx) RemoveTrust(truster, trusted string) (bool, error) {
-	ok := t.s.removeTrustLocked(truster, trusted)
-	if ok {
-		t.record(wire.Op{Op: wire.OpRemoveTrust, Truster: truster, Trusted: trusted})
+	s := t.s
+	x, z := s.net.UserID(truster), s.net.UserID(trusted)
+	if x < 0 || z < 0 || !s.net.RemoveMapping(z, x) {
+		return false, nil
 	}
-	return ok, nil
+	s.reencode(x, len(s.net.In(x))+1, true)
+	t.record(wire.Op{Op: wire.OpRemoveTrust, Truster: truster, Trusted: trusted})
+	return true, nil
 }
 
-// SetDefault is Store.SetDefault within the batch.
+// SetDefault is Store.SetDefault within the batch. A value update on an
+// existing belief is free for the plan: the resolution plan is
+// belief-value-independent, so the next epoch shares the compiled
+// artifact and only swaps the defaults.
 func (t *StoreTx) SetDefault(user, value string) error {
-	if err := t.s.setBeliefLocked(user, value); err != nil {
-		return err
+	if value == "" {
+		return fmt.Errorf("trustmap: empty value; use RemoveBelief to revoke")
 	}
+	s := t.s
+	x := s.net.AddUser(user)
+	s.net.SetExplicit(x, tn.Value(value))
+	s.reencode(x, len(s.net.In(x)), false)
 	t.record(wire.Op{Op: wire.OpSetBelief, User: user, Value: value})
 	return nil
 }
 
-// DeleteDefault is Store.DeleteDefault within the batch.
+// DeleteDefault is Store.DeleteDefault within the batch. Revoking an
+// absent belief is a no-op.
 func (t *StoreTx) DeleteDefault(user string) error {
-	if t.s.removeBeliefLocked(user) {
+	s := t.s
+	if x := s.net.UserID(user); x >= 0 && s.net.HasExplicit(x) {
+		s.net.SetExplicit(x, tn.NoValue)
+		s.reencode(x, len(s.net.In(x)), false)
 		t.record(wire.Op{Op: wire.OpRemoveBelief, User: user})
 	}
 	return nil

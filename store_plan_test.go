@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 )
@@ -74,39 +75,48 @@ func planObjects(rng *rand.Rand, roots []string, count int) map[string]map[strin
 	return out
 }
 
-// assertMatchesFresh compares the store's ad-hoc batch resolution
-// with a from-scratch bulkResolveFresh on the store's network and the
-// same objects, for every user and object.
+// assertMatchesFresh fails the test where matchesFresh finds a
+// divergence.
 func assertMatchesFresh(t *testing.T, label string, s *Store, objects map[string]map[string]string) {
 	t.Helper()
+	if err := matchesFresh(s, objects); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// matchesFresh compares the store's ad-hoc batch resolution with a
+// from-scratch bulkResolveFresh on the store's network and the same
+// objects, for every user and object.
+func matchesFresh(s *Store, objects map[string]map[string]string) error {
 	got, err := s.ResolveBatch(context.Background(), objects)
 	if err != nil {
-		t.Fatalf("%s: store resolve: %v", label, err)
+		return fmt.Errorf("store resolve: %w", err)
 	}
 	n := storeNet(s)
 	want, err := n.bulkResolveFresh(context.Background(), objects, 2)
 	if err != nil {
-		t.Fatalf("%s: fresh resolve: %v", label, err)
+		return fmt.Errorf("fresh resolve: %w", err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%s: store resolved %d rows, fresh %d", label, len(got), len(want))
+		return fmt.Errorf("store resolved %d rows, fresh %d", len(got), len(want))
 	}
 	for i, row := range got {
 		k := row.Object
 		if k != want[i].Object {
-			t.Fatalf("%s: row %d: store %q vs fresh %q", label, i, k, want[i].Object)
+			return fmt.Errorf("row %d: store %q vs fresh %q", i, k, want[i].Object)
 		}
 		for _, u := range n.Users() {
 			if g, w := row.Possible(u), want[i].Possible(u); !eqStrs(g, w) {
-				t.Fatalf("%s: poss(%s, %s): store %v vs fresh %v", label, u, k, g, w)
+				return fmt.Errorf("poss(%s, %s): store %v vs fresh %v", u, k, g, w)
 			}
 			gc, gok := row.Certain(u)
 			wc, wok := want[i].Certain(u)
 			if gc != wc || gok != wok {
-				t.Fatalf("%s: cert(%s, %s): store %q,%v vs fresh %q,%v", label, u, k, gc, gok, wc, wok)
+				return fmt.Errorf("cert(%s, %s): store %q,%v vs fresh %q,%v", u, k, gc, gok, wc, wok)
 			}
 		}
 	}
+	return nil
 }
 
 // TestSessionLifecycle walks the documented lifecycle: compile once,
@@ -165,10 +175,11 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestSessionRandomizedParityWithFresh is the heavyweight translation
+// TestSessionRandomizedParityWithFresh is the heavyweight re-encoding
 // check: random facade networks (non-binary, cascades, hoisting) mutated
 // through the store must resolve identically to a from-scratch
-// bulkResolveFresh at every checkpoint.
+// bulkResolveFresh at every checkpoint — after every op on the small
+// networks of the "small" regime.
 func TestSessionRandomizedParityWithFresh(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		seed := seed
@@ -230,6 +241,163 @@ func TestSessionRandomizedParityWithFresh(t *testing.T) {
 			}
 		})
 	}
+	// Small networks, where every op is likely to move a user across an
+	// encoding boundary: a first parent, a hoisted belief, a revoked one.
+	t.Run("small", func(t *testing.T) {
+		t.Parallel()
+		const seeds = 1000
+		var failed []int64
+		var first error
+		for seed := int64(0); seed < seeds; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			if err := twinParity(randomTwinCase(rng), rng); err != nil {
+				if first == nil {
+					first = fmt.Errorf("seed %d: %w", seed, err)
+				}
+				failed = append(failed, seed)
+			}
+		}
+		if len(failed) > 0 {
+			t.Fatalf("%d of %d seeds diverge from a fresh compile %v; first: %v", len(failed), seeds, failed, first)
+		}
+	})
+}
+
+// twinOp is one trust-network mutation of a small-network parity case,
+// on users u<a> and u<b>: kind 0 adds trust a -> b with priority prio, 1
+// revokes it, 2 re-prioritizes it, 3 sets a's belief to v<prio%3> and 4
+// revokes it.
+type twinOp struct{ kind, a, b, prio int }
+
+// twinCase is one small-network parity case: users u0..u<users-1>, the
+// trust edges of setup (kinds ignored), belief "v0" on u<belief> and
+// the extra root u<extra> (none when extra is negative) at compile time,
+// then ops applied one at a time.
+type twinCase struct {
+	users, belief, extra int
+	setup, ops           []twinOp
+}
+
+// randomTwinCase draws 3–6 users, up to one setup edge per user, an
+// extra root half the time and 12 mixed trust and belief ops.
+func randomTwinCase(rng *rand.Rand) twinCase {
+	c := twinCase{users: 3 + rng.Intn(4), extra: -1}
+	c.belief = rng.Intn(c.users)
+	if rng.Intn(2) == 0 {
+		c.extra = rng.Intn(c.users)
+	}
+	op := func(kind int) twinOp {
+		return twinOp{kind, rng.Intn(c.users), rng.Intn(c.users), 1 + rng.Intn(5)}
+	}
+	for i := rng.Intn(c.users + 1); i > 0; i-- {
+		c.setup = append(c.setup, op(0))
+	}
+	for i := 0; i < 12; i++ {
+		c.ops = append(c.ops, op(rng.Intn(5)))
+	}
+	return c
+}
+
+// decodeTwinCase reads a small-network parity case from fuzz bytes: the
+// user count, the belief holder, the extra root and the setup edge
+// count, then four bytes per op.
+func decodeTwinCase(data []byte) twinCase {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	c := twinCase{users: 2 + at(0)%5}
+	c.belief, c.extra = at(1)%c.users, at(2)%(c.users+1)-1
+	nsetup := at(3) % (c.users + 1)
+	for i := 4; i+4 <= len(data) && len(c.ops) < 24; i += 4 {
+		op := twinOp{int(data[i]) % 5, int(data[i+1]) % c.users, int(data[i+2]) % c.users, 1 + int(data[i+3])%5}
+		if len(c.setup) < nsetup {
+			c.setup = append(c.setup, op)
+		} else {
+			c.ops = append(c.ops, op)
+		}
+	}
+	return c
+}
+
+// twinParity compiles c's network into a store that folds every change
+// in incrementally (WithMaxDirtyFraction(1)), applies c's ops one at a
+// time, and compares the store with a fresh compile of its network
+// after every op, on objects drawn from rng over the plan's roots.
+func twinParity(c twinCase, rng *rand.Rand) error {
+	ctx := context.Background()
+	name := func(i int) string { return fmt.Sprintf("u%d", i) }
+	n := New()
+	for i := 0; i < c.users; i++ {
+		n.AddUser(name(i))
+	}
+	edges := map[[2]int]bool{}
+	for _, op := range c.setup {
+		if op.a != op.b && !edges[[2]int{op.a, op.b}] {
+			edges[[2]int{op.a, op.b}] = true
+			n.AddTrust(name(op.a), name(op.b), op.prio)
+		}
+	}
+	n.SetBelief(name(c.belief), "v0")
+	opts := []StoreOption{WithWorkers(1), WithMaxDirtyFraction(1)}
+	var extras []string
+	if c.extra >= 0 {
+		extras = []string{name(c.extra)}
+		opts = append(opts, WithExtraRoots(extras...))
+	}
+	s, err := n.NewStore(opts...)
+	if err != nil {
+		return err
+	}
+	for i, op := range c.ops {
+		a, b := name(op.a), name(op.b)
+		switch op.kind {
+		case 0:
+			txAddTrust(s, a, b, op.prio) // self-trust and duplicates are rejected no-ops
+		case 1:
+			_, err = s.RemoveTrust(ctx, a, b)
+		case 2:
+			_, err = txUpdateTrust(s, a, b, op.prio)
+		case 3:
+			err = s.SetDefault(ctx, a, fmt.Sprintf("v%d", op.prio%3))
+		case 4:
+			err = s.DeleteDefault(ctx, a)
+		}
+		if err == nil {
+			err = matchesFresh(s, planObjects(rng, planRoots(storeNet(s), extras), 2))
+		}
+		if err != nil {
+			return fmt.Errorf("op %d %+v: %w", i, op, err)
+		}
+	}
+	return nil
+}
+
+// twinWedge is the op sequence that once left a revoked hoisted belief
+// on its helper: u0 states a belief while trusting u1 (the belief moves
+// onto a helper above the mapping), revokes the mapping, then revokes
+// the belief.
+var twinWedge = []twinOp{{0, 0, 1, 1}, {3, 0, 0, 1}, {1, 0, 1, 0}, {4, 0, 0, 0}}
+
+// FuzzStoreTwinParity drives twinParity with ops decoded from the fuzz
+// input: whatever the mutation sequence, the store's incrementally
+// maintained twin must resolve like a fresh compile of its network.
+func FuzzStoreTwinParity(f *testing.F) {
+	wedge := []byte{0, 1, 0, 0} // two users, belief on u1, no extra root, no setup edges
+	for _, op := range twinWedge {
+		wedge = append(wedge, byte(op.kind), byte(op.a), byte(op.b), byte(op.prio-1))
+	}
+	f.Add(wedge)
+	f.Add([]byte{4, 0, 1, 3, 0, 1, 2, 3, 0, 2, 3, 1, 0, 3, 1, 4, 3, 1, 1, 1, 1, 1, 2, 0, 4, 1, 1, 0, 2, 1, 0, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := fnv.New64a()
+		h.Write(data)
+		if err := twinParity(decodeTwinCase(data), rand.New(rand.NewSource(int64(h.Sum64())))); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSessionGrowsUsers adds brand-new users through the store after

@@ -498,19 +498,6 @@ func (r *bulkResolution) rows(objects map[string]map[string]string) []ObjectRow 
 // store resolved; see StoreStats.Dedup.
 type DedupStats = engine.DedupStats
 
-// findRootFor locates the node carrying x's explicit belief in the
-// binarized network: x itself if it stayed a root, otherwise the hoisted
-// helper node named "<name>#b0".
-func findRootFor(b *tn.Network, x int) int {
-	if b.HasExplicit(x) {
-		return x
-	}
-	if h := b.UserID(b.Name(x) + "#b0"); h >= 0 {
-		return h
-	}
-	return x
-}
-
 // DOT renders the network in Graphviz dot format (edges from trusted user
 // to truster, labelled with priorities; explicit beliefs highlighted).
 func (n *Network) DOT() string { return tn.DOT(n.inner) }

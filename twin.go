@@ -10,11 +10,13 @@ package trustmap
 //
 // The store owns its trust network — Network.NewStore takes a copy, so
 // nothing outside the store can write to it — and the binarized twin,
-// which it keeps current by translating each network mutation into
-// binarized ones. Mutations that would restructure the binarization (a
-// user crossing the two-parent threshold, belief changes on
-// heavily-mapped users) mark the store for a full rebuild, which the next
-// publication performs transparently.
+// which it keeps current one user at a time: after each network
+// mutation, reencode re-derives the touched user's binarized in-edges
+// and belief carrier by tn.Binarize's rule and applies only the
+// difference. Mutations that would restructure a Binarize cascade (a
+// user with more than two binarized parents) or add a root to the plan
+// mark the store for a full rebuild, which the next publication performs
+// transparently.
 //
 // # Concurrency
 //
@@ -33,6 +35,7 @@ package trustmap
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"trustmap/internal/engine"
@@ -90,8 +93,13 @@ func (snap *epochSnap) engineStats() engine.Stats {
 	return e.st
 }
 
+// seedBelief is the placeholder belief on the carrier of an extra root
+// without a default belief: it keeps the user a root of the plan, and
+// every object supplies the user's real belief.
+const seedBelief tn.Value = "seed"
+
 // rebuild re-binarizes and recompiles from scratch: the fallback for
-// structural mutations the incremental translation does not cover.
+// the mutations reencode does not patch.
 // Callers hold wmu (or, in newStore, exclusive ownership).
 func (s *Store) rebuild() error {
 	if err := s.net.Validate(); err != nil {
@@ -100,7 +108,7 @@ func (s *Store) rebuild() error {
 	shape := s.net.Clone()
 	for _, x := range s.extraRoots {
 		if !shape.HasExplicit(x) {
-			shape.SetExplicit(x, "seed")
+			shape.SetExplicit(x, seedBelief)
 		}
 	}
 	bin := tn.Binarize(shape)
@@ -118,7 +126,7 @@ func (s *Store) rebuild() error {
 	s.rootNode = make(map[int]int)
 	for x := 0; x < shape.NumUsers(); x++ {
 		if shape.HasExplicit(x) {
-			s.rootNode[x] = findRootFor(bin, x)
+			s.rootNode[x] = tn.Carrier(bin, x)
 		}
 	}
 	s.needRebuild = false
@@ -243,253 +251,115 @@ func (s *Store) refresh() error {
 	return s.publishLocked()
 }
 
-// binID maps an original user ID to its binarized node.
-func (s *Store) binID(x int) int {
-	if x < len(s.binIDs) {
-		return s.binIDs[x]
-	}
-	return x
-}
-
-// addTrustLocked adds truster -> trusted to the store's network and the
-// twin. Unlike Network.AddTrust it rejects self-trust and duplicate
-// mappings immediately instead of at the next validation. Callers hold
-// wmu, as for every *Locked translator below.
-func (s *Store) addTrustLocked(truster, trusted string, priority int) error {
-	if truster == trusted {
-		return fmt.Errorf("trustmap: user %q cannot trust itself", truster)
-	}
-	t := s.net.AddUser(truster)
-	z := s.net.AddUser(trusted)
-	for _, m := range s.net.In(t) {
-		if m.Parent == z {
-			return fmt.Errorf("trustmap: mapping %q -> %q already exists; use UpdateTrust", trusted, truster)
-		}
-	}
-	// Pre-mutation shape of the truster decides translatability.
-	pre := append([]tn.Mapping(nil), s.net.In(t)...)
-	k := len(pre)
-	s.net.AddMapping(z, t, priority)
-	if s.needRebuild {
-		return nil
-	}
-	s.ensureBinUser(truster, t)
-	s.ensureBinUser(trusted, z)
-	bt, bz := s.binID(t), s.binID(z)
-	root, hasCarrier := s.rootNode[t]
-	switch {
-	case hasCarrier && root == bt:
-		// A root gains its first parent: hoist the belief onto a helper
-		// that outranks it, exactly as Binarize does.
-		s.hoistBelief(t)
-		s.bin.AddMapping(bz, bt, 1)
-	case hasCarrier && k == 0:
-		// A hoisted carrier is the sole binarized parent (the last real
-		// parent was revoked earlier); it keeps outranking real parents.
-		s.bin.AddMapping(bz, bt, 1)
-	case !hasCarrier && k == 0:
-		s.bin.AddMapping(bz, bt, 2)
-	case !hasCarrier && k == 1:
-		// Two parents now: re-derive the {1,2} (or tied {1,1}) encoding.
-		z0, p0 := pre[0].Parent, pre[0].Priority
-		bz0 := s.binID(z0)
-		switch {
-		case p0 == priority:
-			s.bin.SetMappingPriority(bz0, bt, 1)
-			s.bin.AddMapping(bz, bt, 1)
-		case p0 > priority:
-			s.bin.AddMapping(bz, bt, 1)
-		default:
-			s.bin.SetMappingPriority(bz0, bt, 1)
-			s.bin.AddMapping(bz, bt, 2)
-		}
-	default:
-		// Three or more binarized parents: cascade territory.
-		s.needRebuild = true
-	}
-	return nil
-}
-
-// removeTrustLocked revokes truster -> trusted and reports whether the
-// mapping existed.
-func (s *Store) removeTrustLocked(truster, trusted string) bool {
-	t, z := s.net.UserID(truster), s.net.UserID(trusted)
-	if t < 0 || z < 0 {
-		return false
-	}
-	pre := append([]tn.Mapping(nil), s.net.In(t)...)
-	k := len(pre)
-	if !s.net.RemoveMapping(z, t) {
-		return false
+// reencode brings user x's binarized encoding in line with x's network
+// parents and belief after a mutation of either, applying only the
+// difference to the twin so that engine.Apply sees exactly what changed.
+// The encoding is tn.Binarize's. x's belief (or, on an extra root
+// without one, the seedBelief placeholder) sits on x itself while x has
+// no parents; otherwise on the helper tn.CarrierName names, which
+// outranks every real parent — and, once hoisted, keeps carrying the
+// belief after the real parents are gone. A revoked belief takes its
+// carrier's value and mapping with it. x's in-edges then get the
+// tn.EncodeParents priorities of its real parents plus the helper.
+//
+// More than two encoded parents, before or after the change, make a
+// Binarize cascade, which is rebuilt rather than patched; only a
+// value-only change to a cascaded user's carrier is folded in. pre is
+// x's network in-degree before the change, and edges says whether the
+// change was to x's in-edges (a trust op) rather than to its belief.
+// Callers hold wmu and have already applied the change to s.net.
+func (s *Store) reencode(x, pre int, edges bool) {
+	if !edges {
+		s.rootsDirty = true // the default belief changed
 	}
 	if s.needRebuild {
-		return true
+		return
 	}
-	bt := s.binID(t)
-	hoisted := 0
-	if root, ok := s.rootNode[t]; ok && root != bt {
-		hoisted = 1 // a helper carries the belief above the real parents
+	bx := s.binNode(x)
+	in := s.net.In(x)
+	old, had := s.rootNode[x]
+	if !had {
+		old = -1
 	}
-	if k+hoisted > 2 {
-		s.needRebuild = true // the binarization had a cascade
-		return true
-	}
-	s.bin.RemoveMapping(s.binID(z), bt)
-	// A surviving sole real parent becomes the preferred edge (priority 2),
-	// the encoding Binarize emits for single-parent nodes. With a hoisted
-	// belief the helper already holds priority 2 and survivors stay at 1.
-	if hoisted == 0 && k == 2 {
-		for _, m := range pre {
-			if m.Parent != z {
-				s.bin.SetMappingPriority(s.binID(m.Parent), bt, 2)
-			}
-		}
-	}
-	return true
-}
-
-// updateTrustLocked re-prioritizes truster -> trusted and reports whether
-// the mapping existed.
-func (s *Store) updateTrustLocked(truster, trusted string, priority int) bool {
-	t, z := s.net.UserID(truster), s.net.UserID(trusted)
-	if t < 0 || z < 0 {
-		return false
-	}
-	k := len(s.net.In(t))
-	if !s.net.SetMappingPriority(z, t, priority) {
-		return false
-	}
-	if s.needRebuild {
-		return true
-	}
-	bt := s.binID(t)
-	hoisted := 0
-	if root, ok := s.rootNode[t]; ok && root != bt {
-		hoisted = 1
-	}
-	switch {
-	case k+hoisted > 2:
-		s.needRebuild = true // priorities are encoded in the cascade shape
-	case hoisted == 0 && k == 2:
-		// Re-derive the two binarized priorities from the new order.
-		post := s.net.In(t)
-		if post[0].Priority == post[1].Priority {
-			s.bin.SetMappingPriority(s.binID(post[0].Parent), bt, 1)
-			s.bin.SetMappingPriority(s.binID(post[1].Parent), bt, 1)
-		} else {
-			s.bin.SetMappingPriority(s.binID(post[0].Parent), bt, 2)
-			s.bin.SetMappingPriority(s.binID(post[1].Parent), bt, 1)
-		}
-		// Else: a sole real parent (with or without a hoisted belief above
-		// it) keeps its binarized priority; nothing to do.
-	}
-	return true
-}
-
-// setBeliefLocked states user's network-level belief. A value update on
-// an existing belief is free for the plan: the resolution plan is
-// belief-value-independent, so the next epoch shares the compiled
-// artifact and only swaps the defaults.
-func (s *Store) setBeliefLocked(user, value string) error {
-	if value == "" {
-		return fmt.Errorf("trustmap: empty value; use RemoveBelief to revoke")
-	}
-	x := s.net.AddUser(user)
-	k := len(s.net.In(x))
-	s.net.SetExplicit(x, tn.Value(value))
-	s.rootsDirty = true
-	if s.needRebuild {
-		return nil
-	}
-	s.ensureBinUser(user, x)
-	switch root, hasCarrier := s.rootNode[x]; {
-	case hasCarrier:
-		// The belief carrier exists already — x itself, its hoisted helper,
-		// or an ExtraRoots placeholder. The engine sees a pure value update
-		// and keeps the whole plan.
-		s.bin.SetExplicit(root, tn.Value(value))
-	case k == 0:
-		bx := s.binID(x)
-		s.bin.SetExplicit(bx, tn.Value(value))
-		s.rootNode[x] = bx
-	case k == 1:
-		s.hoistBelief(x)
-	default:
-		s.needRebuild = true // three binarized parents: cascade
-	}
-	return nil
-}
-
-// removeBeliefLocked revokes user's network-level belief and reports
-// whether there was one (revoking an absent belief is a no-op).
-func (s *Store) removeBeliefLocked(user string) bool {
-	x := s.net.UserID(user)
-	if x < 0 || !s.net.HasExplicit(x) {
-		return false
-	}
-	k := len(s.net.In(x))
-	s.net.SetExplicit(x, tn.NoValue)
-	s.rootsDirty = true
-	if s.needRebuild {
-		return true
-	}
-	if s.isExtraRoot(x) {
-		// The user stays a root for per-object beliefs; only the
-		// network-level default disappears. The binarized belief carrier
-		// keeps a placeholder, exactly as a fresh rebuild would seed it.
-		s.bin.SetExplicit(s.rootNode[x], "seed")
-		return true
-	}
-	bx := s.binID(x)
-	switch {
-	case k == 0:
-		s.bin.SetExplicit(bx, tn.NoValue)
-		delete(s.rootNode, x)
-	case k == 1:
-		// Drop the hoisted helper; the sole real parent becomes preferred.
-		helper := s.rootNode[x]
-		s.bin.SetExplicit(helper, tn.NoValue)
-		s.bin.RemoveMapping(helper, bx)
-		for _, m := range s.bin.In(bx) {
-			s.bin.SetMappingPriority(m.Parent, bx, 2)
-		}
-		delete(s.rootNode, x)
-	default:
-		s.needRebuild = true // cascade shape changes
-	}
-	return true
-}
-
-// hoistBelief moves x's explicit belief onto a fresh helper root wired
-// above x's existing sole parent, mirroring Binarize's step 1: the helper
-// takes priority 2 and the real parent priority 1.
-func (s *Store) hoistBelief(x int) {
-	bx := s.binID(x)
+	hoisted := old >= 0 && old != bx
 	v := s.net.Explicit(x)
-	if v == tn.NoValue {
-		v = "seed"
+	if v == tn.NoValue && s.isExtraRoot(x) {
+		v = seedBelief
 	}
-	s.bin.SetExplicit(bx, tn.NoValue) // the helper carries it from now on
-	for _, m := range s.bin.In(bx) {
-		s.bin.SetMappingPriority(m.Parent, bx, 1)
+	hoist := v != tn.NoValue && (hoisted || len(in) > 0)
+	before, after := pre, len(in)
+	if hoisted {
+		before++
 	}
-	helper := s.bin.AddUser(s.net.Name(x) + "#b0")
-	s.bin.SetExplicit(helper, v)
-	s.bin.AddMapping(helper, bx, 2)
-	s.rootNode[x] = helper
-	s.rootsDirty = true
+	if hoist {
+		after++
+	}
+	if before > 2 || after > 2 {
+		if edges || hoist != hoisted {
+			s.needRebuild = true
+		} else if old >= 0 {
+			s.bin.SetExplicit(old, v) // the carrier stays; the plan does too
+		}
+		return
+	}
+
+	carrier := -1 // no belief, no carrier
+	switch {
+	case hoisted && hoist:
+		carrier = old
+	case hoist:
+		carrier = s.bin.AddUser(tn.CarrierName(s.net.Name(x)))
+	case v != tn.NoValue:
+		carrier = bx
+	}
+	if old != carrier {
+		if old >= 0 {
+			s.bin.SetExplicit(old, tn.NoValue)
+		}
+		s.rootsDirty = true
+	}
+	if carrier >= 0 {
+		s.bin.SetExplicit(carrier, v)
+		s.rootNode[x] = carrier
+	} else {
+		delete(s.rootNode, x)
+	}
+
+	want := make([]tn.Mapping, 0, 2)
+	for _, m := range in {
+		want = append(want, tn.Mapping{Parent: s.binNode(m.Parent), Child: bx, Priority: m.Priority})
+	}
+	if hoist {
+		top := 0
+		if len(in) > 0 {
+			top = in[0].Priority
+		}
+		want = append(want, tn.Mapping{Parent: carrier, Child: bx, Priority: top + 1})
+	}
+	tn.EncodeParents(want)
+	for _, m := range slices.Clone(s.bin.In(bx)) {
+		if !slices.ContainsFunc(want, func(w tn.Mapping) bool { return w.Parent == m.Parent }) {
+			s.bin.RemoveMapping(m.Parent, bx)
+		}
+	}
+	for _, w := range want {
+		if !s.bin.SetMappingPriority(w.Parent, bx, w.Priority) {
+			s.bin.AddMapping(w.Parent, bx, w.Priority)
+		}
+	}
 }
 
-// ensureBinUser registers a user created after compilation in the
-// binarized twin. Original and binarized IDs diverge from here on; binIDs
-// carries the mapping.
-func (s *Store) ensureBinUser(name string, x int) {
+// binNode returns x's node in the binarized twin, first registering a
+// user created after compilation. Original and binarized IDs diverge
+// from then on; binIDs carries the mapping.
+func (s *Store) binNode(x int) int {
 	for len(s.binIDs) <= x {
 		s.binIDs = append(s.binIDs, -1)
 	}
 	if s.binIDs[x] < 0 {
-		s.binIDs[x] = s.bin.AddUser(name)
+		s.binIDs[x] = s.bin.AddUser(s.net.Name(x))
 	}
+	return s.binIDs[x]
 }
 
 func (s *Store) isExtraRoot(x int) bool {
@@ -520,7 +390,7 @@ func (s *Store) flushLocked() error {
 	}
 	next, st, err := s.comp.Apply(muts, engine.ApplyOptions{MaxDirtyFraction: s.maxDirty})
 	if err != nil {
-		// The translation produced something the engine will not splice;
+		// The re-encoding produced something the engine will not splice;
 		// recover with a rebuild rather than failing the publication.
 		return s.rebuild()
 	}

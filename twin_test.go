@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -75,5 +76,90 @@ func TestTwinClassificationDigest(t *testing.T) {
 	}
 	if got := h.Sum64(); got != twinClassificationDigest {
 		t.Fatalf("classification digest %#x, want %#x", got, uint64(twinClassificationDigest))
+	}
+}
+
+// TestTwinRevokedHoistedBelief runs twinWedge on a durable store: a
+// belief hoisted onto its helper, the mapping that forced the hoist
+// revoked, then the belief revoked. The helper must stop carrying the
+// belief, or every later resolve misses a belief for the helper as a
+// root. The store must resolve like a fresh compile right after the ops
+// and again after a reopen that replays them from the WAL — with no
+// checkpoint in between, since recompiling a snapshot would hide a twin
+// that replay rebuilds wrong.
+func TestTwinRevokedHoistedBelief(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s := mustOpenStore(t, dir, WithDurability(DurabilityAlways), WithMaxDirtyFraction(1))
+	if err := s.SetDefault(ctx, "u1", "v0"); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range twinWedge {
+		a, b := fmt.Sprintf("u%d", op.a), fmt.Sprintf("u%d", op.b)
+		var err error
+		switch op.kind {
+		case 0:
+			err = s.SetTrust(ctx, a, b, op.prio)
+		case 1:
+			_, err = s.RemoveTrust(ctx, a, b)
+		case 3:
+			err = s.SetDefault(ctx, a, "v1")
+		case 4:
+			err = s.DeleteDefault(ctx, a)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	objects := map[string]map[string]string{"o1": {"u1": "v1"}, "o2": {"u1": "v2"}}
+	check := func(label string, s *Store) {
+		t.Helper()
+		r, err := s.Resolve(ctx, nil)
+		if err != nil {
+			t.Fatalf("%s: resolve: %v", label, err)
+		}
+		if v, ok := r.Certain("u0"); ok {
+			t.Fatalf("%s: cert(u0)=%q, want none: u0 trusts nobody and believes nothing", label, v)
+		}
+		assertMatchesFresh(t, label, s, objects)
+	}
+	check("after the ops", s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpenStore(t, dir, WithDurability(DurabilityAlways), WithMaxDirtyFraction(1))
+	defer r.Close()
+	check("after replay", r)
+}
+
+// TestTwinTrustOpSharesRootTables checks that a trust mutation that
+// moves no belief carrier publishes an epoch sharing the previous
+// epoch's root tables instead of copying them, while one that hoists a
+// belief publishes fresh ones.
+func TestTwinTrustOpSharesRootTables(t *testing.T) {
+	n := New()
+	n.AddTrust("a", "b", 1)
+	n.SetBelief("b", "v")
+	s, err := n.NewStore(WithMaxDirtyFraction(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := func() uintptr {
+		e := s.pub.Acquire()
+		defer e.Release()
+		return reflect.ValueOf(e.Value().rootNode).Pointer()
+	}
+	first, epoch := roots(), s.Epoch()
+	if err := txAddTrust(s, "a", "c", 2); err != nil { // a holds no belief
+		t.Fatal(err)
+	}
+	if s.Epoch() == epoch || roots() != first {
+		t.Fatalf("epoch %d -> %d, root table shared %v: want a new epoch sharing the root table", epoch, s.Epoch(), roots() == first)
+	}
+	if err := txAddTrust(s, "b", "c", 2); err != nil { // hoists b's belief
+		t.Fatal(err)
+	}
+	if roots() == first {
+		t.Fatal("hoisting b's belief kept the old root table")
 	}
 }
