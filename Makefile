@@ -12,7 +12,7 @@ ENGINE_COVER_FLOOR ?= 75
 API_PKGS ?= .,wire,client
 API_GOLDEN ?= api/API.txt
 
-.PHONY: all build test race bench cover smoke crash poison loadgen-smoke replica-smoke cluster-smoke fuzz fmt vet lint api api-save doc-gate deps-gate ci
+.PHONY: all build test race bench cover loc smoke crash poison loadgen-smoke replica-smoke cluster-smoke fuzz fmt vet lint api api-save doc-gate deps-gate ci
 
 all: build test
 
@@ -43,6 +43,12 @@ cover:
 		END { if (total > 0) printf "%.1f", 100 * covered / total; else print 0 }' coverage.out); \
 	echo "internal/engine statement coverage: $$pct% (advisory floor: $(ENGINE_COVER_FLOOR)%)"; \
 	awk -v p="$$pct" -v f="$(ENGINE_COVER_FLOOR)" 'BEGIN { if (p+0 < f+0) print "WARNING: internal/engine coverage " p "% is below the advisory floor of " f "%" }'
+
+# Size report (not a gate): non-test Go lines outside benchmark/ and
+# inside it, counted as ROADMAP.md counts them.
+loc:
+	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l)"
+	@echo "non-test Go lines inside benchmark/:  $$(find ./benchmark -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 
 # trustd end-to-end smoke: start the HTTP server on a real listener,
 # drive resolve -> mutate -> resolve, assert the second read observes the
@@ -160,8 +166,8 @@ deps-gate:
 # executor; every rejection is an ErrBadQuery 400), the replica's
 # /v1/wal frame decoder (arbitrary bytes never panic; every error is
 # io.EOF or a torn stream), WAL recovery over an arbitrary segment (never
-# panics; replays only CRC-valid, LSN-contiguous batches; truncation is
-# idempotent), the snapshot decoder a bootstrapping replica feeds
+# panics; replays only CRC-valid, LSN-contiguous batches, the same ones
+# Tail reads; truncation is idempotent), the snapshot decoder a bootstrapping replica feeds
 # with GET /v1/snapshot (never panics; accepted files round-trip), and the
 # store's binarized twin (any trust/belief mutation sequence resolves like
 # a fresh compile of the store's network).

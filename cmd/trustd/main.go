@@ -312,7 +312,7 @@ func openStore(dataDir, file string, demo int, seed int64, opts []trustmap.Store
 		if err != nil {
 			return nil, fmt.Errorf("compiling store: %w", err)
 		}
-		if err := seedObjects(st, objects); err != nil {
+		if err := seedBackend(shard.NewSingleStore(st), &networkFile{Objects: objects}); err != nil {
 			return nil, err
 		}
 		return st, nil
@@ -324,7 +324,11 @@ func openStore(dataDir, file string, demo int, seed int64, opts []trustmap.Store
 	// -f seeds exactly once: a recovered store (any logged history or
 	// snapshot state) keeps its own truth and the file is ignored.
 	if file != "" && st.LSN() == 0 && len(st.Users()) == 0 && st.NumObjects() == 0 {
-		if err := seedStore(st, file); err != nil {
+		nf, err := loadNetworkFile(file)
+		if err == nil {
+			err = seedBackend(shard.NewSingleStore(st), nf)
+		}
+		if err != nil {
 			st.Close()
 			return nil, fmt.Errorf("seeding from %s: %w", file, err)
 		}
@@ -425,7 +429,11 @@ func openCluster(n int, dataDir, file string, opts []trustmap.StoreOption) (*sha
 			}
 		}
 		if empty {
-			if err := seedRouter(rt, file); err != nil {
+			nf, err := loadNetworkFile(file)
+			if err == nil {
+				err = seedBackend(rt, nf)
+			}
+			if err != nil {
 				rt.Close()
 				return nil, fmt.Errorf("seeding from %s: %w", file, err)
 			}
@@ -434,14 +442,14 @@ func openCluster(n int, dataDir, file string, opts []trustmap.StoreOption) (*sha
 	return rt, nil
 }
 
-// seedRouter loads the network file through the router: the spine (trust
-// edges, then default beliefs in name order) as one broadcast batch, the
-// objects in key order through the routed object path.
-func seedRouter(rt *shard.Router, file string) error {
-	nf, err := loadNetworkFile(file)
-	if err != nil {
-		return err
-	}
+// seedBackend writes a network file's content into an empty backend
+// through its logged paths, so the seed itself is replayable history:
+// the spine (trust edges in file order, then default beliefs in name
+// order, so user IDs are deterministic given the file) as one Mutate
+// batch, then each object in key order. The durable store and the
+// cluster seed from the whole file; the in-memory store compiles the
+// spine itself and seeds only the objects.
+func seedBackend(b shard.Backend, nf *networkFile) error {
 	var ops []wire.Op
 	for _, m := range nf.Trust {
 		ops = append(ops, wire.Op{Op: wire.OpSetTrust, Truster: m.Truster, Trusted: m.Trusted, Priority: m.Priority})
@@ -455,7 +463,7 @@ func seedRouter(rt *shard.Router, file string) error {
 		ops = append(ops, wire.Op{Op: wire.OpSetBelief, User: user, Value: nf.Beliefs[user]})
 	}
 	if len(ops) > 0 {
-		if _, err := rt.Mutate(ops); err != nil {
+		if _, err := b.Mutate(ops); err != nil {
 			return err
 		}
 	}
@@ -465,59 +473,7 @@ func seedRouter(rt *shard.Router, file string) error {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if err := rt.PutObject(context.Background(), k, nf.Objects[k]); err != nil {
-			return fmt.Errorf("seeding object %q: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// seedStore loads the network file into an empty durable store through
-// the logged mutators, so the seed itself is replayable history.
-func seedStore(st *trustmap.Store, file string) error {
-	nf, err := loadNetworkFile(file)
-	if err != nil {
-		return err
-	}
-	err = st.Update(func(tx *trustmap.StoreTx) error {
-		for _, m := range nf.Trust {
-			if err := tx.SetTrust(m.Truster, m.Trusted, m.Priority); err != nil {
-				return err
-			}
-		}
-		// Beliefs in name order, so user IDs are deterministic given the
-		// file.
-		users := make([]string, 0, len(nf.Beliefs))
-		for user := range nf.Beliefs {
-			users = append(users, user)
-		}
-		sort.Strings(users)
-		for _, user := range users {
-			if err := tx.SetDefault(user, nf.Beliefs[user]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return seedObjects(st, objects(nf))
-}
-
-// objects returns the file's object section (possibly nil).
-func objects(nf *networkFile) map[string]map[string]string { return nf.Objects }
-
-// seedObjects stores the file's objects in key order, so registration is
-// deterministic.
-func seedObjects(st *trustmap.Store, objects map[string]map[string]string) error {
-	keys := make([]string, 0, len(objects))
-	for k := range objects {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := st.PutObject(context.Background(), k, objects[k]); err != nil {
+		if err := b.PutObject(context.Background(), k, nf.Objects[k]); err != nil {
 			return fmt.Errorf("seeding object %q: %w", k, err)
 		}
 	}

@@ -141,8 +141,9 @@ type DurabilityStats struct {
 // OpenStore opens (creating if needed) a durable store rooted at dir:
 // <dir>/wal holds the write-ahead log, <dir>/snapshots the compacted
 // checkpoints. Recovery runs before OpenStore returns — latest valid
-// snapshot, then WAL replay above its watermark — so the returned store
-// serves the full durable state. Close the store to release the WAL.
+// snapshot, then one pass over the WAL that heals its torn tail and
+// replays every batch above the snapshot's watermark — so the returned
+// store serves the full durable state. Close the store to release the WAL.
 //
 // The in-memory options (WithWorkers, WithExtraRoots, ...) apply as in
 // NewStore; WithDurability picks the fsync discipline (default
@@ -187,9 +188,17 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 		}
 	}
 
-	log, err := wal.Open(d.walDir())
+	maxEpoch := snapEpoch
+	log, err := wal.Open(d.walDir(), snapLSN, func(b wire.OpBatch) error {
+		d.recoveredBatches++
+		if b.Epoch > maxEpoch {
+			maxEpoch = b.Epoch
+		}
+		st.replayBatch(b, &d.replayedOps, &d.replayErrors)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("trustmap: opening wal: %w", err)
+		return nil, fmt.Errorf("trustmap: recovering wal: %w", err)
 	}
 	switch {
 	case log.LastLSN() == 0 && snapLSN > 0:
@@ -202,20 +211,6 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 	case log.LastLSN() < snapLSN:
 		log.Close()
 		return nil, fmt.Errorf("trustmap: wal ends at lsn %d but snapshot covers lsn %d", log.LastLSN(), snapLSN)
-	}
-
-	maxEpoch := snapEpoch
-	replayErr := wal.Replay(d.walDir(), snapLSN, func(b wire.OpBatch) error {
-		d.recoveredBatches++
-		if b.Epoch > maxEpoch {
-			maxEpoch = b.Epoch
-		}
-		st.replayBatch(b, &d.replayedOps, &d.replayErrors)
-		return nil
-	})
-	if replayErr != nil {
-		log.Close()
-		return nil, fmt.Errorf("trustmap: replaying wal: %w", replayErr)
 	}
 
 	d.log = log

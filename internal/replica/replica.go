@@ -316,7 +316,9 @@ func Bootstrap(ctx context.Context, dir, primary string, hc *http.Client) (insta
 // means the replica may be a few batches behind the last acked-durable
 // write, and this closes that gap to zero. The primary process must be
 // dead: its WAL is opened (healing any torn tail, exactly as its own
-// recovery would) and read directly.
+// recovery would) and read directly. Open validates the whole log before
+// Tail applies any of it: each applied batch lands in st's own WAL, so a
+// prefix of a log that later proves corrupt must never be applied.
 //
 // If the directory's log no longer reaches back to st's position (the
 // primary checkpointed and pruned past it), Salvage fails without
@@ -324,7 +326,7 @@ func Bootstrap(ctx context.Context, dir, primary string, hc *http.Client) (insta
 // snapshot instead.
 func Salvage(primaryDir string, st *trustmap.Store) (int, error) {
 	walDir := filepath.Join(primaryDir, "wal")
-	log, err := wal.Open(walDir) // heals the torn tail of the crashed writer
+	log, err := wal.Open(walDir, 0, nil) // validate and heal only; apply nothing yet
 	if err != nil {
 		return 0, fmt.Errorf("replica: salvage open: %w", err)
 	}

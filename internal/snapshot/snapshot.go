@@ -157,38 +157,42 @@ func Install(dir string, raw []byte) (*File, error) {
 	return f, nil
 }
 
-// LatestRaw returns the newest valid snapshot's raw bytes and watermark —
-// the serving half of snapshot shipping. nil, 0 with no error when dir
-// holds no valid snapshot.
-func LatestRaw(dir string) ([]byte, uint64, error) {
-	f, name, err := Latest(dir)
-	if err != nil || f == nil {
-		return nil, 0, err
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, name))
+// Latest loads the newest valid snapshot in dir: the highest-watermark
+// file that parses, with the raw bytes it was decoded from (the bytes
+// snapshot shipping serves). Unparseable candidates (torn by a crash,
+// rotted) are skipped, not fatal. Returns nil, nil with no error when
+// dir holds no valid snapshot — a fresh store.
+func Latest(dir string) (*File, []byte, error) {
+	names, err := list(dir)
 	if err != nil {
-		// Pruned between the listing and the read; try once more.
-		if f, name, err = Latest(dir); err != nil || f == nil {
-			return nil, 0, err
-		}
-		if raw, err = os.ReadFile(filepath.Join(dir, name)); err != nil {
-			return nil, 0, err
-		}
+		return nil, nil, err
 	}
-	return raw, f.LSN, nil
+	for i := len(names) - 1; i >= 0; i-- {
+		raw, err := os.ReadFile(filepath.Join(dir, names[i]))
+		if err != nil {
+			continue // pruned since the listing: fall back
+		}
+		f, err := Decode(raw)
+		if err != nil {
+			continue // torn or rotted: fall back to the previous one
+		}
+		if lsn, _ := parseName(names[i]); f.LSN != lsn {
+			continue // name/body mismatch: treat as invalid
+		}
+		return f, raw, nil
+	}
+	return nil, nil, nil
 }
 
-// Latest loads the newest valid snapshot in dir: the highest-watermark
-// file that parses. Unparseable candidates (torn by a crash, rotted) are
-// skipped, not fatal. Returns nil, "" with no error when dir holds no
-// valid snapshot — a fresh store.
-func Latest(dir string) (*File, string, error) {
+// list returns dir's snapshot file names, oldest first; none when dir
+// does not exist.
+func list(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, "", nil
+			return nil, nil
 		}
-		return nil, "", err
+		return nil, err
 	}
 	var names []string
 	for _, e := range entries {
@@ -197,25 +201,7 @@ func Latest(dir string) (*File, string, error) {
 		}
 	}
 	sort.Strings(names) // %016x sorts numerically
-	for i := len(names) - 1; i >= 0; i-- {
-		f, err := load(filepath.Join(dir, names[i]))
-		if err != nil {
-			continue // torn or rotted: fall back to the previous one
-		}
-		if lsn, _ := parseName(names[i]); f.LSN != lsn {
-			continue // name/body mismatch: treat as invalid
-		}
-		return f, names[i], nil
-	}
-	return nil, "", nil
-}
-
-func load(path string) (*File, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(raw)
+	return names, nil
 }
 
 // Prune removes all but the newest keep snapshots. The newest is never
@@ -224,20 +210,10 @@ func Prune(dir string, keep int) (int, error) {
 	if keep < 1 {
 		keep = 1
 	}
-	entries, err := os.ReadDir(dir)
+	names, err := list(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
 		return 0, err
 	}
-	var names []string
-	for _, e := range entries {
-		if _, ok := parseName(e.Name()); ok && !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 	removed := 0
 	for i := 0; i < len(names)-keep; i++ {
 		if err := os.Remove(filepath.Join(dir, names[i])); err != nil {

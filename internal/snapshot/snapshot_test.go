@@ -23,6 +23,16 @@ func testFile(lsn uint64) *File {
 	}
 }
 
+// fileBytes reads the snapshot file for watermark lsn in dir.
+func fileBytes(t *testing.T, dir string, lsn uint64) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, Name(lsn)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func TestWriteLatestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	name, err := Write(dir, testFile(7))
@@ -32,12 +42,12 @@ func TestWriteLatestRoundTrip(t *testing.T) {
 	if name != Name(7) {
 		t.Fatalf("name = %s, want %s", name, Name(7))
 	}
-	got, gotName, err := Latest(dir)
+	got, raw, err := Latest(dir)
 	if err != nil {
 		t.Fatalf("latest: %v", err)
 	}
-	if gotName != name {
-		t.Fatalf("latest name = %s, want %s", gotName, name)
+	if !bytes.Equal(raw, fileBytes(t, dir, 7)) {
+		t.Fatalf("latest raw bytes differ from %s", name)
 	}
 	if got.LSN != 7 || got.Epoch != 70 || got.Format != FormatVersion {
 		t.Fatalf("envelope = %+v", got)
@@ -49,13 +59,13 @@ func TestWriteLatestRoundTrip(t *testing.T) {
 }
 
 func TestLatestEmptyDir(t *testing.T) {
-	f, name, err := Latest(t.TempDir())
-	if f != nil || name != "" || err != nil {
-		t.Fatalf("Latest(empty) = %v, %q, %v; want nil, \"\", nil", f, name, err)
+	f, raw, err := Latest(t.TempDir())
+	if f != nil || raw != nil || err != nil {
+		t.Fatalf("Latest(empty) = %v, %q, %v; want nil, nil, nil", f, raw, err)
 	}
-	f, name, err = Latest(filepath.Join(t.TempDir(), "missing"))
-	if f != nil || name != "" || err != nil {
-		t.Fatalf("Latest(missing) = %v, %q, %v; want nil, \"\", nil", f, name, err)
+	f, raw, err = Latest(filepath.Join(t.TempDir(), "missing"))
+	if f != nil || raw != nil || err != nil {
+		t.Fatalf("Latest(missing) = %v, %q, %v; want nil, nil, nil", f, raw, err)
 	}
 }
 
@@ -66,12 +76,12 @@ func TestLatestPicksHighestWatermark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, name, err := Latest(dir)
+	got, raw, err := Latest(dir)
 	if err != nil || got == nil {
 		t.Fatalf("latest: %v, %v", got, err)
 	}
-	if got.LSN != 12 || name != Name(12) {
-		t.Fatalf("latest = lsn %d (%s), want 12", got.LSN, name)
+	if got.LSN != 12 || !bytes.Equal(raw, fileBytes(t, dir, 12)) {
+		t.Fatalf("latest = lsn %d, want 12 with %s's bytes", got.LSN, Name(12))
 	}
 }
 
@@ -86,12 +96,12 @@ func TestLatestSkipsTornSnapshot(t *testing.T) {
 	if err := os.WriteFile(torn, []byte(`{"format":1,"lsn":9,"trust":[{"trus`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, name, err := Latest(dir)
+	got, raw, err := Latest(dir)
 	if err != nil || got == nil {
 		t.Fatalf("latest: %v, %v", got, err)
 	}
-	if got.LSN != 5 || name != Name(5) {
-		t.Fatalf("latest = lsn %d (%s), want fallback to 5", got.LSN, name)
+	if got.LSN != 5 || !bytes.Equal(raw, fileBytes(t, dir, 5)) {
+		t.Fatalf("latest = lsn %d, want fallback to 5", got.LSN)
 	}
 }
 
@@ -101,19 +111,17 @@ func TestLatestRejectsNameBodyMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A valid body renamed to the wrong watermark must not be trusted.
-	blob, err := os.ReadFile(filepath.Join(dir, Name(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The copy gains a trailing newline so its bytes tell it apart.
+	blob := append(fileBytes(t, dir, 4), '\n')
 	if err := os.WriteFile(filepath.Join(dir, Name(8)), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, name, err := Latest(dir)
+	got, raw, err := Latest(dir)
 	if err != nil || got == nil {
 		t.Fatalf("latest: %v, %v", got, err)
 	}
-	if name != Name(4) {
-		t.Fatalf("latest = %s, want the honest %s", name, Name(4))
+	if !bytes.Equal(raw, fileBytes(t, dir, 4)) {
+		t.Fatalf("latest read %q, want the honest %s", raw, Name(4))
 	}
 }
 
@@ -126,11 +134,11 @@ func TestLatestRejectsNewerFormat(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, Name(6)), []byte(future), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, name, err := Latest(dir)
+	got, raw, err := Latest(dir)
 	if err != nil || got == nil {
 		t.Fatalf("latest: %v, %v", got, err)
 	}
-	if got.LSN != 2 || name != Name(2) {
+	if got.LSN != 2 || !bytes.Equal(raw, fileBytes(t, dir, 2)) {
 		t.Fatalf("latest = lsn %d, want fallback to 2 past the future-format file", got.LSN)
 	}
 }
@@ -146,8 +154,8 @@ func TestPrune(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("prune = %d, %v; want 2, nil", n, err)
 	}
-	got, name, _ := Latest(dir)
-	if got.LSN != 4 || name != Name(4) {
+	got, raw, _ := Latest(dir)
+	if got.LSN != 4 || !bytes.Equal(raw, fileBytes(t, dir, 4)) {
 		t.Fatalf("latest after prune = %d", got.LSN)
 	}
 	// keep < 1 clamps to 1 and never deletes the newest.

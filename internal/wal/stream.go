@@ -13,11 +13,8 @@
 package wal
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -25,27 +22,11 @@ import (
 	"trustmap/wire"
 )
 
-// ErrTornStream reports a replication stream that ended mid-frame: the
-// connection (or the primary) died between a frame header and its
-// payload. The fix is to reconnect and resume after the last applied
-// LSN — nothing before the tear is in doubt.
+// ErrTornStream reports a frame cut mid-way, on the replication stream
+// or in a segment file. On the stream the fix is to reconnect and resume
+// after the last applied LSN — nothing before the tear is in doubt; in a
+// file it is the torn tail that Open heals and Tail stops at.
 var ErrTornStream = errors.New("wal: stream ended mid-frame")
-
-// Encode frames one batch exactly as Append writes it to a segment:
-// length uint32 LE, CRC-32C uint32 LE, JSON payload. The replication
-// stream is therefore the record format of the log itself, minus the
-// per-segment magic.
-func Encode(b wire.OpBatch) ([]byte, error) {
-	payload, err := json.Marshal(b)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	copy(buf[frameHeaderSize:], payload)
-	return buf, nil
-}
 
 // Decoder reads a stream of Encode-framed batches. It is the replica's
 // view of GET /v1/wal: Next returns batches in stream order, io.EOF at a
@@ -53,8 +34,9 @@ func Encode(b wire.OpBatch) ([]byte, error) {
 // stream is cut mid-frame (including a CRC mismatch — a tear that
 // happened to land inside the payload bytes).
 type Decoder struct {
-	r     io.Reader
-	frame [frameHeaderSize]byte
+	r       io.Reader
+	frame   [frameHeaderSize]byte
+	payload []byte
 }
 
 // NewDecoder wraps r.
@@ -62,31 +44,7 @@ func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
 
 // Next reads one framed batch. io.EOF means the stream ended cleanly
 // between frames.
-func (d *Decoder) Next() (wire.OpBatch, error) {
-	if _, err := io.ReadFull(d.r, d.frame[:]); err != nil {
-		if err == io.EOF {
-			return wire.OpBatch{}, io.EOF
-		}
-		return wire.OpBatch{}, fmt.Errorf("%w: cut in frame header: %v", ErrTornStream, err)
-	}
-	length := binary.LittleEndian.Uint32(d.frame[0:4])
-	crc := binary.LittleEndian.Uint32(d.frame[4:8])
-	if length == 0 || length > maxRecordSize {
-		return wire.OpBatch{}, fmt.Errorf("%w: implausible record length %d", ErrTornStream, length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(d.r, payload); err != nil {
-		return wire.OpBatch{}, fmt.Errorf("%w: cut in payload: %v", ErrTornStream, err)
-	}
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return wire.OpBatch{}, fmt.Errorf("%w: crc mismatch", ErrTornStream)
-	}
-	var b wire.OpBatch
-	if err := json.Unmarshal(payload, &b); err != nil {
-		return wire.OpBatch{}, fmt.Errorf("%w: undecodable payload: %v", ErrTornStream, err)
-	}
-	return b, nil
-}
+func (d *Decoder) Next() (wire.OpBatch, error) { return d.readFrame(maxRecordSize) }
 
 // Tail streams every batch with after < LSN <= upto, in order, to fn —
 // reading the segment files directly, safely concurrent with a writer
@@ -101,9 +59,6 @@ func Tail(dir string, after, upto uint64, fn func(wire.OpBatch) error) error {
 	}
 	names, err := segments(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("wal: tail found no log, want lsn %d", upto)
-		}
 		return err
 	}
 	// Skip segments that end before after+1: segment i ends where
@@ -135,52 +90,24 @@ func Tail(dir string, after, upto uint64, fn func(wire.OpBatch) error) error {
 // scan hit either a record beyond upto or a torn in-flight tail; *last
 // tracks the highest LSN delivered.
 func tailSegment(path string, after, upto uint64, last *uint64, fn func(wire.OpBatch) error) (bool, error) {
-	f, err := os.Open(path)
+	s, err := openSegment(path)
+	if os.IsNotExist(err) {
+		// Pruned between the directory listing and the open: records
+		// that mattered were below a checkpoint watermark; the final
+		// last<upto check decides whether anything was actually lost.
+		return false, nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			// Pruned between the directory listing and the open: records
-			// that mattered were below a checkpoint watermark; the final
-			// last<upto check decides whether anything was actually lost.
-			return false, nil
-		}
 		return false, err
 	}
-	defer f.Close()
-	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		// Shorter than its magic: a segment mid-creation. Nothing durable
-		// lives here yet.
-		return true, nil
-	}
-	if string(hdr) != magic {
-		return false, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
-	}
-	frame := make([]byte, frameHeaderSize)
+	defer s.f.Close()
 	for {
-		if _, err := io.ReadFull(f, frame); err != nil {
-			if err == io.EOF {
-				return false, nil // clean segment end; continue with the next
-			}
-			return true, nil // short header: in-flight append
+		b, err := s.next()
+		if err == io.EOF {
+			return false, nil // clean segment end; continue with the next
 		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		crc := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > maxRecordSize {
-			return true, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return true, nil
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return true, nil
-		}
-		var b wire.OpBatch
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return true, nil
-		}
-		if b.LSN > upto {
-			return true, nil
+		if err != nil || b.LSN > upto {
+			return true, nil // an in-flight append, or past the window
 		}
 		if b.LSN <= after {
 			continue
@@ -199,9 +126,6 @@ func tailSegment(path string, after, upto uint64, last *uint64, fn func(wire.OpB
 func Oldest(dir string) (uint64, bool, error) {
 	names, err := segments(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, false, nil
-		}
 		return 0, false, err
 	}
 	if len(names) == 0 {
@@ -220,9 +144,6 @@ func Oldest(dir string) (uint64, bool, error) {
 func Clear(dir string) error {
 	names, err := segments(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
 		return err
 	}
 	for _, name := range names {

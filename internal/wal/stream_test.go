@@ -143,7 +143,7 @@ func TestTailStopsAtTornTail(t *testing.T) {
 
 func TestTailSpansSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir)
+	l, err := Open(dir, 0, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestOldestAndClear(t *testing.T) {
 	if _, ok, err := Oldest(dir); ok || err != nil {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}
-	l, err := Open(dir)
+	l, err := Open(dir, 0, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

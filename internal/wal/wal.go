@@ -1,7 +1,8 @@
 // Package wal is the durable store's append-only write-ahead log: a
 // sequence of CRC-framed wire.OpBatch records across one or more segment
-// files, with torn-tail truncation on open and deterministic counters so
-// durability overhead is benchmarkable without wall clocks.
+// files, recovered in one pass on open (torn tail healed, every intact
+// batch handed to the caller) with deterministic counters so durability
+// overhead is benchmarkable without wall clocks.
 //
 // # File format
 //
@@ -16,9 +17,13 @@
 //	crc     uint32 LE   — CRC-32C (Castagnoli) of the payload
 //	payload []byte      — JSON-encoded wire.OpBatch
 //
+// Encode is the one encoder of a record (Append writes its output) and
+// readFrame the one decoder: Open, Tail and the replication stream's
+// Decoder differ only in what they do with a tear.
+//
 // Segments are named wal-<firstLSN %016x>.log; a segment's name carries
-// the LSN of its first record, so recovery can skip whole segments below
-// a snapshot watermark without reading them. Records within and across
+// the LSN of its first record, so a reader can skip whole segments below
+// a watermark without reading them. Records within and across
 // segments carry strictly contiguous LSNs. Appends always go to the
 // highest-named segment; Rotate starts a fresh one (after a checkpoint)
 // so fully-compacted segments can be pruned by name alone.
@@ -26,15 +31,17 @@
 // # Torn tails
 //
 // A crash mid-write leaves a torn tail: a truncated or garbled final
-// record. Open scans every record of the last segment, stops at the
-// first frame whose length is implausible, whose payload is short, or
-// whose CRC mismatches, truncates the file back to the last intact
-// record boundary, and reports the discarded byte count. Corruption in
+// record. Open reads every record of every segment once, checking LSN
+// continuity. At the first frame of the last segment whose length is
+// implausible, whose payload is short, or whose CRC mismatches, it
+// truncates the file back to the last intact record boundary and
+// reports the discarded byte count. Corruption in
 // the middle of older segments (not the tail) cannot be self-healed and
 // fails Open with ErrCorrupt: that is disk rot, not a crash artifact.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -63,6 +70,56 @@ const (
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Encode frames one batch as a record: length uint32 LE, CRC-32C uint32
+// LE, JSON payload. Append writes exactly these bytes, so the
+// replication stream is the record format of the log itself, minus the
+// per-segment magic.
+func Encode(b wire.OpBatch) ([]byte, error) {
+	payload, err := json.Marshal(b)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, frameHeaderSize+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
+	copy(buf[frameHeaderSize:], payload)
+	return buf, nil
+}
+
+// readFrame decodes one record from d's reader: header, length bound,
+// payload, CRC-32C, JSON. limit bounds the payload length (the bytes
+// left in a segment file, or maxRecordSize on a stream), so a garbage
+// length field is a tear, never an allocation request. It returns io.EOF
+// at a clean frame boundary and an ErrTornStream-wrapped error for any
+// tear; the payload scratch is reused across calls.
+func (d *Decoder) readFrame(limit int64) (wire.OpBatch, error) {
+	var b wire.OpBatch
+	if _, err := io.ReadFull(d.r, d.frame[:]); err != nil {
+		if err == io.EOF {
+			return b, io.EOF
+		}
+		return b, fmt.Errorf("%w: cut in frame header: %w", ErrTornStream, err)
+	}
+	length := binary.LittleEndian.Uint32(d.frame[0:4])
+	if length == 0 || int64(length) > min(limit, maxRecordSize) {
+		return b, fmt.Errorf("%w: implausible record length %d", ErrTornStream, length)
+	}
+	if cap(d.payload) < int(length) {
+		d.payload = make([]byte, length)
+	}
+	payload := d.payload[:length]
+	if _, err := io.ReadFull(d.r, payload); err != nil {
+		return b, fmt.Errorf("%w: cut in payload: %w", ErrTornStream, err)
+	}
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(d.frame[4:8]) {
+		return b, fmt.Errorf("%w: crc mismatch", ErrTornStream)
+	}
+	if err := json.Unmarshal(payload, &b); err != nil {
+		return b, fmt.Errorf("%w: undecodable payload: %v", ErrTornStream, err)
+	}
+	return b, nil
+}
 
 // ErrCorrupt reports unrecoverable corruption: a bad frame that is not at
 // the tail of the last segment, or a non-contiguous LSN sequence.
@@ -109,10 +166,14 @@ func parseSegName(name string) (uint64, bool) {
 	return n, true
 }
 
-// segments lists the log's segment files sorted by first-LSN.
+// segments lists the log's segment files sorted by first-LSN; none when
+// dir does not exist.
 func segments(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
 		return nil, err
 	}
 	var names []string
@@ -125,11 +186,16 @@ func segments(dir string) ([]string, error) {
 	return names, nil
 }
 
-// Open opens (creating if needed) the log in dir, heals any torn tail on
-// the last segment, and positions for appends. nextLSN is the LSN the
-// next Append will be assigned; discarded is the byte count truncated
-// from a torn tail, if any.
-func Open(dir string) (*Log, error) {
+// Open opens (creating if needed) the log in dir and recovers it in one
+// pass: every record of every segment is read once, LSNs must run
+// contiguously from the earliest segment's first-LSN, and a torn tail on
+// the last segment is truncated back to the last intact record (the
+// truncated byte count lands in Stats().DiscardedBytes). Each intact
+// batch with LSN > after goes to fn, in order, as it is read; fn may be
+// nil, and fn returning an error stops Open with that error. A log that
+// fails Open may already have handed fn a prefix of its batches. The
+// returned log is positioned for appends at LastLSN()+1.
+func Open(dir string, after uint64, fn func(wire.OpBatch) error) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -137,7 +203,7 @@ func Open(dir string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir}
+	l := &Log{dir: dir, stats: Stats{Segments: len(names)}}
 	if len(names) == 0 {
 		return l, nil // fresh log; first Append creates the first segment
 	}
@@ -149,33 +215,18 @@ func Open(dir string) (*Log, error) {
 		return nil, fmt.Errorf("%w: bad segment name %s", ErrCorrupt, names[0])
 	}
 	l.lastLSN = first - 1
-	// Validate LSN continuity across all segments and heal the tail of
-	// the last one. Only the last segment may be torn.
 	for i, name := range names {
-		path := filepath.Join(dir, name)
-		last := i == len(names)-1
-		lastLSN, discarded, err := l.scanSegment(path, last)
-		if err != nil {
-			return nil, fmt.Errorf("%w: segment %s: %v", ErrCorrupt, name, err)
-		}
-		l.lastLSN = lastLSN
-		l.stats.DiscardedBytes += discarded
-	}
-	l.stats.Segments = len(names)
-	// Reopen the last segment for appending — unless healing emptied it
-	// entirely (crash before its magic landed): drop that husk and let
-	// the next Append start a fresh, well-formed segment.
-	path := filepath.Join(dir, names[len(names)-1])
-	if info, err := os.Stat(path); err != nil {
-		return nil, err
-	} else if info.Size() < int64(len(magic)) {
-		if err := os.Remove(path); err != nil {
+		if err := l.readSegment(filepath.Join(dir, name), i == len(names)-1, after, fn); err != nil {
 			return nil, err
 		}
-		l.stats.Segments--
+	}
+	// Reopen the last segment for appending, unless readSegment dropped it
+	// as a husk: the next Append then starts a fresh, well-formed segment.
+	path := filepath.Join(dir, names[len(names)-1])
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
+	if os.IsNotExist(err) {
 		return l, nil
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -183,87 +234,107 @@ func Open(dir string) (*Log, error) {
 	return l, nil
 }
 
-// scanSegment validates one segment: magic, frames, CRCs, and LSN
-// continuity with l.lastLSN. When tail is true a bad frame heals by
-// truncating the file back to the last intact boundary; otherwise it is
-// an error. Returns the last valid LSN seen (carrying l.lastLSN forward
-// if the segment is empty) and the truncated byte count.
-func (l *Log) scanSegment(path string, tail bool) (uint64, uint64, error) {
+// readSegment reads one segment for Open: each record must carry
+// l.lastLSN+1, and each with LSN > after goes to fn. A tear heals by
+// truncating the file back to the last intact boundary when tail is
+// true, or by removing it when it was cut inside its magic (a crash
+// while creating it); otherwise it is ErrCorrupt.
+func (l *Log) readSegment(path string, tail bool, after uint64, fn func(wire.OpBatch) error) error {
+	s, err := openSegment(path)
+	if err != nil {
+		return err
+	}
+	defer s.f.Close()
+	for {
+		rest := s.left.N // bytes from this frame boundary to the end
+		b, err := s.next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			if errors.As(err, new(*os.PathError)) {
+				return err // the disk failed a read: that proves no tear
+			}
+			// An undecodable payload whose CRC matched was durably
+			// written as-is (disk rot or a writer bug, not a tear), but
+			// at the very tail healing it is still lossless for acked
+			// writes.
+			if !tail {
+				return fmt.Errorf("%w: segment %s: %v at offset %d (not the tail segment)",
+					ErrCorrupt, filepath.Base(path), err, s.size-rest)
+			}
+			l.stats.DiscardedBytes += uint64(rest)
+			if s.short {
+				l.stats.Segments--
+				return os.Remove(path)
+			}
+			if err := os.Truncate(path, s.size-rest); err != nil {
+				return fmt.Errorf("truncating torn tail: %w", err)
+			}
+			return nil
+		}
+		if b.LSN != l.lastLSN+1 {
+			return fmt.Errorf("%w: segment %s: lsn gap: %d follows %d", ErrCorrupt, filepath.Base(path), b.LSN, l.lastLSN)
+		}
+		l.lastLSN = b.LSN
+		if fn != nil && b.LSN > after {
+			if err := fn(b); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// segment is one segment file open for reading past its magic. Its
+// Decoder sees the file only up to its size at open: left counts the
+// bytes from the next frame boundary to that size, so a frame claiming
+// more is a tear, and an append racing the read is invisible.
+type segment struct {
+	f     *os.File
+	size  int64
+	short bool // cut inside its magic: a crash while creating the file
+	left  io.LimitedReader
+	dec   Decoder
+}
+
+// openSegment opens a segment file for reading and checks its magic. A
+// wrong magic is ErrCorrupt even on the tail segment: the magic is
+// written first and fits one sector, so it is never a torn tail.
+func openSegment(path string) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return 0, 0, err
+		f.Close()
+		return nil, err
 	}
-	size := info.Size()
-	lastLSN := l.lastLSN
+	s := &segment{f: f, size: info.Size()}
+	s.left = io.LimitedReader{R: bufio.NewReader(f), N: s.size}
+	s.dec.r = &s.left
+	if s.short = s.size < int64(len(magic)); s.short {
+		return s, nil
+	}
+	var hdr [len(magic)]byte
+	if _, err := io.ReadFull(&s.left, hdr[:]); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if string(hdr[:]) != magic {
+		f.Close()
+		return nil, fmt.Errorf("%w: segment %s: bad magic", ErrCorrupt, filepath.Base(path))
+	}
+	return s, nil
+}
 
-	heal := func(goodEnd int64, why string) (uint64, uint64, error) {
-		if !tail {
-			return 0, 0, fmt.Errorf("%s at offset %d (not the tail segment)", why, goodEnd)
-		}
-		if err := os.Truncate(path, goodEnd); err != nil {
-			return 0, 0, fmt.Errorf("truncating torn tail: %w", err)
-		}
-		return lastLSN, uint64(size - goodEnd), nil
+// next reads the segment's next record: io.EOF at its end, an
+// ErrTornStream-wrapped error at a tear.
+func (s *segment) next() (wire.OpBatch, error) {
+	if s.short {
+		return wire.OpBatch{}, fmt.Errorf("%w: cut in segment magic", ErrTornStream)
 	}
-
-	if size < int64(len(magic)) {
-		// Shorter than the header: a crash during segment creation.
-		return heal(0, "short magic")
-	}
-	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, 0, err
-	}
-	if string(hdr) != magic {
-		// A wrong magic is never a torn tail — the header is written
-		// first and fits one sector. Refuse even on the tail segment.
-		return 0, 0, errors.New("bad magic")
-	}
-
-	off := int64(len(magic))
-	frame := make([]byte, frameHeaderSize)
-	var payload []byte
-	for off < size {
-		if size-off < frameHeaderSize {
-			return heal(off, "short frame header")
-		}
-		if _, err := io.ReadFull(f, frame); err != nil {
-			return 0, 0, err
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		crc := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > maxRecordSize || int64(length) > size-off-frameHeaderSize {
-			return heal(off, "implausible record length")
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return 0, 0, err
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return heal(off, "crc mismatch")
-		}
-		var b wire.OpBatch
-		if err := json.Unmarshal(payload, &b); err != nil {
-			// The CRC matched, so this was durably written as-is: disk
-			// rot or a writer bug, not a torn tail. But at the very tail
-			// it is still safest (and lossless for acked writes) to heal.
-			return heal(off, "undecodable payload")
-		}
-		if b.LSN != lastLSN+1 {
-			return 0, 0, fmt.Errorf("lsn gap: %d follows %d", b.LSN, lastLSN)
-		}
-		lastLSN = b.LSN
-		off += frameHeaderSize + int64(length)
-	}
-	return lastLSN, 0, nil
+	return s.dec.readFrame(s.left.N - frameHeaderSize)
 }
 
 // LastLSN is the LSN of the last record in the log (appended or
@@ -301,14 +372,10 @@ func (l *Log) Append(b wire.OpBatch) error {
 			return err
 		}
 	}
-	payload, err := json.Marshal(b)
+	buf, err := Encode(b)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	copy(buf[frameHeaderSize:], payload)
 	if err := faultinject.Fire(faultinject.WALAppend); err != nil {
 		// A ShortWriteError physically tears the tail — a prefix of the
 		// frame lands on disk, exactly as a crash mid-write would leave it —
@@ -415,86 +482,6 @@ func (l *Log) Prune(watermark uint64) (int, error) {
 		l.stats.Segments--
 	}
 	return removed, nil
-}
-
-// Replay streams every batch with LSN > after, in order, to fn. Segments
-// whose name proves they end at or below after are skipped without
-// reading. fn returning an error stops the replay.
-func Replay(dir string, after uint64, fn func(wire.OpBatch) error) error {
-	names, err := segments(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	// Skip segments that end before `after+1`: segment i ends where
-	// segment i+1 begins.
-	start := 0
-	for i := 0; i+1 < len(names); i++ {
-		next, _ := parseSegName(names[i+1])
-		if next != 0 && next <= after+1 {
-			start = i + 1
-		}
-	}
-	for _, name := range names[start:] {
-		if err := replaySegment(filepath.Join(dir, name), after, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replaySegment streams one segment's batches with LSN > after to fn.
-// The segment is assumed healed (Open ran first); a bad frame here is
-// ErrCorrupt.
-func replaySegment(path string, after uint64, fn func(wire.OpBatch) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil // healed-to-empty segment
-		}
-		return err
-	}
-	if string(hdr) != magic {
-		return fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
-	}
-	frame := make([]byte, frameHeaderSize)
-	for {
-		if _, err := io.ReadFull(f, frame); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("%w: %s: torn frame in replay", ErrCorrupt, filepath.Base(path))
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		crc := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > maxRecordSize {
-			return fmt.Errorf("%w: %s: implausible record length %d", ErrCorrupt, filepath.Base(path), length)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return fmt.Errorf("%w: %s: short payload", ErrCorrupt, filepath.Base(path))
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return fmt.Errorf("%w: %s: crc mismatch", ErrCorrupt, filepath.Base(path))
-		}
-		var b wire.OpBatch
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return fmt.Errorf("%w: %s: undecodable payload: %v", ErrCorrupt, filepath.Base(path), err)
-		}
-		if b.LSN <= after {
-			continue
-		}
-		if err := fn(b); err != nil {
-			return err
-		}
-	}
 }
 
 // Close syncs and closes the log.

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"trustmap/wire"
@@ -26,7 +28,7 @@ func testBatch(lsn uint64) wire.OpBatch {
 // appendN opens the log in dir and appends batches for LSNs (from, from+n).
 func appendN(t *testing.T, dir string, from uint64, n int) {
 	t.Helper()
-	l, err := Open(dir)
+	l, err := Open(dir, 0, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -40,15 +42,20 @@ func appendN(t *testing.T, dir string, from uint64, n int) {
 	}
 }
 
-// replayAll collects every batch with LSN > after.
+// replayAll recovers the log in dir and collects every batch Open
+// hands over with LSN > after.
 func replayAll(t *testing.T, dir string, after uint64) []wire.OpBatch {
 	t.Helper()
 	var got []wire.OpBatch
-	if err := Replay(dir, after, func(b wire.OpBatch) error {
+	l, err := Open(dir, after, func(b wire.OpBatch) error {
 		got = append(got, b)
 		return nil
-	}); err != nil {
-		t.Fatalf("replay: %v", err)
+	})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 	return got
 }
@@ -57,7 +64,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	appendN(t, dir, 1, 25)
 
-	l, err := Open(dir)
+	l, err := Open(dir, 0, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -82,11 +89,15 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if got := replayAll(t, dir, 20); len(got) != 5 || got[0].LSN != 21 {
 		t.Fatalf("suffix replay after 20: %d batches, first %v", len(got), got[0].LSN)
 	}
+	stop := errors.New("stop")
+	if _, err := Open(dir, 0, func(wire.OpBatch) error { return stop }); !errors.Is(err, stop) {
+		t.Fatalf("open with a failing callback: %v, want its error", err)
+	}
 }
 
 func TestAppendEnforcesContiguity(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir)
+	l, err := Open(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +115,7 @@ func TestAppendEnforcesContiguity(t *testing.T) {
 
 func TestRotateAndPrune(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir)
+	l, err := Open(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +146,7 @@ func TestRotateAndPrune(t *testing.T) {
 	}
 
 	// The pruned log reopens cleanly and replays only the tail.
-	l2, err := Open(dir)
+	l2, err := Open(dir, 0, nil)
 	if err != nil {
 		t.Fatalf("reopen pruned: %v", err)
 	}
@@ -153,7 +164,7 @@ func TestRotateAndPrune(t *testing.T) {
 
 func TestReplaySkipsPrunedPrefix(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := Open(dir)
+	l, _ := Open(dir, 0, nil)
 	for lsn := uint64(1); lsn <= 6; lsn++ {
 		if err := l.Append(testBatch(lsn)); err != nil {
 			t.Fatal(err)
@@ -201,7 +212,7 @@ func TestTornTailEveryTruncationOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), refBytes[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := Open(dir)
+		l, err := Open(dir, 0, nil)
 		if err != nil {
 			t.Fatalf("offset %d: open: %v", off, err)
 		}
@@ -260,7 +271,7 @@ func TestBitFlipEveryTailByte(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, segName(1)), mut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			l, err := Open(dir)
+			l, err := Open(dir, 0, nil)
 			if err != nil {
 				t.Fatalf("flip %d/%#x: open: %v", off, bit, err)
 			}
@@ -285,7 +296,7 @@ func TestBitFlipEveryTailByte(t *testing.T) {
 // not silently truncate acknowledged history.
 func TestMidLogCorruptionIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := Open(dir)
+	l, _ := Open(dir, 0, nil)
 	for lsn := uint64(1); lsn <= 6; lsn++ {
 		if err := l.Append(testBatch(lsn)); err != nil {
 			t.Fatal(err)
@@ -305,7 +316,7 @@ func TestMidLogCorruptionIsFatal(t *testing.T) {
 	if err := os.WriteFile(first, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dir, 0, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open with mid-log corruption: %v, want ErrCorrupt", err)
 	}
 }
@@ -315,13 +326,13 @@ func TestTornSegmentCreation(t *testing.T) {
 	// short husk; Open must drop it and keep appending cleanly.
 	dir := t.TempDir()
 	appendN(t, dir, 1, 2)
-	l, _ := Open(dir)
+	l, _ := Open(dir, 0, nil)
 	l.Rotate()
 	l.Close()
 	if err := os.WriteFile(filepath.Join(dir, segName(3)), []byte("TMW"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir)
+	l2, err := Open(dir, 0, nil)
 	if err != nil {
 		t.Fatalf("open with husk segment: %v", err)
 	}
@@ -339,7 +350,7 @@ func TestTornSegmentCreation(t *testing.T) {
 
 func TestSyncCounters(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := Open(dir)
+	l, _ := Open(dir, 0, nil)
 	for lsn := uint64(1); lsn <= 5; lsn++ {
 		if err := l.Append(testBatch(lsn)); err != nil {
 			t.Fatal(err)
@@ -386,15 +397,101 @@ func recordBoundaries(t *testing.T, raw []byte) []int64 {
 	return boundaries
 }
 
+// TestTornLengthDoesNotAllocate pins the decoder's size bound: a length
+// field larger than the bytes left in the segment is a tear, not an
+// allocation request. The last of three frames claims 60 MB (under
+// maxRecordSize); Tail and Open must both stop at it having allocated
+// well under that, and Open heals it away.
+func TestTornLengthDoesNotAllocate(t *testing.T) {
+	dir := t.TempDir()
+	appendN(t, dir, 1, 3)
+	path := walOnlyFile(t, dir)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundaries := recordBoundaries(t, raw)
+	binary.LittleEndian.PutUint32(raw[boundaries[2]:], 60<<20)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 1 << 20
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	var tailed []wire.OpBatch
+	if got := allocated(func() {
+		tailed, err = tailAll(t, dir, 0, 2)
+	}); got >= budget {
+		t.Errorf("Tail over the 60 MB frame allocated %d B, budget %d", got, budget)
+	}
+	if err != nil || len(tailed) != 2 {
+		t.Fatalf("Tail delivered %d batches, err %v; want 2, nil", len(tailed), err)
+	}
+
+	var l *Log
+	if got := allocated(func() {
+		l, err = Open(dir, 0, nil)
+	}); got >= budget {
+		t.Errorf("Open over the 60 MB frame allocated %d B, budget %d", got, budget)
+	}
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer l.Close()
+	if l.LastLSN() != 2 {
+		t.Fatalf("LastLSN = %d, want 2", l.LastLSN())
+	}
+	if got, want := l.Stats().DiscardedBytes, uint64(boundaries[3]-boundaries[2]); got != want {
+		t.Fatalf("discarded %d bytes, want the torn frame's %d", got, want)
+	}
+}
+
+// TestWALRecoveryAllocsBudget pins the allocations per recovered batch
+// when Open reads a 2 000-record log and hands every batch to a
+// callback: one read and one JSON decode per record. A second decode
+// pass over the log would double it.
+func TestWALRecoveryAllocsBudget(t *testing.T) {
+	// Last moved: measured on 4912975 plus the one-pass Open at 16.02
+	// allocations per batch; 4912975 itself, validating with Open and
+	// then reading again with Replay, made 33.02.
+	const records, budget = 2000, 16.02
+	dir := t.TempDir()
+	appendN(t, dir, 1, records)
+	delivered := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		l, err := Open(dir, 0, func(wire.OpBatch) error {
+			delivered++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+	})
+	if delivered != 6*records {
+		t.Fatalf("delivered %d batches over 6 opens, want %d", delivered, 6*records)
+	}
+	if got := allocs / records; got > budget {
+		t.Errorf("recovery made %.2f allocations per batch, budget %.2f", got, budget)
+	}
+}
+
 // FuzzWALOpen fuzzes recovery over an arbitrary first segment: the bytes
 // land on disk as wal-0000000000000001.log and Open runs over them. Open
-// never panics. When it succeeds, Replay yields only CRC-valid batches
-// with contiguous LSNs from 1 through LastLSN, and a second Open
+// never panics. When it succeeds, it has handed its callback only
+// CRC-valid batches with contiguous LSNs from 1 through LastLSN; Tail
+// over the healed log delivers the same LSNs; and a second Open
 // discards nothing and agrees on LastLSN: torn-tail truncation is
 // idempotent.
 func FuzzWALOpen(f *testing.F) {
 	dir := f.TempDir()
-	l, err := Open(dir)
+	l, err := Open(dir, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -419,7 +516,14 @@ func FuzzWALOpen(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := Open(dir)
+		next := uint64(1)
+		l, err := Open(dir, 0, func(b wire.OpBatch) error {
+			if b.LSN != next {
+				t.Fatalf("recovered lsn %d, want %d", b.LSN, next)
+			}
+			next++
+			return nil
+		})
 		if err != nil {
 			return // refused as corrupt: fine, as long as it did not panic
 		}
@@ -427,20 +531,22 @@ func FuzzWALOpen(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		next := uint64(1)
-		if err := Replay(dir, 0, func(b wire.OpBatch) error {
-			if b.LSN != next {
-				t.Fatalf("replayed lsn %d, want %d", b.LSN, next)
-			}
-			next++
-			return nil
-		}); err != nil {
-			t.Fatalf("replay after a successful open: %v", err)
-		}
 		if next-1 != last {
-			t.Fatalf("replay ended at lsn %d, Open reported %d", next-1, last)
+			t.Fatalf("recovery ended at lsn %d, Open reported %d", next-1, last)
 		}
-		again, err := Open(dir)
+		tailed, err := tailAll(t, dir, 0, last)
+		if err != nil {
+			t.Fatalf("tail of a healed log: %v", err)
+		}
+		for i, b := range tailed {
+			if b.LSN != uint64(i)+1 {
+				t.Fatalf("tail delivered lsn %d at %d, want %d", b.LSN, i, i+1)
+			}
+		}
+		if uint64(len(tailed)) != last {
+			t.Fatalf("tail delivered %d batches, Open reported lsn %d", len(tailed), last)
+		}
+		again, err := Open(dir, 0, nil)
 		if err != nil {
 			t.Fatalf("reopen a healed log: %v", err)
 		}

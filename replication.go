@@ -124,11 +124,11 @@ func (s *Store) SnapshotBlob() (raw []byte, lsn uint64, ok bool, err error) {
 	if d == nil {
 		return nil, 0, false, ErrNotDurable
 	}
-	raw, lsn, err = snapshot.LatestRaw(d.snapDir())
-	if err != nil || raw == nil {
+	f, raw, err := snapshot.Latest(d.snapDir())
+	if err != nil || f == nil {
 		return nil, 0, false, err
 	}
-	return raw, lsn, true, nil
+	return raw, f.LSN, true, nil
 }
 
 // InstallSnapshot seeds a data directory with a snapshot blob fetched
@@ -154,7 +154,7 @@ func InstallSnapshot(dir string, blob []byte) (uint64, error) {
 	} else if lf != nil {
 		local = lf.LSN
 	}
-	log, err := wal.Open(walDir)
+	log, err := wal.Open(walDir, 0, nil)
 	if err != nil {
 		return 0, fmt.Errorf("trustmap: opening local wal: %w", err)
 	}
