@@ -223,9 +223,9 @@ func main() {
 				log.Fatalf("trustd: %v", err)
 			}
 			handler.InstallBackend(rt)
-			sst, eng := rt.EpochStats()
+			s := rt.Stats()
 			log.Printf("trustd: serving %d users, %d mappings, %d roots, %d objects on %s across %d shards (min epoch %d, min lsn %d)",
-				eng.Users, eng.Mappings, eng.Roots, sst.Objects, *addr, rt.Shards(), rt.Epoch(), rt.LSN())
+				s.Engine.Users, s.Engine.Mappings, s.Engine.Roots, s.Store.Objects, *addr, rt.Shards(), s.Epoch, s.LSN)
 			recovered <- serving{st: rt}
 			return
 		}
@@ -251,10 +251,9 @@ func main() {
 			role = "replica of " + *replicaOf
 		}
 		handler.Install(st)
-		eng := st.EngineStats()
-		dur := st.Durability()
+		sst, eng := st.EpochStats()
 		log.Printf("trustd: serving %d users, %d mappings, %d roots, %d objects on %s (epoch %d, lsn %d, durability %s, %s)",
-			eng.Users, eng.Mappings, eng.Roots, st.NumObjects(), *addr, st.Epoch(), st.LSN(), dur.Mode, role)
+			eng.Users, eng.Mappings, eng.Roots, sst.Objects, *addr, sst.Epoch, st.LSN(), st.Durability().Mode, role)
 		recovered <- serving{st: st, tail: tail}
 	}()
 

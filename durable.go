@@ -120,23 +120,9 @@ type durable struct {
 func (d *durable) walDir() string  { return filepath.Join(d.dir, "wal") }
 func (d *durable) snapDir() string { return filepath.Join(d.dir, "snapshots") }
 
-// DurabilityStats describes a store's persistence state and counters.
-// All counters are deterministic — ops, batches, fsyncs, bytes — so
-// durability overhead is benchmarkable without wall clocks.
-type DurabilityStats struct {
-	Mode             string // "memory" (NewStore), or "off"/"batch"/"always"
-	LastLSN          uint64 // last logged batch
-	DurableLSN       uint64 // last fsynced batch: survives a crash
-	SnapshotLSN      uint64 // watermark of the newest compacted snapshot
-	WALAppends       uint64 // batches appended since open
-	WALSyncs         uint64 // fsyncs issued since open
-	WALBytes         uint64 // framed bytes appended since open
-	Checkpoints      uint64 // checkpoints completed since open
-	RecoveredBatches uint64 // WAL batches replayed at open
-	ReplayedOps      uint64 // ops applied during recovery replay
-	ReplayErrors     uint64 // ops that errored during recovery replay
-	DiscardedBytes   uint64 // torn-tail bytes truncated at open
-}
+// DurabilityStats describes a store's persistence state and counters:
+// the durability section of /v1/stats.
+type DurabilityStats = wire.DurabilityStats
 
 // OpenStore opens (creating if needed) a durable store rooted at dir:
 // <dir>/wal holds the write-ahead log, <dir>/snapshots the compacted

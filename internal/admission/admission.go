@@ -73,7 +73,9 @@ func (e *ShedError) Error() string {
 // Unwrap makes errors.Is(err, ErrShed) match every shed decision.
 func (e *ShedError) Unwrap() error { return ErrShed }
 
-// Stats are one Gate's deterministic counters since creation.
+// Stats are one Gate's deterministic counters since creation. They
+// convert to wire.AdmissionClassStats in /v1/stats, so the two field
+// lists must stay identical.
 type Stats struct {
 	Admitted      uint64 // Acquire calls that got a slot (immediately or from the queue)
 	Queued        uint64 // Acquire calls that waited in the queue (admitted or not)

@@ -161,7 +161,9 @@ type CompiledNetwork struct {
 // stepRange is one condensation component's contiguous slice of the plan.
 type stepRange struct{ comp, lo, hi int32 }
 
-// Stats summarizes a compiled network for diagnostics.
+// Stats summarizes a compiled network for diagnostics. It converts to
+// wire.EngineStats, the engine section of /v1/stats, so the two field
+// lists must stay identical.
 type Stats struct {
 	Users            int
 	Mappings         int

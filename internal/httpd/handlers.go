@@ -78,54 +78,11 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sst, eng := st.EpochStats() // one pinned epoch: all counters agree
-	dur := st.Durability()
-	writeJSON(w, http.StatusOK, wire.StatsResponse{
-		Schema: wire.SchemaVersion,
-		Epoch:  sst.Epoch,
-		LSN:    st.LSN(),
-		Session: wire.SessionStats{
-			Compiles:           sst.Compiles,
-			IncrementalApplies: sst.IncrementalApplies,
-			ValueOnlyUpdates:   sst.ValueOnlyUpdates,
-			FullRecompiles:     sst.FullRecompiles,
-			EpochsReclaimed:    sst.EpochsReclaimed,
-		},
-		Store: wire.StoreStats{
-			Objects:     sst.Objects,
-			CacheHits:   sst.CacheHits,
-			CacheMisses: sst.CacheMisses,
-		},
-		Engine: wire.EngineStats{
-			Users:            eng.Users,
-			Mappings:         eng.Mappings,
-			Roots:            eng.Roots,
-			Reachable:        eng.Reachable,
-			SCCs:             eng.SCCs,
-			NontrivialSCCs:   eng.NontrivialSCCs,
-			CopySteps:        eng.CopySteps,
-			FloodSteps:       eng.FloodSteps,
-			DistinctSupports: eng.DistinctSupports,
-		},
-		Durability: wire.DurabilityStats{
-			Mode:             dur.Mode,
-			LastLSN:          dur.LastLSN,
-			DurableLSN:       dur.DurableLSN,
-			SnapshotLSN:      dur.SnapshotLSN,
-			WALAppends:       dur.WALAppends,
-			WALSyncs:         dur.WALSyncs,
-			WALBytes:         dur.WALBytes,
-			Checkpoints:      dur.Checkpoints,
-			RecoveredBatches: dur.RecoveredBatches,
-			ReplayedOps:      dur.ReplayedOps,
-			ReplayErrors:     dur.ReplayErrors,
-			DiscardedBytes:   dur.DiscardedBytes,
-		},
-		Admission:   srv.AdmissionStats(),
-		Replication: srv.replicationStats(),
-		Query:       srv.QueryTotals(),
-		Cluster:     st.ClusterStats(),
-	})
+	resp := st.Stats()
+	resp.Admission = srv.AdmissionStats()
+	resp.Replication = srv.replicationStats()
+	resp.Query = srv.QueryTotals()
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (srv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

@@ -291,20 +291,8 @@ func (srv *Server) resolveError(w http.ResponseWriter, err error) {
 func (srv *Server) AdmissionStats() wire.AdmissionStats {
 	return wire.AdmissionStats{
 		Enabled:          srv.reads != nil || srv.mutations != nil,
-		Reads:            classStats(srv.reads.Stats()),
-		Mutations:        classStats(srv.mutations.Stats()),
+		Reads:            wire.AdmissionClassStats(srv.reads.Stats()),
+		Mutations:        wire.AdmissionClassStats(srv.mutations.Stats()),
 		DeadlineExceeded: srv.deadlineExceeded.Load(),
-	}
-}
-
-func classStats(s admission.Stats) wire.AdmissionClassStats {
-	return wire.AdmissionClassStats{
-		Admitted:      s.Admitted,
-		Queued:        s.Queued,
-		Shed:          s.Shed,
-		Canceled:      s.Canceled,
-		MaxQueueDepth: s.MaxQueueDepth,
-		InFlight:      s.InFlight,
-		QueueDepth:    s.QueueDepth,
 	}
 }

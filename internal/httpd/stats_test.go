@@ -2,7 +2,9 @@ package httpd_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -157,4 +159,81 @@ func serve(t *testing.T, h http.Handler, method, path string, body any) *httptes
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(method, path, rd))
 	return rec
+}
+
+// TestClusterStatsConsistent fetches /v1/stats from a 3-shard router 200
+// times while another goroutine streams spine mutations and object
+// writes, and requires every response to agree with its own cluster
+// section: the top-level epoch, LSN and durable LSN are the minimum over
+// per_shard, and store.objects is the per-shard sum. A response built
+// from more than one read of some shard would break this whenever a
+// write lands between the reads.
+func TestClusterStatsConsistent(t *testing.T) {
+	stores := make([]*trustmap.Store, 3)
+	for i := range stores {
+		st, err := trustmap.OpenStore(t.TempDir(), trustmap.WithWorkers(1), trustmap.WithDurability(trustmap.DurabilityAlways))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = st
+	}
+	rt, err := shard.NewRouter(stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	if _, err := rt.Mutate([]wire.Op{
+		{Op: wire.OpSetTrust, Truster: "alice", Trusted: "bob", Priority: 2},
+		{Op: wire.OpSetBelief, User: "bob", Value: "fish"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h := httpd.NewBackend(rt, httpd.Config{})
+
+	stop := make(chan struct{})
+	werr := make(chan error, 1)
+	go func() {
+		ctx := context.Background()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				werr <- nil
+				return
+			default:
+			}
+			var err error
+			if i%4 == 0 {
+				_, err = rt.Mutate([]wire.Op{{Op: wire.OpSetTrust, Truster: "carol", Trusted: "bob", Priority: i%7 + 1}})
+			} else {
+				err = rt.PutObject(ctx, fmt.Sprintf("o%d", i), map[string]string{"bob": fmt.Sprintf("v%d", i%5)})
+			}
+			if err != nil {
+				werr <- err
+				return
+			}
+		}
+	}()
+
+	for n := 0; n < 200; n++ {
+		rec := serve(t, h, "GET", "/v1/stats", nil)
+		var s wire.StatsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil || rec.Code != http.StatusOK {
+			close(stop)
+			t.Fatalf("fetch %d: status %d, %v; body %s", n, rec.Code, err, rec.Body)
+		}
+		c := s.Cluster
+		epoch, lsn, durable, objects := c.PerShard[0].Epoch, c.PerShard[0].LSN, c.PerShard[0].DurableLSN, 0
+		for _, p := range c.PerShard {
+			epoch, lsn, durable, objects = min(epoch, p.Epoch), min(lsn, p.LSN), min(durable, p.DurableLSN), objects+p.Objects
+		}
+		if s.Epoch != epoch || s.LSN != lsn || s.Durability.DurableLSN != durable || s.Store.Objects != objects {
+			close(stop)
+			t.Fatalf("fetch %d: top level epoch %d lsn %d durable_lsn %d objects %d; per shard min/sum %d %d %d %d (%+v)",
+				n, s.Epoch, s.LSN, s.Durability.DurableLSN, s.Store.Objects, epoch, lsn, durable, objects, c.PerShard)
+		}
+	}
+	close(stop)
+	if err := <-werr; err != nil {
+		t.Fatal(err)
+	}
 }

@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 
 	"trustmap"
-	"trustmap/internal/engine"
 	"trustmap/internal/query"
 	"trustmap/wire"
 )
@@ -463,60 +462,6 @@ func (r *Router) LSN() uint64 {
 	return min
 }
 
-// EpochStats sums the store counters over shards and reports shard 0's
-// engine stats — the spine (network, roots, plan) is identical on every
-// shard, so one shard's engine view describes the cluster's.
-func (r *Router) EpochStats() (trustmap.StoreStats, engine.Stats) {
-	sum, eng := r.shards[0].EpochStats()
-	for _, st := range r.shards[1:] {
-		sst, _ := st.EpochStats()
-		if sst.Epoch < sum.Epoch {
-			sum.Epoch = sst.Epoch
-		}
-		sum.Objects += sst.Objects
-		sum.CacheHits += sst.CacheHits
-		sum.CacheMisses += sst.CacheMisses
-		sum.Dedup.Objects += sst.Dedup.Objects
-		sum.Dedup.DistinctSignatures += sst.Dedup.DistinctSignatures
-		sum.Dedup.CacheHits += sst.Dedup.CacheHits
-		sum.Dedup.Resolved += sst.Dedup.Resolved
-		sum.Compiles += sst.Compiles
-		sum.IncrementalApplies += sst.IncrementalApplies
-		sum.ValueOnlyUpdates += sst.ValueOnlyUpdates
-		sum.FullRecompiles += sst.FullRecompiles
-		sum.EpochsReclaimed += sst.EpochsReclaimed
-	}
-	return sum, eng
-}
-
-// Durability reports minimum watermarks (the conservative durable
-// frontier) and summed activity counters over shards; shard 0 names the
-// mode (all shards share one configuration).
-func (r *Router) Durability() trustmap.DurabilityStats {
-	out := r.shards[0].Durability()
-	for _, st := range r.shards[1:] {
-		d := st.Durability()
-		if d.LastLSN < out.LastLSN {
-			out.LastLSN = d.LastLSN
-		}
-		if d.DurableLSN < out.DurableLSN {
-			out.DurableLSN = d.DurableLSN
-		}
-		if d.SnapshotLSN < out.SnapshotLSN {
-			out.SnapshotLSN = d.SnapshotLSN
-		}
-		out.WALAppends += d.WALAppends
-		out.WALSyncs += d.WALSyncs
-		out.WALBytes += d.WALBytes
-		out.Checkpoints += d.Checkpoints
-		out.RecoveredBatches += d.RecoveredBatches
-		out.ReplayedOps += d.ReplayedOps
-		out.ReplayErrors += d.ReplayErrors
-		out.DiscardedBytes += d.DiscardedBytes
-	}
-	return out
-}
-
 // Checkpoint compacts every shard's WAL, reporting the minimum
 // watermarks and shard 0's snapshot name. Object ops proceed on other
 // shards while one shard compacts (read lock only).
@@ -543,10 +488,16 @@ func (r *Router) Checkpoint() (trustmap.CheckpointInfo, error) {
 	return out, nil
 }
 
-// ClusterStats reports the routing table, the conserved router op
-// counters, and one ShardStats per shard.
-func (r *Router) ClusterStats() *wire.ClusterStats {
-	out := &wire.ClusterStats{
+// Stats reads every shard once and derives the whole response from
+// those reads: the top-level epoch and LSN and the durability watermarks
+// are minimums over shards (the conservative read-your-writes and
+// durable frontiers), the session, store and durability activity
+// counters are sums, the engine section and durability mode are shard
+// 0's (every shard holds the same spine and configuration), and the
+// cluster section lists each shard's own slice beside the conserved
+// router op counters.
+func (r *Router) Stats() wire.StatsResponse {
+	c := &wire.ClusterStats{
 		Shards:       len(r.shards),
 		Hash:         wire.ShardHash,
 		SpineOps:     r.spineOps.Load(),
@@ -554,21 +505,52 @@ func (r *Router) ClusterStats() *wire.ClusterStats {
 		ScatterReads: r.scatterReads.Load(),
 		PerShard:     make([]wire.ShardStats, len(r.shards)),
 	}
+	var out wire.StatsResponse
 	for i, st := range r.shards {
-		sst, _ := st.EpochStats()
-		out.PerShard[i] = wire.ShardStats{
+		s := storeStats(st)
+		c.PerShard[i] = wire.ShardStats{
 			Index:       i,
-			Objects:     sst.Objects,
-			Epoch:       sst.Epoch,
-			LSN:         st.LSN(),
-			DurableLSN:  st.DurableLSN(),
+			Objects:     s.Store.Objects,
+			Epoch:       s.Epoch,
+			LSN:         s.LSN,
+			DurableLSN:  s.Durability.DurableLSN,
 			ObjectOps:   r.objectOps[i].Load(),
-			CacheHits:   sst.CacheHits,
-			CacheMisses: sst.CacheMisses,
+			CacheHits:   s.Store.CacheHits,
+			CacheMisses: s.Store.CacheMisses,
 		}
+		if i == 0 {
+			out = s
+			continue
+		}
+		out.Epoch, out.LSN = min(out.Epoch, s.Epoch), min(out.LSN, s.LSN)
+		o, x := &out.Session, s.Session
+		o.Compiles += x.Compiles
+		o.IncrementalApplies += x.IncrementalApplies
+		o.ValueOnlyUpdates += x.ValueOnlyUpdates
+		o.FullRecompiles += x.FullRecompiles
+		o.EpochsReclaimed += x.EpochsReclaimed
+		out.Store.Objects += s.Store.Objects
+		out.Store.CacheHits += s.Store.CacheHits
+		out.Store.CacheMisses += s.Store.CacheMisses
+		d, y := &out.Durability, s.Durability
+		d.LastLSN = min(d.LastLSN, y.LastLSN)
+		d.DurableLSN = min(d.DurableLSN, y.DurableLSN)
+		d.SnapshotLSN = min(d.SnapshotLSN, y.SnapshotLSN)
+		d.WALAppends += y.WALAppends
+		d.WALSyncs += y.WALSyncs
+		d.WALBytes += y.WALBytes
+		d.Checkpoints += y.Checkpoints
+		d.RecoveredBatches += y.RecoveredBatches
+		d.ReplayedOps += y.ReplayedOps
+		d.ReplayErrors += y.ReplayErrors
+		d.DiscardedBytes += y.DiscardedBytes
 	}
+	out.Cluster = c
 	return out
 }
+
+// ClusterStats is the cluster section of Stats.
+func (r *Router) ClusterStats() *wire.ClusterStats { return r.Stats().Cluster }
 
 // Close closes every shard, returning the first error.
 func (r *Router) Close() error {

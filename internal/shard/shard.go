@@ -32,7 +32,6 @@ import (
 	"fmt"
 
 	"trustmap"
-	"trustmap/internal/engine"
 	"trustmap/internal/query"
 	"trustmap/wire"
 )
@@ -49,13 +48,11 @@ type Backend interface {
 	// LSN is the last logged WAL sequence number (zero in-memory); a
 	// Router reports the minimum over shards.
 	LSN() uint64
-	// EpochStats snapshots store and engine counters at one pinned epoch.
-	// A Router sums store counters over shards and reports shard 0's
-	// engine stats (the spine is identical everywhere).
-	EpochStats() (trustmap.StoreStats, engine.Stats)
-	// Durability snapshots the durability counters; a Router reports
-	// minimum watermarks and summed counters.
-	Durability() trustmap.DurabilityStats
+	// Stats fills the sections of GET /v1/stats the backend owns —
+	// schema, epoch, lsn, session, store, engine, durability, and on a
+	// Router cluster — reading each store once. The HTTP layer adds
+	// admission, replication and query.
+	Stats() wire.StatsResponse
 	// Checkpoint compacts the WAL into a snapshot — on a Router, every
 	// shard's WAL, reporting the minimum watermarks.
 	Checkpoint() (trustmap.CheckpointInfo, error)
@@ -99,9 +96,6 @@ type Backend interface {
 	// Shards is the routing-table size a shard-aware client splits
 	// batches with (wire.Health.Shards); zero on an unsharded backend.
 	Shards() int
-	// ClusterStats is the /v1/stats cluster section; nil on an unsharded
-	// backend.
-	ClusterStats() *wire.ClusterStats
 
 	// Close releases every underlying store.
 	Close() error
@@ -140,11 +134,25 @@ func (s *SingleStore) Epoch() uint64 { return s.st.Epoch() }
 // LSN reports the store's last logged WAL sequence number.
 func (s *SingleStore) LSN() uint64 { return s.st.LSN() }
 
-// EpochStats snapshots store and engine counters at one pinned epoch.
-func (s *SingleStore) EpochStats() (trustmap.StoreStats, engine.Stats) { return s.st.EpochStats() }
+// Stats reads the store's sections of /v1/stats once.
+func (s *SingleStore) Stats() wire.StatsResponse { return storeStats(s.st) }
 
-// Durability snapshots the store's durability counters.
-func (s *SingleStore) Durability() trustmap.DurabilityStats { return s.st.Durability() }
+// storeStats reads one store's sections of /v1/stats: the store and
+// engine counters of one pinned epoch, then the durability counters,
+// whose last logged LSN is the response's.
+func storeStats(st *trustmap.Store) wire.StatsResponse {
+	sst, eng := st.EpochStats()
+	dur := st.Durability()
+	return wire.StatsResponse{
+		Schema:     wire.SchemaVersion,
+		Epoch:      sst.Epoch,
+		LSN:        dur.LastLSN,
+		Session:    sst.SessionStats,
+		Store:      wire.StoreStats{Objects: sst.Objects, CacheHits: sst.CacheHits, CacheMisses: sst.CacheMisses},
+		Engine:     wire.EngineStats(eng),
+		Durability: dur,
+	}
+}
 
 // Checkpoint compacts the store's WAL into a snapshot.
 func (s *SingleStore) Checkpoint() (trustmap.CheckpointInfo, error) { return s.st.Checkpoint() }
@@ -224,9 +232,6 @@ func (s *SingleStore) DeleteBelief(ctx context.Context, user, key string) (bool,
 
 // Shards is zero: no routing table to advertise.
 func (s *SingleStore) Shards() int { return 0 }
-
-// ClusterStats is nil: no cluster section on an unsharded server.
-func (s *SingleStore) ClusterStats() *wire.ClusterStats { return nil }
 
 // Close closes the wrapped store.
 func (s *SingleStore) Close() error { return s.st.Close() }

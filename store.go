@@ -1107,6 +1107,7 @@ func (s *Store) addDedupLocked(res *bulkResolution) {
 // result-cache and signature-deduplication counters.
 type StoreStats struct {
 	SessionStats
+	Epoch       uint64 // generation of the published snapshot serving reads
 	Objects     int    // stored objects
 	CacheHits   uint64 // object reads served from the result cache
 	CacheMisses uint64 // object reads that re-resolved
@@ -1138,20 +1139,12 @@ func (s *Store) Stats() StoreStats {
 	return s.statsAt(e)
 }
 
-// EpochStats returns the store counters and the engine summary of ONE
-// pinned epoch: unlike calling Stats and EngineStats back to back, the
-// two cannot straddle a publication. For monitoring endpoints that key
-// both on the epoch number (trustd's /v1/stats).
+// EpochStats returns the store counters and the summary of the compiled
+// artifact, both of ONE pinned epoch, so the two cannot straddle a
+// publication. For monitoring endpoints that key both on the epoch
+// number (trustd's /v1/stats).
 func (s *Store) EpochStats() (StoreStats, engine.Stats) {
 	e := s.pub.Acquire()
 	defer e.Release()
 	return s.statsAt(e), e.Value().engineStats()
-}
-
-// EngineStats summarizes the compiled artifact of the currently published
-// epoch.
-func (s *Store) EngineStats() engine.Stats {
-	e := s.pub.Acquire()
-	defer e.Release()
-	return e.Value().engineStats()
 }

@@ -117,7 +117,7 @@ func TestSessionConcurrentReadWriteEpochConsistency(t *testing.T) {
 // regression test: ResolveBatch racing AddTrust/RemoveTrust — including
 // mutations that grow the user set, which re-snapshot the name index —
 // must stay race-clean and serve well-formed results. Stats and
-// EngineStats readers ride along, as a monitoring endpoint would.
+// EpochStats readers ride along, as a monitoring endpoint would.
 func TestSessionConcurrentMutateResolveRegression(t *testing.T) {
 	n := New()
 	n.SetBelief("hub", "v")
@@ -165,7 +165,7 @@ func TestSessionConcurrentMutateResolveRegression(t *testing.T) {
 				t.Error("stats reader: no compile recorded")
 				return
 			}
-			if es := s.EngineStats(); es.Users == 0 {
+			if _, es := s.EpochStats(); es.Users == 0 {
 				t.Error("stats reader: empty engine stats")
 				return
 			}

@@ -41,19 +41,12 @@ import (
 	"trustmap/internal/engine"
 	"trustmap/internal/serve"
 	"trustmap/internal/tn"
+	"trustmap/wire"
 )
 
 // SessionStats counts what the store's plan maintenance has done, as of
-// the epoch the stats were read from.
-type SessionStats struct {
-	Epoch              uint64 // generation of the published snapshot serving reads
-	Compiles           int    // full compiles, including the initial one
-	IncrementalApplies int    // mutations folded in through the delta path
-	ValueOnlyUpdates   int    // belief-value changes, free for the plan
-	FullRecompiles     int    // delta applications that hit the threshold
-	EpochsReclaimed    uint64 // retired epochs whose reader count drained
-	LastApply          engine.ApplyStats
-}
+// the epoch the stats were read from: the session section of /v1/stats.
+type SessionStats = wire.SessionStats
 
 // epochSnap is one published epoch's immutable snapshot: the compiled
 // artifact plus every table a resolve reads. Writers build the next
@@ -71,7 +64,7 @@ type epochSnap struct {
 }
 
 // engLazy derives the engine summary of one artifact generation lazily,
-// on first EngineStats call — off the publish hot path. Only the
+// on the first EpochStats call — off the publish hot path. Only the
 // binarized user/mapping counts are captured eagerly (O(1)): they are
 // the one thing engine.Stats reads from the live network, which keeps
 // mutating after publication. Snapshots sharing an artifact (value-only
@@ -394,7 +387,6 @@ func (s *Store) flushLocked() error {
 		// recover with a rebuild rather than failing the publication.
 		return s.rebuild()
 	}
-	s.stats.LastApply = st
 	switch {
 	case st.FullRecompile:
 		s.stats.FullRecompiles++

@@ -426,16 +426,19 @@ type QueryTotals struct {
 	EarlyTerminations   uint64 `json:"early_terminations"`
 }
 
-// SessionStats mirrors the store's maintenance counters on the wire.
+// SessionStats is the session section of /v1/stats: the store's plan
+// maintenance counters (trustmap.SessionStats is this type).
 type SessionStats struct {
-	Compiles           int    `json:"compiles"`
-	IncrementalApplies int    `json:"incremental_applies"`
-	ValueOnlyUpdates   int    `json:"value_only_updates"`
-	FullRecompiles     int    `json:"full_recompiles"`
-	EpochsReclaimed    uint64 `json:"epochs_reclaimed"`
+	Compiles           int    `json:"compiles"`            // full compiles, including the initial one
+	IncrementalApplies int    `json:"incremental_applies"` // mutations folded in through the delta path
+	ValueOnlyUpdates   int    `json:"value_only_updates"`  // belief-value changes, free for the plan
+	FullRecompiles     int    `json:"full_recompiles"`     // delta applications that hit the threshold
+	EpochsReclaimed    uint64 `json:"epochs_reclaimed"`    // retired epochs whose reader count drained
 }
 
-// EngineStats mirrors the compiled artifact's summary on the wire.
+// EngineStats is the engine section of /v1/stats: the compiled
+// artifact's summary. internal/engine's Stats has the same fields and
+// converts to it directly.
 type EngineStats struct {
 	Users            int `json:"users"`
 	Mappings         int `json:"mappings"`
@@ -448,33 +451,38 @@ type EngineStats struct {
 	DistinctSupports int `json:"distinct_supports"`
 }
 
-// StoreStats mirrors the store's object-table counters on the wire.
+// StoreStats is the store section of /v1/stats: the object-table and
+// result-cache counters.
 type StoreStats struct {
 	Objects     int    `json:"objects"`
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 }
 
-// DurabilityStats mirrors the store's persistence counters on the wire.
-// Mode is "memory" for a purely in-memory store (every other field zero),
-// otherwise "off", "batch", or "always" naming the fsync discipline.
+// DurabilityStats is the durability section of /v1/stats: the store's
+// persistence state and counters (trustmap.DurabilityStats is this
+// type). Mode is "memory" for a purely in-memory store (every other
+// field zero), otherwise "off", "batch", or "always" naming the fsync
+// discipline. All counters are deterministic — ops, batches, fsyncs,
+// bytes — so durability overhead is benchmarkable without wall clocks.
 type DurabilityStats struct {
 	Mode             string `json:"mode"`
-	LastLSN          uint64 `json:"last_lsn,omitempty"`
-	DurableLSN       uint64 `json:"durable_lsn,omitempty"`
-	SnapshotLSN      uint64 `json:"snapshot_lsn,omitempty"`
-	WALAppends       uint64 `json:"wal_appends,omitempty"`
-	WALSyncs         uint64 `json:"wal_syncs,omitempty"`
-	WALBytes         uint64 `json:"wal_bytes,omitempty"`
-	Checkpoints      uint64 `json:"checkpoints,omitempty"`
-	RecoveredBatches uint64 `json:"recovered_batches,omitempty"`
-	ReplayedOps      uint64 `json:"replayed_ops,omitempty"`
-	ReplayErrors     uint64 `json:"replay_errors,omitempty"`
-	DiscardedBytes   uint64 `json:"discarded_bytes,omitempty"`
+	LastLSN          uint64 `json:"last_lsn,omitempty"`          // last logged batch
+	DurableLSN       uint64 `json:"durable_lsn,omitempty"`       // last fsynced batch: survives a crash
+	SnapshotLSN      uint64 `json:"snapshot_lsn,omitempty"`      // watermark of the newest compacted snapshot
+	WALAppends       uint64 `json:"wal_appends,omitempty"`       // batches appended since open
+	WALSyncs         uint64 `json:"wal_syncs,omitempty"`         // fsyncs issued since open
+	WALBytes         uint64 `json:"wal_bytes,omitempty"`         // framed bytes appended since open
+	Checkpoints      uint64 `json:"checkpoints,omitempty"`       // checkpoints completed since open
+	RecoveredBatches uint64 `json:"recovered_batches,omitempty"` // WAL batches replayed at open
+	ReplayedOps      uint64 `json:"replayed_ops,omitempty"`      // ops applied during recovery replay
+	ReplayErrors     uint64 `json:"replay_errors,omitempty"`     // ops that errored during recovery replay
+	DiscardedBytes   uint64 `json:"discarded_bytes,omitempty"`   // torn-tail bytes truncated at open
 }
 
-// AdmissionClassStats mirrors one admission gate's deterministic
-// counters on the wire (see internal/admission). Conservation holds:
+// AdmissionClassStats is one admission gate's deterministic counters on
+// the wire; internal/admission's Stats has the same fields and converts
+// to it directly. Conservation holds:
 // admitted + shed + canceled accounts for every request that reached the
 // gate.
 type AdmissionClassStats struct {
@@ -557,15 +565,17 @@ type ClusterStats struct {
 	Shards int `json:"shards"`
 	// Hash names the routing scheme; always ShardHash in this schema.
 	Hash string `json:"hash"`
-	// SpineOps counts trust-network mutation batches broadcast to every
-	// shard (set-trust/remove-trust/set-default/... and register-roots):
-	// each batch counts once, not once per shard.
+	// SpineOps counts /v1/mutate trust-network batches broadcast to every
+	// shard: each batch counts once, not once per shard. The root
+	// registrations riding object writes are not counted.
 	SpineOps uint64 `json:"spine_ops"`
 	// RoutedOps counts per-object mutations routed to exactly one owning
 	// shard. Conserved: equal to the sum of per-shard ObjectOps.
 	RoutedOps uint64 `json:"routed_ops"`
-	// ScatterReads counts scatter-gather reads (ResolveAll, Resolved
-	// streams, stats, bulk-resolve splits) merged across shards.
+	// ScatterReads counts scatter-gather reads merged across shards:
+	// object listings, bulk resolves, ResolveAll, Resolved streams (which
+	// row-plan queries scan), and aggregate-query scatters. Stats reads
+	// are not counted.
 	ScatterReads uint64 `json:"scatter_reads"`
 	// PerShard is one entry per shard, in shard-index order.
 	PerShard []ShardStats `json:"per_shard"`
