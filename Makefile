@@ -189,4 +189,6 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: build fmt vet api doc-gate deps-gate race crash bench fuzz
+# Everything .github/workflows/ci.yml runs except lint's staticcheck
+# and the coverage report.
+ci: build fmt vet api doc-gate deps-gate race smoke crash poison cluster-smoke replica-smoke loadgen-smoke bench fuzz

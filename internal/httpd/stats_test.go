@@ -214,12 +214,13 @@ func TestClusterStatsConsistent(t *testing.T) {
 		}
 	}()
 
-	for n := 0; n < 200; n++ {
+	var bad error // the first violation; reported once the writer has stopped
+	for n := 0; n < 200 && bad == nil; n++ {
 		rec := serve(t, h, "GET", "/v1/stats", nil)
 		var s wire.StatsResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil || rec.Code != http.StatusOK {
-			close(stop)
-			t.Fatalf("fetch %d: status %d, %v; body %s", n, rec.Code, err, rec.Body)
+			bad = fmt.Errorf("fetch %d: status %d, %v; body %s", n, rec.Code, err, rec.Body)
+			break
 		}
 		c := s.Cluster
 		epoch, lsn, durable, objects := c.PerShard[0].Epoch, c.PerShard[0].LSN, c.PerShard[0].DurableLSN, 0
@@ -227,13 +228,15 @@ func TestClusterStatsConsistent(t *testing.T) {
 			epoch, lsn, durable, objects = min(epoch, p.Epoch), min(lsn, p.LSN), min(durable, p.DurableLSN), objects+p.Objects
 		}
 		if s.Epoch != epoch || s.LSN != lsn || s.Durability.DurableLSN != durable || s.Store.Objects != objects {
-			close(stop)
-			t.Fatalf("fetch %d: top level epoch %d lsn %d durable_lsn %d objects %d; per shard min/sum %d %d %d %d (%+v)",
+			bad = fmt.Errorf("fetch %d: top level epoch %d lsn %d durable_lsn %d objects %d; per shard min/sum %d %d %d %d (%+v)",
 				n, s.Epoch, s.LSN, s.Durability.DurableLSN, s.Store.Objects, epoch, lsn, durable, objects, c.PerShard)
 		}
 	}
 	close(stop)
 	if err := <-werr; err != nil {
 		t.Fatal(err)
+	}
+	if bad != nil {
+		t.Fatal(bad)
 	}
 }

@@ -49,8 +49,8 @@ type Backend interface {
 	// Router reports the minimum over shards.
 	LSN() uint64
 	// Stats fills the sections of GET /v1/stats the backend owns —
-	// schema, epoch, lsn, session, store, engine, durability, and on a
-	// Router cluster — reading each store once. The HTTP layer adds
+	// schema, epoch, lsn, session, store, engine, durability and, on a
+	// Router, cluster — reading each store once. The HTTP layer adds
 	// admission, replication and query.
 	Stats() wire.StatsResponse
 	// Checkpoint compacts the WAL into a snapshot — on a Router, every
