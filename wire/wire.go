@@ -565,9 +565,10 @@ type ClusterStats struct {
 	Shards int `json:"shards"`
 	// Hash names the routing scheme; always ShardHash in this schema.
 	Hash string `json:"hash"`
-	// SpineOps counts /v1/mutate trust-network batches broadcast to every
-	// shard: each batch counts once, not once per shard. The root
-	// registrations riding object writes are not counted.
+	// SpineOps counts the trust-network batches (Router.Mutate, behind
+	// /v1/mutate) broadcast to every shard: each batch counts once, not
+	// once per shard. Root registrations riding object writes are not
+	// counted.
 	SpineOps uint64 `json:"spine_ops"`
 	// RoutedOps counts per-object mutations routed to exactly one owning
 	// shard. Conserved: equal to the sum of per-shard ObjectOps.
