@@ -168,7 +168,7 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 		}
 		sort.Strings(keys) // deterministic root registration order
 		for _, k := range keys {
-			if err := st.applyPutObject(k, snap.Objects[k]); err != nil {
+			if _, _, err := st.applyObject(wire.Op{Op: wire.OpPutObject, Object: k, Beliefs: snap.Objects[k]}); err != nil {
 				return nil, fmt.Errorf("trustmap: restoring object %q: %w", k, err)
 			}
 		}
@@ -229,7 +229,7 @@ func (s *Store) replayBatch(b wire.OpBatch, applied, errs *uint64) {
 	}
 	for i := 0; i < len(b.Ops); {
 		if isObjectOp(b.Ops[i].Op) {
-			if err := s.applyObjectOp(b.Ops[i]); err != nil {
+			if _, _, err := s.applyObject(b.Ops[i]); err != nil {
 				*errs++
 			} else {
 				*applied++
@@ -259,28 +259,6 @@ func (s *Store) replayBatch(b wire.OpBatch, applied, errs *uint64) {
 	}
 }
 
-// applyObjectOp dispatches one object op onto the store's non-logging
-// apply path: the recovery-replay counterpart of wire.Op.Apply.
-func (s *Store) applyObjectOp(op wire.Op) error {
-	switch op.Op {
-	case wire.OpPutObject:
-		return s.applyPutObject(op.Object, op.Beliefs)
-	case wire.OpDeleteObject:
-		s.applyDeleteObject(op.Object)
-		return nil
-	case wire.OpPutBelief:
-		return s.applyPutBelief(op.User, op.Object, op.Value)
-	case wire.OpDeleteBelief:
-		s.applyDeleteBelief(op.User, op.Object)
-		return nil
-	case wire.OpRegisterRoots:
-		_, err := s.addObjectRoots(op.Users...)
-		return err
-	default:
-		return fmt.Errorf("trustmap: unknown object op %q", op.Op)
-	}
-}
-
 // beginMutation enters the durable writer critical section (a no-op
 // unlock for in-memory stores). It fails once the store is poisoned — a
 // WAL write failed after its apply, so memory and log diverged — or
@@ -300,35 +278,35 @@ func (s *Store) beginMutation() (unlock func(), err error) {
 }
 
 // logMutation appends one effective mutation batch to the WAL under the
-// next LSN and applies the mode's fsync discipline. Callers hold d.mu
-// (beginMutation) and have already applied the ops. A failed append or
-// fsync poisons the store: the in-memory state now leads the log, so
-// accepting further writes would let a later crash fork history.
+// next LSN. Callers hold d.mu (beginMutation) and have already applied
+// the ops.
 func (s *Store) logMutation(ops ...wire.Op) error {
 	d := s.dur
 	if d == nil {
 		return nil
 	}
-	b := wire.OpBatch{
+	return d.append(wire.OpBatch{
 		Schema: wire.SchemaVersion,
 		Epoch:  s.Epoch(),
 		LSN:    d.log.LastLSN() + 1,
 		Ops:    ops,
-	}
+	})
+}
+
+// append writes one batch to the WAL and applies the mode's fsync
+// discipline: sync now (always), every groupEvery batches (batch), or
+// never on the mutation path (off). Callers hold d.mu. Shared by the
+// primary's logMutation and the replica's ApplyReplicated, so a
+// replica's durability guarantees are exactly its mode's, same as a
+// primary. A failed append or fsync poisons the store: the in-memory
+// state now leads the log, so accepting further writes would let a
+// later crash fork history.
+func (d *durable) append(b wire.OpBatch) error {
 	if err := d.log.Append(b); err != nil {
 		d.failed = fmt.Errorf("%w: wal append failed: %w", ErrPoisoned, err)
 		return d.failed
 	}
 	d.lastLSN.Store(b.LSN)
-	return d.afterAppend()
-}
-
-// afterAppend applies the mode's fsync discipline to a just-appended
-// batch: sync now (always), every groupEvery batches (batch), or never on
-// the mutation path (off). Callers hold d.mu. Shared by the primary's
-// logMutation and the replica's ApplyReplicated, so a replica's
-// durability guarantees are exactly its mode's, same as a primary.
-func (d *durable) afterAppend() error {
 	switch d.mode {
 	case DurabilityAlways:
 		return d.syncLocked()

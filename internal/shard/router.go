@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -157,36 +158,14 @@ func (r *Router) broadcastRoots(ctx context.Context, owner int, users []string) 
 
 // --- object mutations ----------------------------------------------------
 
-// PutObject routes the write to the owning shard, then broadcasts the
-// mentioned users' root registration to every other shard: rootness is
-// spine state (it changes what every object needs resolved), so the
-// root set must stay identical across shards for oracle parity.
-func (r *Router) PutObject(ctx context.Context, key string, beliefs map[string]string) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if err := r.failed(); err != nil {
-		return err
-	}
-	o := r.Owner(key)
-	r.routedOps.Add(1)
-	r.objectOps[o].Add(1)
-	if err := r.shards[o].PutObject(ctx, key, beliefs); err != nil {
-		return err
-	}
-	if len(beliefs) == 0 {
-		return nil
-	}
-	users := make([]string, 0, len(beliefs))
-	for u := range beliefs {
-		users = append(users, u)
-	}
-	sort.Strings(users) // deterministic registration order
-	return r.broadcastRoots(ctx, o, users)
-}
-
-// DeleteObject routes the delete to the owning shard. Rootness is never
-// withdrawn, so no broadcast is needed.
-func (r *Router) DeleteObject(ctx context.Context, key string) (bool, error) {
+// route runs one object write on key's owning shard, then broadcasts the
+// registration of roots — the users the write mentioned — to every other
+// shard: rootness is spine state (it changes what every object needs
+// resolved), so the root set must stay identical across shards for
+// oracle parity. Deletes pass no roots: rootness is never withdrawn. The
+// broadcast ignores the request's cancellation, because the owner's
+// write is already committed and the other shards must follow it.
+func (r *Router) route(ctx context.Context, key string, roots []string, write func(st *trustmap.Store) (bool, error)) (bool, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if err := r.failed(); err != nil {
@@ -195,37 +174,39 @@ func (r *Router) DeleteObject(ctx context.Context, key string) (bool, error) {
 	o := r.Owner(key)
 	r.routedOps.Add(1)
 	r.objectOps[o].Add(1)
-	return r.shards[o].DeleteObject(ctx, key)
+	ok, err := write(r.shards[o])
+	if err != nil || len(roots) == 0 {
+		return ok, err
+	}
+	return ok, r.broadcastRoots(context.WithoutCancel(ctx), o, roots)
 }
 
-// PutBelief routes the write to the owning shard, then broadcasts the
-// user's root registration to every other shard (see PutObject).
+// PutObject routes the write to the owning shard and broadcasts the
+// mentioned users' root registration.
+func (r *Router) PutObject(ctx context.Context, key string, beliefs map[string]string) error {
+	_, err := r.route(ctx, key, slices.Sorted(maps.Keys(beliefs)), func(st *trustmap.Store) (bool, error) {
+		return true, st.PutObject(ctx, key, beliefs)
+	})
+	return err
+}
+
+// DeleteObject routes the delete to the owning shard.
+func (r *Router) DeleteObject(ctx context.Context, key string) (bool, error) {
+	return r.route(ctx, key, nil, func(st *trustmap.Store) (bool, error) { return st.DeleteObject(ctx, key) })
+}
+
+// PutBelief routes the write to the owning shard and broadcasts the
+// user's root registration.
 func (r *Router) PutBelief(ctx context.Context, user, key, value string) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if err := r.failed(); err != nil {
-		return err
-	}
-	o := r.Owner(key)
-	r.routedOps.Add(1)
-	r.objectOps[o].Add(1)
-	if err := r.shards[o].PutBelief(ctx, user, key, value); err != nil {
-		return err
-	}
-	return r.broadcastRoots(ctx, o, []string{user})
+	_, err := r.route(ctx, key, []string{user}, func(st *trustmap.Store) (bool, error) {
+		return true, st.PutBelief(ctx, user, key, value)
+	})
+	return err
 }
 
 // DeleteBelief routes the revoke to the owning shard.
 func (r *Router) DeleteBelief(ctx context.Context, user, key string) (bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if err := r.failed(); err != nil {
-		return false, err
-	}
-	o := r.Owner(key)
-	r.routedOps.Add(1)
-	r.objectOps[o].Add(1)
-	return r.shards[o].DeleteBelief(ctx, user, key)
+	return r.route(ctx, key, nil, func(st *trustmap.Store) (bool, error) { return st.DeleteBelief(ctx, user, key) })
 }
 
 // --- routed reads --------------------------------------------------------

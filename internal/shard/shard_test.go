@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"trustmap"
@@ -236,5 +237,50 @@ func TestPoisonIsSticky(t *testing.T) {
 	}
 	if rows != len(w.keys) {
 		t.Errorf("Resolved after poison streamed %d rows, want %d", rows, len(w.keys))
+	}
+}
+
+// cancelAfterFirstCheck is a request context that is cancelled between
+// its first Err check and its second: the owning shard admits the write,
+// then the client goes away before the root broadcast runs.
+type cancelAfterFirstCheck struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *cancelAfterFirstCheck) Err() error {
+	if c.checks.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledRoutedWriteDoesNotPoison pins that a request cancelled
+// after its owner's write committed still completes the root broadcast:
+// the write is durable on the owner, so the other shards must register
+// its roots whatever the client does, and a cancellation is no evidence
+// that the root sets diverged.
+func TestCancelledRoutedWriteDoesNotPoison(t *testing.T) {
+	w := newWorld()
+	rt := memRouter(t, 4)
+	w.seed(t, rt)
+	key := w.keys[0]
+	bg := context.Background()
+
+	if err := rt.PutBelief(&cancelAfterFirstCheck{Context: bg}, "site0", key, "fish"); err != nil {
+		t.Fatalf("PutBelief cancelled after admission: %v", err)
+	}
+	if got, _ := rt.Object(key); got["site0"] != "fish" {
+		t.Fatalf("owner's write did not land: %v", got)
+	}
+	beliefs := map[string]string{"site0": "knot", "site1": "cow"}
+	if err := rt.PutObject(&cancelAfterFirstCheck{Context: bg}, "fresh", beliefs); err != nil {
+		t.Fatalf("PutObject cancelled after admission: %v", err)
+	}
+	if ok, err := rt.DeleteObject(bg, key); err != nil || !ok {
+		t.Fatalf("DeleteObject after the cancelled writes: ok=%v err=%v", ok, err)
+	}
+	if _, err := rt.Mutate([]wire.Op{{Op: wire.OpSetTrust, Truster: "site1", Trusted: "site0", Priority: 3}}); err != nil {
+		t.Fatalf("Mutate after the cancelled writes: %v", err)
 	}
 }

@@ -75,12 +75,7 @@ func (s *Store) ApplyReplicated(b wire.OpBatch) (ApplyResult, error) {
 	var applied, errs uint64
 	s.replayBatch(b, &applied, &errs)
 	res := ApplyResult{Applied: true, Ops: int(applied), OpErrors: int(errs)}
-	if err := d.log.Append(b); err != nil {
-		d.failed = fmt.Errorf("%w: wal append failed: %w", ErrPoisoned, err)
-		return res, d.failed
-	}
-	d.lastLSN.Store(b.LSN)
-	return res, d.afterAppend()
+	return res, d.append(b)
 }
 
 // TailWAL streams every logged batch with after < LSN <= DurableLSN(),

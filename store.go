@@ -433,12 +433,17 @@ func (s *Store) applyUpdate(tx *StoreTx, fn func(tx *StoreTx) error) (err error)
 }
 
 // --- object mutators ---------------------------------------------------
+//
+// The object mutators are one-op writes: each names its wire.Op and
+// runs it through write, so the critical section, the apply dispatch
+// and the WAL record have one implementation — and the dispatch,
+// applyObject, is the one recovery replay and ApplyReplicated use.
 
 // errEmptyUser rejects the empty user name in the public object mutators,
 // before anything is applied or logged: the name would become a plan root
 // on the owning shard that AddRoots refuses to broadcast to the others,
-// poisoning the cluster. The apply* replay bodies do not check, so a WAL
-// that already holds such a record still recovers.
+// poisoning the cluster. applyObject does not check, so a WAL that
+// already holds such a record still recovers.
 var errEmptyUser = errors.New("trustmap: empty user name")
 
 // PutBelief states user's explicit belief about one object, overriding
@@ -447,40 +452,8 @@ var errEmptyUser = errors.New("trustmap: empty user name")
 // a fresh epoch); the touched object's cached resolution — and only it —
 // is invalidated.
 func (s *Store) PutBelief(ctx context.Context, user, object, value string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if user == "" {
-		return errEmptyUser
-	}
-	unlock, err := s.beginMutation()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	if err := s.applyPutBelief(user, object, value); err != nil {
-		return err
-	}
-	return s.logMutation(wire.Op{Op: wire.OpPutBelief, Object: object, User: user, Value: value})
-}
-
-func (s *Store) applyPutBelief(user, object, value string) error {
-	if object == "" {
-		return errors.New("trustmap: empty object key")
-	}
-	if value == "" {
-		return errors.New("trustmap: empty value; use DeleteBelief to revoke")
-	}
-	if _, err := s.addObjectRoots(user); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := make(map[string]string, len(s.objects[object])+1)
-	maps.Copy(m, s.objects[object])
-	m[user] = value
-	s.touchLocked(object, m)
-	return nil
+	_, err := s.write(ctx, user == "", wire.Op{Op: wire.OpPutBelief, Object: object, User: user, Value: value})
+	return err
 }
 
 // DeleteBelief revokes user's explicit belief about one object and
@@ -488,109 +461,23 @@ func (s *Store) applyPutBelief(user, object, value string) error {
 // default (resolving errors if there is none and the user is still a
 // root elsewhere).
 func (s *Store) DeleteBelief(ctx context.Context, user, object string) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	unlock, err := s.beginMutation()
-	if err != nil {
-		return false, err
-	}
-	defer unlock()
-	if !s.applyDeleteBelief(user, object) {
-		return false, nil
-	}
-	return true, s.logMutation(wire.Op{Op: wire.OpDeleteBelief, Object: object, User: user})
-}
-
-func (s *Store) applyDeleteBelief(user, object string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old, ok := s.objects[object]
-	if !ok {
-		return false
-	}
-	if _, ok := old[user]; !ok {
-		return false
-	}
-	m := make(map[string]string, len(old)-1)
-	maps.Copy(m, old)
-	delete(m, user)
-	s.touchLocked(object, m)
-	return true
+	return s.write(ctx, false, wire.Op{Op: wire.OpDeleteBelief, Object: object, User: user})
 }
 
 // PutObject creates or replaces one object's explicit beliefs wholesale.
 // An empty (or nil) belief map is valid: the object then resolves purely
 // from network defaults.
 func (s *Store) PutObject(ctx context.Context, object string, beliefs map[string]string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if _, ok := beliefs[""]; ok {
-		return errEmptyUser
-	}
-	unlock, err := s.beginMutation()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	if err := s.applyPutObject(object, beliefs); err != nil {
-		return err
-	}
-	return s.logMutation(wire.Op{Op: wire.OpPutObject, Object: object, Beliefs: beliefs})
-}
-
-func (s *Store) applyPutObject(object string, beliefs map[string]string) error {
-	if object == "" {
-		return errors.New("trustmap: empty object key")
-	}
-	users := make([]string, 0, len(beliefs))
-	for user, v := range beliefs {
-		if v == "" {
-			return fmt.Errorf("trustmap: empty value for user %q in object %q", user, object)
-		}
-		users = append(users, user)
-	}
-	sort.Strings(users) // deterministic registration order
-	if _, err := s.addObjectRoots(users...); err != nil {
-		return err
-	}
-	m := make(map[string]string, len(beliefs))
-	maps.Copy(m, beliefs)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.touchLocked(object, m)
-	return nil
+	_, emptyUser := beliefs[""]
+	_, err := s.write(ctx, emptyUser, wire.Op{Op: wire.OpPutObject, Object: object, Beliefs: beliefs})
+	return err
 }
 
 // DeleteObject removes one object and its beliefs, reporting whether it
 // existed. Users it mentioned stay roots (other objects may mention them;
 // rootness is never withdrawn while the store lives).
 func (s *Store) DeleteObject(ctx context.Context, object string) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	unlock, err := s.beginMutation()
-	if err != nil {
-		return false, err
-	}
-	defer unlock()
-	if !s.applyDeleteObject(object) {
-		return false, nil
-	}
-	return true, s.logMutation(wire.Op{Op: wire.OpDeleteObject, Object: object})
-}
-
-func (s *Store) applyDeleteObject(object string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.objects[object]; !ok {
-		return false
-	}
-	delete(s.objects, object)
-	delete(s.cache, object)
-	s.objVer[object]++ // in-flight fills must not resurrect the entry
-	return true
+	return s.write(ctx, false, wire.Op{Op: wire.OpDeleteObject, Object: object})
 }
 
 // AddRoots declares users whose beliefs vary per object without storing
@@ -606,34 +493,112 @@ func (s *Store) applyDeleteObject(object string) bool {
 // that must stay identical across shards for scatter-gathered reads to
 // match a single store.
 func (s *Store) AddRoots(ctx context.Context, users ...string) error {
+	names := slices.Compact(slices.Sorted(slices.Values(users))) // deterministic registration order
+	_, err := s.write(ctx, slices.Contains(names, ""), wire.Op{Op: wire.OpRegisterRoots, Users: names})
+	return err
+}
+
+// write is the one body of the object mutators: it refuses a cancelled
+// request, then a request its mutator found to name the empty user,
+// enters the durable writer section, applies op, and logs the op's
+// effective form. It reports whether op took effect; a no-op (an absent
+// object or belief deleted, every root already registered) logs nothing.
+func (s *Store) write(ctx context.Context, emptyUser bool, op wire.Op) (bool, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return false, err
 	}
-	names := make([]string, 0, len(users))
-	for _, u := range users {
-		if u == "" {
-			return errEmptyUser
-		}
-		names = append(names, u)
-	}
-	sort.Strings(names) // deterministic registration order
-	names = slices.Compact(names)
-	if len(names) == 0 {
-		return nil
+	if emptyUser {
+		return false, errEmptyUser
 	}
 	unlock, err := s.beginMutation()
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer unlock()
-	added, err := s.addObjectRoots(names...)
-	if err != nil {
-		return err
+	logged, ok, err := s.applyObject(op)
+	if err != nil || !ok {
+		return false, err
 	}
-	if len(added) == 0 {
-		return nil // all already registered: nothing effective to log
+	return true, s.logMutation(logged)
+}
+
+// applyObject applies one object op without logging it: the dispatch of
+// the live mutators (through write), of recovery replay and
+// ApplyReplicated (through replayBatch), and of OpenStore's snapshot
+// restore. ok reports whether the op took effect, and logged is its
+// effective form — op itself, except that register-roots keeps only the
+// names that were not roots yet.
+func (s *Store) applyObject(op wire.Op) (logged wire.Op, ok bool, err error) {
+	switch op.Op {
+	case wire.OpPutBelief:
+		if op.Object == "" {
+			return op, false, errors.New("trustmap: empty object key")
+		}
+		if op.Value == "" {
+			return op, false, errors.New("trustmap: empty value; use DeleteBelief to revoke")
+		}
+		if _, err := s.addObjectRoots(op.User); err != nil {
+			return op, false, err
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		m := make(map[string]string, len(s.objects[op.Object])+1)
+		maps.Copy(m, s.objects[op.Object])
+		m[op.User] = op.Value
+		s.touchLocked(op.Object, m)
+		return op, true, nil
+	case wire.OpDeleteBelief:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		old, ok := s.objects[op.Object]
+		if _, has := old[op.User]; !ok || !has {
+			return op, false, nil
+		}
+		m := make(map[string]string, len(old)-1)
+		maps.Copy(m, old)
+		delete(m, op.User)
+		s.touchLocked(op.Object, m)
+		return op, true, nil
+	case wire.OpPutObject:
+		if op.Object == "" {
+			return op, false, errors.New("trustmap: empty object key")
+		}
+		users := make([]string, 0, len(op.Beliefs))
+		for user, v := range op.Beliefs {
+			if v == "" {
+				return op, false, fmt.Errorf("trustmap: empty value for user %q in object %q", user, op.Object)
+			}
+			users = append(users, user)
+		}
+		sort.Strings(users) // deterministic registration order
+		if _, err := s.addObjectRoots(users...); err != nil {
+			return op, false, err
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		m := make(map[string]string, len(op.Beliefs))
+		maps.Copy(m, op.Beliefs)
+		s.touchLocked(op.Object, m)
+		return op, true, nil
+	case wire.OpDeleteObject:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if _, ok := s.objects[op.Object]; !ok {
+			return op, false, nil
+		}
+		delete(s.objects, op.Object)
+		delete(s.cache, op.Object)
+		s.objVer[op.Object]++ // in-flight fills must not resurrect the entry
+		return op, true, nil
+	case wire.OpRegisterRoots:
+		added, err := s.addObjectRoots(op.Users...)
+		if err != nil {
+			return op, false, err
+		}
+		return wire.Op{Op: wire.OpRegisterRoots, Users: added}, len(added) > 0, nil
+	default:
+		return op, false, fmt.Errorf("trustmap: unknown object op %q", op.Op)
 	}
-	return s.logMutation(wire.Op{Op: wire.OpRegisterRoots, Users: added})
 }
 
 // touchLocked installs the object's new belief map and invalidates its
