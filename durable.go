@@ -106,7 +106,7 @@ type durable struct {
 	failed  error // poison: set when a WAL write failed after an apply
 
 	// Watermarks, atomically readable off the mutation path (stats,
-	// epoch tagging). Guarded by mu for writes.
+	// replication). Guarded by mu for writes.
 	lastLSN    atomic.Uint64 // last logged batch
 	durableLSN atomic.Uint64 // last fsynced batch
 	snapLSN    atomic.Uint64 // watermark of the newest snapshot
@@ -203,9 +203,7 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 	d.lastLSN.Store(log.LastLSN())
 	d.durableLSN.Store(log.LastLSN()) // read back from disk: already durable
 	d.snapLSN.Store(snapLSN)
-	// Every publication from here on carries the logged LSN as its tag
-	// (publishLocked reads it through st.dur), and post-restart epochs
-	// continue the pre-crash numbering.
+	// Post-restart epochs continue the pre-crash numbering.
 	st.dur = d
 	st.rebase(maxEpoch)
 	return st, nil
@@ -214,7 +212,7 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 // replayBatch re-applies one recovered WAL batch through the same
 // dispatch the live mutators use. Maximal runs of trust-network ops
 // apply as one Update (one epoch, like the original batch); object ops
-// apply individually. Per-op errors are counted, not fatal: the WAL
+// apply individually through applyObject. Per-op errors are counted, not fatal: the WAL
 // holds only ops that were effective when logged, so replay errors mean
 // rot or a cross-version divergence — recovery still converges because
 // the dispatch is deterministic.

@@ -499,39 +499,11 @@ func TestExtraRootsSurviveCheckpoint(t *testing.T) {
 	}
 }
 
-func TestEpochTagTracksLSN(t *testing.T) {
-	ctx := context.Background()
-	s := mustOpenStore(t, t.TempDir())
-	defer s.Close()
-	for i := 0; i < 10; i++ {
-		if err := s.SetTrust(ctx, "a", "b", i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The published epoch's tag is a lower bound on the logged LSN: it is
-	// captured at publication, before the publishing op's own LSN lands.
-	if tag := tagOf(s); tag > s.LSN() {
-		t.Errorf("epoch tag %d exceeds logged LSN %d", tag, s.LSN())
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if tag := tagOf(s); tag < s.LSN()-1 {
-		t.Errorf("epoch tag %d lags LSN %d by more than the in-flight op", tag, s.LSN())
-	}
-}
-
-// tagOf reads the currently published epoch's LSN tag.
-func tagOf(s *Store) uint64 {
-	e := s.pub.Acquire()
-	defer e.Release()
-	return e.Tag()
-}
-
 // TestRecoveryReplaysLoggedEmptyUser pins where the empty-user check
-// lives: the public mutators reject the name, but the replay bodies do
-// not, so a WAL written before the check existed — here shipped in as a
-// replicated batch — still recovers instead of failing the open.
+// lives: the public mutators reject the name, but applyObject, the
+// replay dispatch, does not, so a WAL written before the check existed —
+// here shipped in as a replicated batch — still recovers instead of
+// failing the open.
 func TestRecoveryReplaysLoggedEmptyUser(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()

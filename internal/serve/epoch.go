@@ -18,8 +18,8 @@
 // and Publishes it: one atomic pointer swap retires the previous epoch.
 // A retired epoch stays fully readable for the readers still pinning it;
 // when the last reference drains, the epoch is reclaimed exactly once
-// (an optional hook observes that, and the garbage collector does the
-// actual freeing). Readers therefore never block on writers, writers
+// (counted in Stats().Reclaimed; the garbage collector does the actual
+// freeing). Readers therefore never block on writers, writers
 // never block on readers, and every read observes one self-consistent
 // published generation.
 package serve
@@ -35,17 +35,17 @@ import (
 type Epoch[T any] struct {
 	val T
 	seq uint64
-	tag uint64
 
 	// refs counts the readers pinning this epoch, plus one reference held
 	// by the publisher while the epoch is current. retired flips when a
 	// newer epoch supersedes this one; the epoch is reclaimed when it is
-	// retired and refs drains to zero. reclaim makes that transition fire
-	// exactly once even under racing releases.
-	refs    atomic.Int64
-	retired atomic.Bool
-	reclaim sync.Once
-	onDrain func(seq uint64, val T)
+	// retired and refs drains to zero. drained makes that transition count
+	// exactly once in reclaimed (the publisher's counter) even under
+	// racing releases.
+	refs      atomic.Int64
+	retired   atomic.Bool
+	drained   atomic.Bool
+	reclaimed *atomic.Uint64
 }
 
 // Value returns the published snapshot. The returned value must be
@@ -57,21 +57,11 @@ func (e *Epoch[T]) Value() T { return e.val }
 // two reads observing the same Seq observed the same snapshot.
 func (e *Epoch[T]) Seq() uint64 { return e.seq }
 
-// Tag returns the opaque tag the epoch was published with, 0 for
-// untagged publications. The durable store tags each epoch with the WAL
-// LSN whose application produced it, so every read can report the log
-// position its snapshot reflects.
-func (e *Epoch[T]) Tag() uint64 { return e.tag }
-
 // Release drops one reference. The last release of a retired epoch
 // reclaims it. Release must be called exactly once per Acquire.
 func (e *Epoch[T]) Release() {
-	if e.refs.Add(-1) == 0 && e.retired.Load() {
-		e.reclaim.Do(func() {
-			if e.onDrain != nil {
-				e.onDrain(e.seq, e.val)
-			}
-		})
+	if e.refs.Add(-1) == 0 && e.retired.Load() && e.drained.CompareAndSwap(false, true) {
+		e.reclaimed.Add(1)
 	}
 }
 
@@ -94,15 +84,11 @@ type Publisher[T any] struct {
 	seq       uint64     // guarded by pmu
 	published atomic.Uint64
 	reclaimed atomic.Uint64
-	onDrain   func(seq uint64, val T)
 }
 
-// NewPublisher returns a publisher serving initial as epoch 1. onDrain,
-// when non-nil, runs exactly once per retired epoch after its last reader
-// released it — the reclamation hook; it must not call back into the
-// publisher's Acquire (it may run on a reader's goroutine).
-func NewPublisher[T any](initial T, onDrain func(seq uint64, val T)) *Publisher[T] {
-	p := &Publisher[T]{onDrain: onDrain}
+// NewPublisher returns a publisher serving initial as epoch 1.
+func NewPublisher[T any](initial T) *Publisher[T] {
+	p := &Publisher[T]{}
 	p.Publish(initial)
 	return p
 }
@@ -136,23 +122,10 @@ func (p *Publisher[T]) Acquire() *Epoch[T] {
 // numbers and the pointer swap always move together; the last caller to
 // swap holds the highest sequence number.
 func (p *Publisher[T]) Publish(v T) uint64 {
-	return p.PublishTagged(v, 0)
-}
-
-// PublishTagged is Publish carrying an opaque tag on the new epoch,
-// readable via Epoch.Tag. The publisher does not interpret the tag; the
-// durable store uses it to stamp each epoch with its WAL LSN.
-func (p *Publisher[T]) PublishTagged(v T, tag uint64) uint64 {
 	p.pmu.Lock()
 	defer p.pmu.Unlock()
 	p.seq++
-	e := &Epoch[T]{val: v, seq: p.seq, tag: tag}
-	e.onDrain = func(seq uint64, val T) {
-		p.reclaimed.Add(1)
-		if p.onDrain != nil {
-			p.onDrain(seq, val)
-		}
-	}
+	e := &Epoch[T]{val: v, seq: p.seq, reclaimed: &p.reclaimed}
 	e.refs.Store(1) // the publisher's reference, dropped on retirement
 	old := p.cur.Swap(e)
 	p.published.Add(1)

@@ -2,12 +2,11 @@ package serve
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
 func TestPublishAcquireRelease(t *testing.T) {
-	p := NewPublisher("a", nil)
+	p := NewPublisher("a")
 	e := p.Acquire()
 	if got := e.Value(); got != "a" {
 		t.Fatalf("Value = %q, want a", got)
@@ -31,22 +30,14 @@ func TestPublishAcquireRelease(t *testing.T) {
 }
 
 func TestReclaimFiresOncePerRetiredEpoch(t *testing.T) {
-	var drained []uint64
-	var mu sync.Mutex
-	p := NewPublisher(0, func(seq uint64, val int) {
-		mu.Lock()
-		drained = append(drained, seq)
-		mu.Unlock()
-	})
+	p := NewPublisher(0)
 	// No readers: each publish retires the previous epoch, which drains
 	// immediately on the publisher's own release.
-	p.Publish(1)
-	p.Publish(2)
-	mu.Lock()
-	got := append([]uint64(nil), drained...)
-	mu.Unlock()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("drained = %v, want [1 2]", got)
+	for want := uint64(1); want <= 2; want++ {
+		p.Publish(int(want))
+		if got := p.Stats().Reclaimed; got != want {
+			t.Fatalf("Reclaimed after publish %d = %d, want %d", want, got, want)
+		}
 	}
 	st := p.Stats()
 	if st.Published != 3 || st.Reclaimed != 2 || st.Seq != 3 {
@@ -55,21 +46,20 @@ func TestReclaimFiresOncePerRetiredEpoch(t *testing.T) {
 }
 
 func TestReclaimWaitsForReaders(t *testing.T) {
-	var drained atomic.Uint64
-	p := NewPublisher(0, func(seq uint64, val int) { drained.Add(1) })
+	p := NewPublisher(0)
 	e := p.Acquire()
 	p.Publish(1)
-	if drained.Load() != 0 {
+	if p.Stats().Reclaimed != 0 {
 		t.Fatal("epoch reclaimed while a reader still pins it")
 	}
 	e.Release()
-	if drained.Load() != 1 {
+	if p.Stats().Reclaimed != 1 {
 		t.Fatal("epoch not reclaimed after its last reader released")
 	}
 }
 
 func TestReadersGauge(t *testing.T) {
-	p := NewPublisher("x", nil)
+	p := NewPublisher("x")
 	e1, e2 := p.Acquire(), p.Acquire()
 	if got := p.Stats().Readers; got != 2 {
 		t.Fatalf("Readers = %d, want 2", got)
@@ -87,7 +77,7 @@ func TestReadersGauge(t *testing.T) {
 // the highest sequence number and every retired epoch drained.
 func TestConcurrentPublishOrdered(t *testing.T) {
 	const writers, each = 4, 200
-	p := NewPublisher(0, nil)
+	p := NewPublisher(0)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -120,13 +110,7 @@ func TestConcurrentAcquirePublish(t *testing.T) {
 		publishes = 500
 		readsEach = 2000
 	)
-	var drains atomic.Uint64
-	p := NewPublisher(uint64(1), func(seq uint64, val uint64) {
-		if seq != val {
-			t.Errorf("drain: seq %d carries value %d", seq, val)
-		}
-		drains.Add(1)
-	})
+	p := NewPublisher(uint64(1))
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
@@ -156,34 +140,18 @@ func TestConcurrentAcquirePublish(t *testing.T) {
 		t.Fatalf("Published = %d, want %d", st.Published, publishes+1)
 	}
 	// All epochs but the current one retired with no readers left.
-	if want := uint64(publishes); drains.Load() != want || st.Reclaimed != want {
-		t.Fatalf("reclaimed %d (hook %d), want %d", st.Reclaimed, drains.Load(), want)
-	}
-}
-
-func TestPublishTaggedAndTag(t *testing.T) {
-	p := NewPublisher[uint64](1, nil)
-	e := p.Acquire()
-	if e.Tag() != 0 {
-		t.Fatalf("initial epoch tag = %d, want 0 (untagged)", e.Tag())
-	}
-	e.Release()
-	p.PublishTagged(2, 41)
-	p.PublishTagged(3, 42)
-	e = p.Acquire()
-	defer e.Release()
-	if e.Seq() != 3 || e.Tag() != 42 || e.Value() != 3 {
-		t.Fatalf("epoch = seq %d tag %d val %d, want 3/42/3", e.Seq(), e.Tag(), e.Value())
+	if want := uint64(publishes); st.Reclaimed != want {
+		t.Fatalf("reclaimed %d, want %d", st.Reclaimed, want)
 	}
 }
 
 func TestRebase(t *testing.T) {
-	p := NewPublisher[uint64](1, nil) // epoch 1
+	p := NewPublisher[uint64](1) // epoch 1
 	p.Rebase(90)
 	if got := p.Seq(); got != 1 {
 		t.Fatalf("Rebase published something: Seq = %d, want 1 (unchanged)", got)
 	}
-	if seq := p.PublishTagged(2, 7); seq != 91 {
+	if seq := p.Publish(2); seq != 91 {
 		t.Fatalf("post-rebase publish seq = %d, want 91", seq)
 	}
 	// Rebase never lowers the counter.

@@ -109,8 +109,7 @@ type Store struct {
 
 	// dur is the persistence side (durable.go): nil for in-memory stores
 	// (NewStore), the open WAL + snapshot machinery for OpenStore. When
-	// set, every mutator runs apply-then-log inside dur.mu, and every
-	// publication is tagged with the logged LSN.
+	// set, every mutator runs apply-then-log inside dur.mu.
 	dur *durable
 
 	pub *serve.Publisher[*epochSnap]
@@ -190,7 +189,7 @@ func newStore(n *tn.Network, c storeConfig) (*Store, error) {
 	if err := s.rebuild(); err != nil {
 		return nil, err
 	}
-	s.pub = serve.NewPublisher(s.snapLocked(), nil)
+	s.pub = serve.NewPublisher(s.snapLocked())
 	return s, nil
 }
 

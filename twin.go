@@ -203,7 +203,7 @@ func (s *Store) publishLocked() error {
 		return err
 	}
 	if prev := s.lastSnap; prev == nil || prev.version != s.net.Version() || prev.comp != s.comp {
-		s.pub.PublishTagged(s.snapLocked(), s.LSN())
+		s.pub.Publish(s.snapLocked())
 	}
 	s.pubStale.Store(false)
 	return nil
@@ -219,7 +219,7 @@ func (s *Store) rebase(seq uint64) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.pub.Rebase(seq)
-	s.pub.PublishTagged(s.snapLocked(), s.LSN())
+	s.pub.Publish(s.snapLocked())
 }
 
 // extraRootNames returns the names of the store's extra roots —
