@@ -535,3 +535,29 @@ func TestRecoveryReplaysLoggedEmptyUser(t *testing.T) {
 		t.Fatalf("recovered object k = %v, %v", bs, ok)
 	}
 }
+
+// TestAddRootsLogsOnlyNewNames pins the effective form of a
+// register-roots record: the names that were not roots yet, sorted and
+// deduplicated, and no record at all when every name already was.
+func TestAddRootsLogsOnlyNewNames(t *testing.T) {
+	ctx := context.Background()
+	s := mustOpenStore(t, t.TempDir(), WithDurability(DurabilityAlways))
+	defer s.Close()
+	for _, names := range [][]string{{"b", "a", "b"}, {"c", "a"}, {"a", "c"}} {
+		if err := s.AddRoots(ctx, names...); err != nil {
+			t.Fatalf("AddRoots(%q): %v", names, err)
+		}
+	}
+	var logged [][]string
+	if _, err := s.TailWAL(0, func(b wire.OpBatch) error {
+		for _, op := range b.Ops {
+			logged = append(logged, op.Users)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]string{{"a", "b"}, {"c"}}; !reflect.DeepEqual(logged, want) {
+		t.Fatalf("logged register-roots users %q, want %q", logged, want)
+	}
+}
