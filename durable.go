@@ -212,10 +212,10 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 // replayBatch re-applies one recovered WAL batch through the same
 // dispatch the live mutators use. Maximal runs of trust-network ops
 // apply as one Update (one epoch, like the original batch); object ops
-// apply individually through applyObject. Per-op errors are counted, not fatal: the WAL
-// holds only ops that were effective when logged, so replay errors mean
-// rot or a cross-version divergence — recovery still converges because
-// the dispatch is deterministic.
+// apply individually through applyObject. Per-op errors are counted,
+// not fatal: the WAL holds only ops that were effective when logged, so
+// replay errors mean rot or a cross-version divergence — recovery still
+// converges because the dispatch is deterministic.
 func (s *Store) replayBatch(b wire.OpBatch, applied, errs *uint64) {
 	isObjectOp := func(kind string) bool {
 		switch kind {

@@ -433,10 +433,9 @@ func (s *Store) applyUpdate(tx *StoreTx, fn func(tx *StoreTx) error) (err error)
 
 // --- object mutators ---------------------------------------------------
 //
-// The object mutators are one-op writes: each names its wire.Op and
-// runs it through write, so the critical section, the apply dispatch
-// and the WAL record have one implementation — and the dispatch,
-// applyObject, is the one recovery replay and ApplyReplicated use.
+// The object mutators are one-op writes: each runs its wire.Op through
+// write, whose dispatch, applyObject, is also the one recovery replay
+// and ApplyReplicated use.
 
 // errEmptyUser rejects the empty user name in the public object mutators,
 // before anything is applied or logged: the name would become a plan root
@@ -549,8 +548,8 @@ func (s *Store) applyObject(op wire.Op) (logged wire.Op, ok bool, err error) {
 	case wire.OpDeleteBelief:
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		old, ok := s.objects[op.Object]
-		if _, has := old[op.User]; !ok || !has {
+		old := s.objects[op.Object]
+		if _, ok := old[op.User]; !ok {
 			return op, false, nil
 		}
 		m := make(map[string]string, len(old)-1)
