@@ -293,3 +293,108 @@ func TestCompilePlanDigest(t *testing.T) {
 		}
 	}
 }
+
+// successorDigest hashes what an Apply successor resolves through: its
+// flattened plan (every step's kind, target, source, members and
+// sources), its support table (each support's root slots, by id) and its
+// node -> support map, with FNV-64a.
+func successorDigest(c *CompiledNetwork) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
+		h.Write(buf[:])
+	}
+	putAll := func(vs []int) {
+		put(len(vs))
+		for _, v := range vs {
+			put(v)
+		}
+	}
+	steps := c.Steps()
+	put(len(steps))
+	for _, s := range steps {
+		put(int(s.Kind))
+		put(s.Target)
+		put(s.Source)
+		putAll(s.Members)
+		putAll(s.Sources)
+	}
+	put(len(c.supports))
+	for _, b := range c.supports {
+		var slots []int
+		b.each(func(i int) { slots = append(slots, i) })
+		putAll(slots)
+	}
+	put(len(c.nodeSupport))
+	for _, id := range c.nodeSupport {
+		put(int(id))
+	}
+	return h.Sum64()
+}
+
+// TestApplyPlanDigest pins what Apply splices on the three
+// TestCompilePlanDigest networks, one journal step at a time: a leaf-edge
+// removal, a re-prioritisation that flips a preferred parent, a belief
+// revocation and its re-grant (a tombstone, then a fresh slot). The
+// successors' layout may change; the steps, supports and support ids
+// they resolve through may not.
+func TestApplyPlanDigest(t *testing.T) {
+	vals := []tn.Value{"a", "b", "c"}
+	for _, c := range []struct {
+		name   string
+		net    *tn.Network
+		digest uint64
+	}{
+		{"powerlaw-tiered-1500", tn.Binarize(workload.PowerLawTiered(rand.New(rand.NewSource(1)), 1500, 2, 3, 0.1, vals)), 0x26e840362394c3dc},
+		{"nested-scc-30", tn.Binarize(workload.NestedSCC(30)), 0x2b6007d562ae82c2},
+		{"oscillators-8", tn.Binarize(workload.OscillatorClusters(8)), 0xe7d8697f082f0c77},
+	} {
+		n := c.net
+		cn := mustCompile(t, n)
+		h := fnv.New64a()
+		step := func(label string, mutate func()) {
+			mutate()
+			next, st, err := cn.Apply(n.DrainJournal(), ApplyOptions{MaxDirtyFraction: 1})
+			if err != nil {
+				t.Fatalf("%s: %s: %v", c.name, label, err)
+			}
+			if next == cn || st.FullRecompile {
+				t.Fatalf("%s: %s: want an incremental successor, stats %+v", c.name, label, st)
+			}
+			cn = next
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], successorDigest(cn))
+			h.Write(buf[:])
+		}
+		g := n.Graph()
+		leaf, twoIn, root := -1, -1, -1
+		for x := 0; x < n.NumUsers(); x++ {
+			if len(n.In(x)) > 0 && (leaf < 0 || len(g.Out(x)) < len(g.Out(leaf))) {
+				leaf = x // a leaf where there is one (oscillators have none)
+			}
+		}
+		for x := 0; x < n.NumUsers(); x++ {
+			if x != leaf && len(n.In(x)) == 2 {
+				twoIn = x // the last one: a mid-sized dirty region
+			}
+			if root < 0 && n.HasExplicit(x) && len(g.Out(x)) > 0 {
+				root = x
+			}
+		}
+		if leaf < 0 || twoIn < 0 || root < 0 {
+			t.Fatalf("%s: no edge (%d), two-parent node (%d) or root with children (%d)", c.name, leaf, twoIn, root)
+		}
+		step("leaf-edge removal", func() { n.RemoveMapping(n.In(leaf)[0].Parent, leaf) })
+		step("re-prioritisation", func() {
+			in := n.In(twoIn)
+			n.SetMappingPriority(in[1].Parent, twoIn, in[0].Priority+1)
+		})
+		v := n.Explicit(root)
+		step("belief revoke", func() { n.SetExplicit(root, tn.NoValue) })
+		step("belief grant", func() { n.SetExplicit(root, v) })
+		if got := h.Sum64(); got != c.digest {
+			t.Errorf("%s: apply digest %#016x, want %#016x", c.name, got, c.digest)
+		}
+	}
+}
