@@ -142,3 +142,132 @@ func TestCompileApplyBytesBudget(t *testing.T) {
 		}
 	}
 }
+
+// churnEdge is one trust mapping a churn test re-prioritises.
+type churnEdge struct {
+	truster, trusted string
+	prio, other      int // the mapping's priority and the truster's other parent's
+}
+
+// churnStore returns an in-memory store over the tiered power-law network
+// PowerLawTiered(1500, 2, 3, 0.1) and the mappings whose re-prioritisation
+// the store splices incrementally: the truster holds no default belief
+// (no Binarize cascade), has two parents, and its forward closure is under
+// 5 % of the network (the engine recompiles above 25 %).
+func churnStore(t *testing.T) (*Store, []churnEdge) {
+	t.Helper()
+	w := workload.PowerLawTiered(rand.New(rand.NewSource(1)), 1500, 2, 3, 0.1, []tn.Value{"a", "b", "c"})
+	st, err := (&Network{inner: w.Clone(), constraints: make(map[int][]string)}).NewStore(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := w.Graph()
+	var edges []churnEdge
+	for x := 0; x < w.NumUsers(); x++ {
+		if w.HasExplicit(x) || len(w.In(x)) != 2 {
+			continue
+		}
+		if reach := g.Reachable([]int{x}, nil); countTrue(reach)*20 >= w.NumUsers() {
+			continue
+		}
+		m, o := w.In(x)[0], w.In(x)[1]
+		edges = append(edges, churnEdge{w.Name(x), w.Name(m.Parent), m.Priority, o.Priority})
+	}
+	if len(edges) < 64 {
+		t.Fatalf("only %d re-prioritisable mappings", len(edges))
+	}
+	return st, edges
+}
+
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
+// reprioritise moves e to the other side of the truster's other parent,
+// which changes the truster's preferred parent, and requires the store to
+// splice the write incrementally.
+func (e *churnEdge) reprioritise(t *testing.T, st *Store) {
+	t.Helper()
+	if e.prio > e.other {
+		e.prio = e.other - 1
+	} else {
+		e.prio = e.other + 1
+	}
+	before := st.Stats().IncrementalApplies
+	if err := st.SetTrust(context.Background(), e.truster, e.trusted, e.prio); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().IncrementalApplies - before; got != 1 {
+		t.Fatalf("SetTrust(%s, %s, %d) made %d incremental applies, want 1", e.truster, e.trusted, e.prio, got)
+	}
+}
+
+// liveHeap reports the live heap after a full collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestLiveHeapAfterChurnBudget runs trust writes, each followed by a
+// point read of a different stored object, and requires the live heap to
+// grow by less than two compiled artifacts: a result-cache entry of a
+// superseded epoch must not keep that epoch's artifact reachable.
+func TestLiveHeapAfterChurnBudget(t *testing.T) {
+	ctx := context.Background()
+	st, edges := churnStore(t)
+	const objects = 64
+	var roots []string
+	for x := 0; x < st.net.NumUsers(); x++ {
+		if st.net.HasExplicit(x) {
+			roots = append(roots, st.net.Name(x))
+		}
+	}
+	for i := 0; i < objects; i++ {
+		beliefs := map[string]string{}
+		for j := 0; j < 3; j++ {
+			beliefs[roots[(3*i+j)%len(roots)]] = fmt.Sprintf("v%d", (i+j)%4)
+		}
+		if err := st.PutObject(ctx, fmt.Sprintf("obj%03d", i), beliefs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.ResolveAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// One artifact: a fresh compile of the store's binarized network, with
+	// its root supports, held live.
+	st.wmu.Lock()
+	bin := st.bin.Clone()
+	st.wmu.Unlock()
+	base := liveHeap()
+	artifact, err := engine.Compile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact.Stats()
+	one := liveHeap() - base
+	runtime.KeepAlive(artifact)
+	artifact, bin = nil, nil
+
+	base = liveHeap()
+	for i := 0; i < objects; i++ {
+		edges[i].reprioritise(t, st)
+		if _, err := st.ResolveObject(ctx, fmt.Sprintf("obj%03d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := int64(liveHeap()) - int64(base)
+	runtime.KeepAlive(st)
+	if grown > 2*int64(one) {
+		t.Errorf("%d writes and reads grew the live heap by %d B, budget 2 artifacts (2 × %d B)", objects, grown, one)
+	}
+}

@@ -87,12 +87,13 @@ func WithExtraRoots(users ...string) StoreOption {
 
 // storeCached is one object's cached resolution: valid while both the
 // serving epoch and the object's belief version still match. Objects
-// resolved in one batch share that batch's *bulkResolution, so a
-// surviving entry keeps its whole batch reachable until the entry is
-// superseded (next epoch or belief touch) — memory is bounded by one
-// batch generation per object, traded for zero per-object copying on the
-// fan-out. Belief-churn refills are per-object batches, so the steady
-// mixed workload converges to per-object footprints.
+// resolved in one batch share that batch's *bulkResolution, and through it
+// the batch's compiled artifact, so every entry of the cache belongs to
+// one epoch: the first refill at a newer epoch drops them all (fill), and
+// a reader still pinned at an older epoch serves its rows without
+// refilling. The cache therefore keeps at most one artifact generation
+// reachable, whatever the write history; within it, memory is bounded by
+// one batch per object, traded for zero per-object copying on the fan-out.
 type storeCached struct {
 	epoch uint64
 	over  uint64 // object belief version at resolution time
@@ -138,9 +139,12 @@ type Store struct {
 	objects map[string]map[string]string // object -> user -> value; value maps are copy-on-write
 	objVer  map[string]uint64            // bumped on every object mutation
 	cache   map[string]storeCached
-	hits    uint64     // reads served from the cache
-	misses  uint64     // reads that re-resolved
-	dedup   DedupStats // summed over every batch the store resolved
+	// cacheEpoch is the epoch of every cache entry: the newest epoch a
+	// fill has refilled at.
+	cacheEpoch uint64
+	hits       uint64     // reads served from the cache
+	misses     uint64     // reads that re-resolved
+	dedup      DedupStats // summed over every batch the store resolved
 }
 
 // NewStore returns an empty in-memory store: no users, no trust, no
@@ -920,7 +924,10 @@ func (s *Store) capture(keys []string) (p pinned, err error) {
 
 // fill resolves the rows of p.rows[lo:hi] the cache could not serve as
 // one signature-deduplicated batch against the pinned epoch, refills the
-// cache, and counts the hits, misses and dedup work.
+// cache, and counts the hits, misses and dedup work. The first refill at
+// an epoch newer than the cache's drops every entry first: each belongs
+// to a superseded epoch and would keep that epoch's artifact reachable. A
+// fill at an older epoch than the cache's refills nothing.
 func (s *Store) fill(ctx context.Context, p pinned, lo, hi int) error {
 	if lo == hi {
 		return nil
@@ -950,16 +957,22 @@ func (s *Store) fill(ctx context.Context, p pinned, lo, hi int) error {
 		return nil
 	}
 	s.addDedupLocked(res)
+	epoch := p.e.Seq()
+	if epoch > s.cacheEpoch {
+		clear(s.cache)
+		s.cacheEpoch = epoch
+	}
 	for i := lo; i < hi; i++ {
 		if p.rows[i].res != nil {
 			continue
 		}
 		p.rows[i].res = res
-		// Refill only when the object was not mutated or deleted while we
-		// resolved — a stale fill would serve outdated beliefs.
+		// Refill only at the cache's epoch, and only when the object was
+		// not mutated or deleted while we resolved — a stale fill would
+		// serve outdated beliefs.
 		k, over := p.rows[i].Object, p.overs[i]
-		if _, ok := s.objects[k]; ok && s.objVer[k] == over {
-			s.cache[k] = storeCached{epoch: p.e.Seq(), over: over, res: res}
+		if _, ok := s.objects[k]; ok && s.objVer[k] == over && epoch == s.cacheEpoch {
+			s.cache[k] = storeCached{epoch: epoch, over: over, res: res}
 		}
 	}
 	return nil

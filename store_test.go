@@ -371,6 +371,61 @@ func TestStoreScanRefillsCache(t *testing.T) {
 	}
 }
 
+// TestOldEpochReaderDoesNotRefill streams more than one chunk of objects
+// at a pinned epoch while a trust write and a read at the next epoch land
+// between two chunks: the stream keeps serving its own epoch, and its
+// later chunks must not refill the cache with entries of that superseded
+// epoch, which would keep its artifact reachable.
+func TestOldEpochReaderDoesNotRefill(t *testing.T) {
+	n := New()
+	n.AddTrust("alice", "bob", 100)
+	n.SetBelief("bob", "fish")
+	st, err := n.NewStore(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	numObjects := resolvedChunkSize + 8
+	for i := 0; i < numObjects; i++ {
+		if err := st.PutObject(ctx, fmt.Sprintf("o%04d", i), map[string]string{"bob": "knot"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned := st.Epoch()
+	rows := 0
+	for row, err := range st.Resolved(ctx) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Epoch() != pinned {
+			t.Fatalf("row %s at epoch %d, want the pinned %d", row.Object, row.Epoch(), pinned)
+		}
+		if rows == 0 {
+			if err := st.SetTrust(ctx, "carol", "alice", 5); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.ResolveObject(ctx, "o0000"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows++
+	}
+	if rows != numObjects {
+		t.Fatalf("streamed %d rows, want %d", rows, numObjects)
+	}
+	cur := st.Epoch()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	for k, c := range st.cache {
+		if c.epoch != cur {
+			t.Errorf("cache entry %s at epoch %d after the stream, want only epoch %d", k, c.epoch, cur)
+		}
+	}
+	if len(st.cache) != 1 {
+		t.Errorf("cache holds %d entries, want the 1 read at epoch %d", len(st.cache), cur)
+	}
+}
+
 // TestStoreIncrementalInvalidation pins the incremental-maintenance
 // contract: a belief mutation re-resolves only the touched object, a
 // trust mutation invalidates everything (new epoch), and untouched reads
