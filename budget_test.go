@@ -208,6 +208,28 @@ func (e *churnEdge) reprioritise(t *testing.T, st *Store) {
 	}
 }
 
+// TestSpineWriteBytesBudget ceilings the mean bytes one incremental trust
+// write allocates end to end in the store (re-encoding, Apply and the
+// epoch publication) on the trust-churn benchmark's network size: an
+// update should cost what it dirties, not a copy of every per-node table.
+func TestSpineWriteBytesBudget(t *testing.T) {
+	st, edges := churnStore(t)
+	const writes = 400
+	var total uint64
+	var before, after runtime.MemStats
+	for i := 0; i < writes; i++ {
+		e := &edges[i%len(edges)]
+		runtime.ReadMemStats(&before)
+		e.reprioritise(t, st)
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	const budget = 72 << 10
+	if mean := total / writes; mean > budget {
+		t.Errorf("incremental SetTrust allocated %d B on average, budget %d", mean, budget)
+	}
+}
+
 // liveHeap reports the live heap after a full collection.
 func liveHeap() uint64 {
 	var ms runtime.MemStats

@@ -12,7 +12,7 @@ package engine
 // exactly the set of nodes whose compiled state can differ:
 //
 //   - reachability can only change downstream of a touched node;
-//   - a node's effective incoming table changes only when one of its
+//   - a node's effective preferred parent changes only when one of its
 //     in-edges is touched or a parent's reachability flips, and in both
 //     cases the node is downstream of a touched node;
 //   - an SCC merges only along a cycle through an added edge, and every
@@ -24,11 +24,20 @@ package engine
 //     graph).
 //
 // Because the region is a forward closure it is downstream-closed, so the
-// plan splice is order-trivial: every surviving step's inputs are clean,
-// and all recomputed steps append after them. Supports recompute the same
-// way — clean nodes keep their bitsets (root slots are stable across
-// generations, revoked roots leave tombstones), dirty nodes replay just
-// the appended steps against the persistent dedup table.
+// plan splice is order-trivial: every surviving component's steps keep
+// their inputs, and the recomputed components form a new block of ids
+// planned after all of them. Supports recompute the same way — clean
+// nodes keep their bitsets (root slots are stable across generations,
+// revoked roots leave tombstones), dirty nodes replay just the new steps
+// against the persistent dedup table.
+//
+// An Apply costs what its region dirties. The successor shares the
+// base's per-node and per-component pages (cow.go) and copies only the
+// pages the region writes, plus their page directories; it appends to
+// the support table and its CSR view in place; it walks the region as an
+// ascending list on scratch the lineage hands down (lineage); and the
+// flat node -> support view of the resolve path is derived on the
+// successor's first read, not by Apply.
 //
 // Apply returns a successor artifact sharing everything clean with its
 // base; results resolved against the base stay valid. The base is consumed:
@@ -40,8 +49,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
-	"trustmap/internal/graph"
 	"trustmap/internal/tn"
 )
 
@@ -79,24 +88,38 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 		return nil, st, fmt.Errorf("engine: artifact already superseded by a previous Apply")
 	}
 	nuNew := c.net.NumUsers()
+	ls := c.ls
+	ls.grow(nuNew)
 
 	// Pass 1: derive the seed set. Structural seeds are children of mapping
 	// mutations and users whose belief appeared or disappeared; pure value
-	// updates are free (the plan never looks at values).
-	seeds := make(map[int]bool)
+	// updates are free (the plan never looks at values). The dirty region
+	// grows from the seeds in ls.list; every exit clears its marks.
+	list := ls.list[:0]
+	defer func() {
+		for _, x := range list {
+			ls.dirty[x] = false
+		}
+		ls.list = list[:0]
+	}()
 	for _, m := range muts {
+		x := -1
 		switch m.Kind {
 		case tn.MutAddMapping, tn.MutRemoveMapping, tn.MutSetPriority:
-			seeds[m.Child] = true
+			x = m.Child
 		case tn.MutSetExplicit:
 			if (m.OldValue == tn.NoValue) != (m.Value == tn.NoValue) {
-				seeds[m.User] = true
+				x = m.User
 			}
 		}
+		if x >= 0 && !ls.dirty[x] {
+			ls.dirty[x] = true
+			list = append(list, x)
+		}
 	}
-	if len(seeds) == 0 {
+	if len(list) == 0 {
 		c.g.Grow(nuNew) // journal may still have grown the user set
-		if nuNew == len(c.reach) {
+		if nuNew == c.nodes.len() {
 			return c, st, nil // pure value updates: the plan is untouched
 		}
 		// Only users were added (no edges, no beliefs): everything compiled
@@ -105,33 +128,33 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 		c.ensureSupports()
 		c.consumed = true
 		n := &CompiledNetwork{
-			net:         c.net,
-			g:           c.g,
-			reach:       growCopy(c.reach, nuNew),
-			rootSlots:   append([]int(nil), c.rootSlots...),
-			rootPos:     growCopyI32(c.rootPos, nuNew),
-			in:          c.in.grow(nuNew),
-			comp:        growCopyInt(c.comp, nuNew, -1),
-			ncomp:       c.ncomp,
-			deadComps:   c.deadComps,
-			sccMembers:  c.sccMembers,
-			sccOrder:    c.sccOrder,
-			steps:       c.steps,
-			supports:    c.supports,
-			supportIDs:  c.supportIDs,
-			nodeSupport: growCopyI32(c.nodeSupport, nuNew),
-			supOff:      c.supOff,
-			supRoots:    c.supRoots,
-			dict:        c.dict,
-			pool:        c.pool,
+			net:        c.net,
+			g:          c.g,
+			ls:         ls,
+			rootSlots:  c.rootSlots,
+			rootPos:    c.rootPos,
+			nodes:      c.nodes.next(),
+			comps:      c.comps,
+			deadComps:  c.deadComps,
+			nsteps:     c.nsteps,
+			steps:      c.steps,
+			supports:   c.supports,
+			supportIDs: c.supportIDs,
+			nodeSup:    c.nodeSup.next(),
+			supOff:     c.supOff,
+			supRoots:   c.supRoots,
+			dict:       c.dict,
+			pool:       c.pool,
 			// Supports and root slots are untouched, so every cached
 			// signature result stays valid: carry the cache over.
 			sigs: c.sigs,
 		}
+		n.nodes.grow(nuNew)
+		n.nodeSup.grow(nuNew)
 		n.supportsOnce.Do(func() {})
 		return n, st, nil
 	}
-	st.Seeds = len(seeds)
+	st.Seeds = len(list)
 	c.ensureSupports()
 	c.consumed = true
 
@@ -150,7 +173,7 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 
 	// The touched nodes are where a binary-network violation can appear;
 	// everything else kept its incoming shape and belief/root status.
-	for x := range seeds {
+	for _, x := range list {
 		if len(c.net.In(x)) > 2 {
 			return nil, st, fmt.Errorf("engine: node %s has more than two incoming mappings after mutation; re-binarize", c.net.Name(x))
 		}
@@ -159,36 +182,27 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 		}
 	}
 
-	// Dirty region: forward closure of the seeds over the new graph.
-	dirty := make([]bool, nuNew)
-	queue := make([]int, 0, len(seeds))
-	for x := range seeds {
-		dirty[x] = true
-		queue = append(queue, x)
-	}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, y := range c.g.Out(x) {
-			if !dirty[y] {
-				dirty[y] = true
-				queue = append(queue, y)
+	// Dirty region: forward closure of the seeds over the new graph,
+	// walked from here on as an ascending list.
+	for head := 0; head < len(list); head++ {
+		for _, y := range c.g.Out(list[head]) {
+			if !ls.dirty[y] {
+				ls.dirty[y] = true
+				list = append(list, y)
 			}
 		}
 	}
-	nDirty := 0
-	for _, d := range dirty {
-		if d {
-			nDirty++
-		}
+	slices.Sort(list)
+	for i, x := range list {
+		ls.pos[x] = int32(i)
 	}
-	st.DirtyNodes = nDirty
+	st.DirtyNodes = len(list)
 
 	frac := opts.MaxDirtyFraction
 	if frac == 0 {
 		frac = 0.25
 	}
-	if float64(nDirty) > frac*float64(nuNew) {
+	if float64(len(list)) > frac*float64(nuNew) {
 		st.FullRecompile = true
 		full, err := Compile(c.net)
 		if err != nil {
@@ -199,40 +213,54 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 		return full, st, nil
 	}
 
-	// Successor artifact: copy-on-write of the per-node tables. The copies
-	// are plain O(U+E) memmoves — the expensive parts (bitsets, member
-	// slices) are shared with the base for clean nodes, and the incoming
-	// CSR is respliced flat (the row arrays of a binary network are at most
-	// twice the node count, so this is the same order as the other copies).
+	// Successor artifact: it shares every page of the per-node and
+	// per-component tables its dirty region does not write (cow.go), the
+	// support table, which it only appends to, and the lineage. Of the flat
+	// tables the resolve path reads, the root tables are copied only when a
+	// belief is granted or revoked, and nodeSupport is derived from the
+	// pages on first use (ensureFlat).
 	n := &CompiledNetwork{
-		net:         c.net,
-		g:           c.g, // ownership transfers with consumption
-		reach:       growCopy(c.reach, nuNew),
-		rootSlots:   append([]int(nil), c.rootSlots...),
-		rootPos:     growCopyI32(c.rootPos, nuNew),
-		comp:        growCopyInt(c.comp, nuNew, -1),
-		ncomp:       c.ncomp,
-		deadComps:   c.deadComps,
-		sccMembers:  append([][]int(nil), c.sccMembers...),
-		supports:    c.supports,
-		supportIDs:  c.supportIDs,
-		nodeSupport: growCopyI32(c.nodeSupport, nuNew),
-		dict:        c.dict,
-		pool:        c.pool,
-		sigs:        newSigCache(defaultSigCacheCap), // signatures resolve differently now
+		net:        c.net,
+		g:          c.g, // ownership transfers with consumption
+		ls:         ls,
+		rootSlots:  c.rootSlots,
+		rootPos:    c.rootPos,
+		nodes:      c.nodes.next(),
+		comps:      c.comps.next(),
+		deadComps:  c.deadComps,
+		nsteps:     c.nsteps,
+		supports:   c.supports,
+		supportIDs: c.supportIDs,
+		nodeSup:    c.nodeSup.next(),
+		supOff:     c.supOff,
+		supRoots:   c.supRoots,
+		dict:       c.dict,
+		pool:       c.pool,
+		sigs:       newSigCache(defaultSigCacheCap), // signatures resolve differently now
 	}
 	n.supportsOnce.Do(func() {}) // supports are spliced below, not rebuilt
+	n.nodes.grow(nuNew)
+	n.nodeSup.grow(nuNew)
 
 	// Root slots: replay belief grants/revocations in journal order. Slots
 	// are append-only so clean bitsets keep their meaning; a revoked root
 	// leaves a tombstone no live support references (its downstream is
 	// dirty by construction).
+	copied := false
 	for _, m := range muts {
 		if m.Kind != tn.MutSetExplicit {
 			continue
 		}
 		granted := m.OldValue == tn.NoValue && m.Value != tn.NoValue
 		revoked := m.OldValue != tn.NoValue && m.Value == tn.NoValue
+		if !granted && !revoked {
+			continue
+		}
+		if !copied {
+			n.rootSlots = slices.Clone(c.rootSlots)
+			n.rootPos = growCopyI32(c.rootPos, nuNew)
+			copied = true
+		}
 		switch {
 		case granted && n.rootPos[m.User] < 0:
 			n.rootPos[m.User] = int32(len(n.rootSlots))
@@ -243,188 +271,165 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 		}
 	}
 
+	// Old components containing a dirty node die (the closure argument
+	// above guarantees they are entirely dirty), and the dirty nodes start
+	// over unreachable.
+	for _, x := range list {
+		s := n.nodes.ref(x)
+		if cv := int(s.comp); cv >= 0 && n.comps.at(cv).members != nil {
+			dead := n.comps.ref(cv)
+			n.nsteps -= len(dead.steps)
+			dead.members, dead.steps = nil, nil
+			st.DeadComps++
+		}
+		*s = nodeState{comp: -1, pref: -1}
+	}
+	n.deadComps += st.DeadComps
+	st.ReusedSteps = n.nsteps
+
 	// Reachability inside the dirty region: seeded by dirty roots and by
 	// edges from clean reachable parents (clean reachability is unchanged),
 	// then propagated forward within the region.
-	queue = queue[:0]
-	for x := 0; x < nuNew; x++ {
-		if !dirty[x] {
-			continue
-		}
-		n.reach[x] = false
-		if c.net.HasExplicit(x) {
-			n.reach[x] = true
+	queue := ls.queue[:0]
+	for _, x := range list {
+		if c.net.HasExplicit(x) || slices.ContainsFunc(c.net.In(x), func(m tn.Mapping) bool {
+			return !ls.dirty[m.Parent] && n.nodes.at(m.Parent).reach
+		}) {
+			n.nodes.ref(x).reach = true
 			queue = append(queue, x)
-			continue
-		}
-		for _, m := range c.net.In(x) {
-			if !dirty[m.Parent] && n.reach[m.Parent] {
-				n.reach[x] = true
-				queue = append(queue, x)
-				break
-			}
 		}
 	}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, y := range n.g.Out(x) {
-			if dirty[y] && !n.reach[y] {
-				n.reach[y] = true
+	for head := 0; head < len(queue); head++ {
+		for _, y := range n.g.Out(queue[head]) {
+			if ls.dirty[y] && !n.nodes.at(y).reach {
+				n.nodes.ref(y).reach = true
 				queue = append(queue, y)
 			}
 		}
 	}
+	ls.queue = queue[:0]
 
-	// Effective incoming tables (parents' reachability and touched in-edges
-	// are settled now): clean nodes copy their CSR rows from the base,
-	// dirty nodes recompute.
-	n.in = c.in.splice(c.net, n.reach, dirty, nuNew)
-
-	// Condensation of the dirty region. Old components containing a dirty
-	// node die (the closure argument above guarantees they are entirely
-	// dirty); fresh components take ids from ncomp upward, and descending
-	// local SCC ids are a topological order among them.
-	dead := make(map[int]bool)
-	var region []int // dirty reachable nodes, ascending: the SCC roots
-	for x := 0; x < nuNew; x++ {
-		if dirty[x] {
-			if cv := n.comp[x]; cv >= 0 {
-				if !dead[cv] {
-					dead[cv] = true
-					n.sccMembers[cv] = nil
-				}
-				n.comp[x] = -1
-			}
-			if n.reach[x] {
-				region = append(region, x)
-			}
+	// Preferred parents (parents' reachability and touched in-edges are
+	// settled now) and the condensation of the dirty region: fresh
+	// components take the next block of ids, and descending local SCC ids
+	// are a topological order among them.
+	region := ls.region[:0]
+	for _, x := range list {
+		n.nodes.ref(x).pref = n.preferredOf(x)
+		if n.nodes.at(x).reach {
+			region = append(region, x)
 		}
 	}
-	st.DeadComps = len(dead)
-	n.deadComps += len(dead)
-	scratch := new(graph.SCCScratch)
-	nsub := n.g.SCCOf(region, func(v int) bool { return dirty[v] && n.reach[v] }, scratch)
+	ls.region = region
+	nsub := n.g.SCCOf(region, func(v int) bool { return ls.dirty[v] && n.nodes.at(v).reach }, &ls.scc)
 	st.NewComps = nsub
-	newComps := make([]int, 0, nsub)
-	for local := nsub - 1; local >= 0; local-- {
-		newComps = append(newComps, n.ncomp+local)
-	}
-	n.sccMembers = append(n.sccMembers, make([][]int, nsub)...)
-	for _, x := range region { // ascending member order, as Compile builds it
-		cx := n.ncomp + scratch.Comp(x)
-		n.comp[x] = cx
-		n.sccMembers[cx] = append(n.sccMembers[cx], x)
-	}
-	n.ncomp += nsub
-	n.sccOrder = make([]int, 0, len(c.sccOrder)+nsub)
-	for _, comp := range c.sccOrder {
-		if !dead[comp] {
-			n.sccOrder = append(n.sccOrder, comp)
+	base := n.comps.len()
+	open := ls.openIDs[:0]
+	for _, x := range region {
+		n.nodes.ref(x).comp = int32(base + ls.scc.Comp(x))
+		if !c.net.HasExplicit(x) {
+			open = append(open, x)
 		}
 	}
-	n.sccOrder = append(n.sccOrder, newComps...)
+	ls.openIDs = open
+	n.addComps(region, nsub, func(x int) int { return int(n.nodes.at(x).comp) - base })
 
-	// Plan splice: keep steps whose targets are clean (their sources are
-	// necessarily clean too — the region is downstream-closed), then replan
-	// just the dirty components. Flood members share one component, so
-	// checking one member suffices.
-	n.steps = make([]Step, 0, len(c.steps))
-	for _, s := range c.steps {
-		if s.Kind == StepCopy && !dirty[s.Target] {
-			n.steps = append(n.steps, s)
-		} else if s.Kind == StepFlood && !dirty[s.Members[0]] {
-			n.steps = append(n.steps, s)
-		}
-	}
-	st.ReusedSteps = len(n.steps)
-	closed := make([]bool, nuNew)
-	for x := 0; x < nuNew; x++ {
-		if !dirty[x] || !n.reach[x] || c.net.HasExplicit(x) {
-			closed[x] = true
-		}
-	}
-	n.planInto(newComps, closed, scratch)
-	st.NewSteps = len(n.steps) - st.ReusedSteps
+	// Plan splice: the surviving components keep their runs (their
+	// inputs are clean: the region is downstream-closed), and only the
+	// fresh block is planned.
+	steps, ranges := n.planInto(base, base+nsub, open, ls.ranges[:0])
+	ls.ranges = ranges[:0]
+	n.setRuns(steps, ranges)
+	st.NewSteps = len(steps)
 
-	// Support splice: replay only the appended steps. Sources are clean
-	// nodes (their interned support) or earlier dirty nodes; dirty roots
-	// seed fresh singletons at the current slot width.
+	// Support splice: replay only the new steps. Sources are clean nodes
+	// (their interned support) or earlier dirty nodes; dirty roots seed
+	// fresh singletons at the current slot width.
 	words := (len(n.rootSlots) + 63) / 64
-	local := make(map[int]bitset, nDirty)
-	for _, r := range n.rootSlots {
-		if r >= 0 && dirty[r] {
-			b := newBitset(words)
-			b.set(int(n.rootPos[r]))
-			local[r] = b
+	local := ls.local[:0]
+	for _, x := range list {
+		var b bitset
+		if x < len(n.rootPos) && n.rootPos[x] >= 0 {
+			b = newBitset(words)
+			b.set(int(n.rootPos[x]))
 		}
+		local = append(local, b)
 	}
 	supOf := func(z int) bitset {
-		if b, ok := local[z]; ok {
-			return b
+		if ls.dirty[z] {
+			return local[ls.pos[z]]
 		}
-		if id := n.nodeSupport[z]; id >= 0 {
+		if id := n.nodeSup.at(z); id >= 0 {
 			return n.supports[id]
 		}
 		return nil
 	}
-	for _, s := range n.steps[st.ReusedSteps:] {
+	for _, s := range steps {
 		switch s.Kind {
 		case StepCopy:
-			if b := supOf(s.Source); b != nil {
-				local[s.Target] = b
-			} else {
-				local[s.Target] = newBitset(words)
+			b := supOf(s.Source)
+			if b == nil {
+				b = newBitset(words)
 			}
+			local[ls.pos[s.Target]] = b
 		case StepFlood:
 			u := newBitset(words)
 			for _, z := range s.Sources {
 				u.or(supOf(z))
 			}
 			for _, x := range s.Members {
-				local[x] = u
+				local[ls.pos[x]] = u
 			}
 		}
 	}
-	for x := 0; x < nuNew; x++ {
-		if !dirty[x] {
-			continue
+	oldSupports := len(n.supports)
+	for i, x := range list {
+		id := int32(-1)
+		if b := local[i]; n.nodes.at(x).reach && b != nil && !b.empty() {
+			id = n.internSupport(b)
 		}
-		b := local[x]
-		if !n.reach[x] || b == nil || b.empty() {
-			n.nodeSupport[x] = -1
-			continue
-		}
-		n.nodeSupport[x] = n.internSupport(b)
+		n.setSupport(x, id)
 	}
-	n.maybeCompactSupports()
-	n.flattenSupports()
+	clear(local)
+	ls.local = local[:0]
+	if !n.maybeCompactSupports() {
+		n.appendSupportRuns(oldSupports)
+	}
 	return n, st, nil
+}
+
+// setSupport points node x at support id (-1: none), keeping the
+// lineage's reference counts.
+func (n *CompiledNetwork) setSupport(x int, id int32) {
+	ls := n.ls
+	if old := n.nodeSup.at(x); old >= 0 {
+		if ls.supRefs[old]--; ls.supRefs[old] == 0 {
+			ls.liveSupports--
+		}
+	}
+	if id >= 0 {
+		if ls.supRefs[id] == 0 {
+			ls.liveSupports++
+		}
+		ls.supRefs[id]++
+	}
+	*n.nodeSup.ref(x) = id
 }
 
 // maybeCompactSupports rebuilds the support table when repeated Applies
 // have left it more than half garbage: supports no longer referenced by
 // any node would otherwise be gathered on every resolved object forever.
-func (n *CompiledNetwork) maybeCompactSupports() {
-	if len(n.supports) < 64 {
-		return
-	}
-	live := 0
-	seen := make([]bool, len(n.supports))
-	for _, id := range n.nodeSupport {
-		if id >= 0 && !seen[id] {
-			seen[id] = true
-			live++
-		}
-	}
-	if 2*live > len(n.supports) {
-		return
+// It reports whether it rebuilt the table (and its CSR view).
+func (n *CompiledNetwork) maybeCompactSupports() bool {
+	ls := n.ls
+	if len(n.supports) < 64 || 2*ls.liveSupports > len(n.supports) {
+		return false
 	}
 	remap := make([]int32, len(n.supports))
-	supports := make([]bitset, 0, live)
-	ids := make(map[string]int32, live)
+	supports := make([]bitset, 0, ls.liveSupports)
+	ids := make(map[string]int32, ls.liveSupports)
 	for old, b := range n.supports {
-		if !seen[old] {
+		if ls.supRefs[old] == 0 {
 			remap[old] = -1
 			continue
 		}
@@ -433,19 +438,16 @@ func (n *CompiledNetwork) maybeCompactSupports() {
 		ids[b.key()] = id
 		remap[old] = id
 	}
-	for x, id := range n.nodeSupport {
-		if id >= 0 {
-			n.nodeSupport[x] = remap[id]
+	for x := 0; x < n.nodeSup.len(); x++ {
+		if id := n.nodeSup.at(x); id >= 0 {
+			*n.nodeSup.ref(x) = remap[id]
 		}
 	}
 	n.supports = supports
 	n.supportIDs = ids
-}
-
-func growCopy(src []bool, size int) []bool {
-	out := make([]bool, size)
-	copy(out, src)
-	return out
+	n.countSupportRefs()
+	n.flattenSupports()
+	return true
 }
 
 func growCopyI32(src []int32, size int) []int32 {
@@ -453,15 +455,6 @@ func growCopyI32(src []int32, size int) []int32 {
 	copy(out, src)
 	for i := len(src); i < size; i++ {
 		out[i] = -1
-	}
-	return out
-}
-
-func growCopyInt(src []int, size, fill int) []int {
-	out := make([]int, size)
-	copy(out, src)
-	for i := len(src); i < size; i++ {
-		out[i] = fill
 	}
 	return out
 }

@@ -456,6 +456,7 @@ func TestApplyLongChainCompaction(t *testing.T) {
 		}
 		c = next
 	}
+	c.EnsureSupports()
 	live := make(map[int32]bool)
 	for _, id := range c.nodeSupport {
 		if id >= 0 {

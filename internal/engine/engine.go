@@ -10,9 +10,9 @@
 // component closes by a Step-2 flood — is the same for every object.
 // Compile runs that control flow exactly once and records it as a step
 // list (the plan), together with the structures the planner itself needs:
-// the SCC condensation of the reachable subgraph, a topological order of
-// the condensation DAG, per-SCC member and entry-edge slices, and
-// priority-bucketed incoming-trust tables.
+// per node, its reachability, its condensation component and its
+// effective preferred parent; per condensation component, its members and
+// its run of the plan, in a topological order of the condensation DAG.
 //
 // Compilation goes one step further than recording the plan. Every step is
 // either a copy (poss(x) := poss(z)) or a flood (poss of a component :=
@@ -27,7 +27,7 @@
 // SQL lowering skip that cost.) No graph traversal, no shared mutable
 // state — an embarrassingly parallel scan that CompiledNetwork.Resolve
 // distributes over a worker pool. The scan itself is columnar over flat
-// CSR arrays (layout.go): root beliefs are interned into an int32
+// arrays (layout.go): root beliefs are interned into an int32
 // dictionary, supports are contiguous runs of root slots, and reusable
 // per-worker scratch arenas keep the per-object loop at zero heap
 // allocations in steady state (see intern.go). On top of the scan,
@@ -42,16 +42,18 @@
 // underlying tn.Network, computes the dirty region — the condensation
 // components downstream of the touched nodes and edges — and recompiles
 // only that suffix of the plan, splicing the recomputed root supports into
-// the shared tables while reusing everything upstream. When the dirty
-// region exceeds a threshold it falls back to a full Compile.
+// the shared tables while reusing everything upstream. The planner's
+// tables live in copy-on-write pages (cow.go), so a successor copies only
+// what its dirty region writes. When the dirty region exceeds a threshold
+// it falls back to a full Compile.
 //
 // Unlike the iterated global Tarjan passes of resolve.Resolve (quadratic
 // on the nested-SCC family of Figure 14a), the planner runs each Step-2
 // Tarjan pass over one condensation component's member list
-// (graph.SCCOf), on a generation-stamped graph.SCCScratch that one plan
-// reuses for every pass, so a pass costs that component's members and
-// their out-edges and allocates nothing once the scratch is warm. A
-// component left with a single open node skips Tarjan altogether.
+// (graph.SCCOf), on a generation-stamped graph.SCCScratch that a whole
+// Apply lineage reuses for every pass, so a pass costs that component's
+// members and their out-edges and allocates nothing once the scratch is
+// warm. A component left with a single open node skips Tarjan altogether.
 // Compilation is therefore linear in what it plans; only a component that
 // needs several flood rounds pays its size once per round.
 package engine
@@ -107,42 +109,52 @@ type PriorityBucket struct {
 type CompiledNetwork struct {
 	net *tn.Network
 	g   *graph.Digraph // out-adjacency; owned, maintained by Apply
-
-	reach []bool
+	// ls is the writer-side state of the artifact's Apply lineage; it
+	// passes to the successor with g.
+	ls *lineage
 
 	// rootSlots assigns every root (user with an explicit belief) a stable
 	// bitset index: rootSlots[i] is the user occupying slot i, or -1 for a
 	// tombstone left by a revoked belief. Slot stability is what lets Apply
 	// splice new supports next to old ones: a clean node's bitset stays
-	// meaningful across mutations. rootPos is the inverse (user -> slot).
+	// meaningful across mutations. rootPos is the inverse (user -> slot);
+	// it may be shorter than the network, past which no user is a root.
 	rootSlots []int
 	rootPos   []int32
 
-	in inCSR // flattened effective incoming-trust table (layout.go)
+	// The planner's state, per node and per condensation component, in
+	// copy-on-write pages (cow.go): an Apply successor shares every page
+	// its dirty region does not write. Component ids are never reused;
+	// Apply invalidates the ids of the components it replans and issues
+	// fresh ones.
+	nodes     cow[nodeState]
+	comps     cow[component]
+	deadComps int // ids invalidated by Apply
+	nsteps    int // plan steps over the live components
 
-	comp       []int   // SCC index per reachable node, -1 outside
-	ncomp      int     // number of SCC ids ever issued (dead ones included)
-	deadComps  int     // ids invalidated by Apply
-	sccMembers [][]int // per SCC: member nodes, ascending; nil when dead
-	sccOrder   []int   // topological order of the live condensation DAG
-
-	steps []Step
-	// planRanges maps each condensation component planned by Compile to its
-	// contiguous run of steps, in plan order: the unit of parallelism for
-	// buildSupports (components at the same dependency depth replay
-	// concurrently).
+	// steps is the plan in one slice and planRanges each component's run
+	// of it, in plan order: the unit of parallelism for buildSupports
+	// (components at the same dependency depth replay concurrently). Only
+	// Compile records them; the live components' step runs are the plan of
+	// an Apply successor (Steps flattens them).
+	steps      []Step
 	planRanges []stepRange
 
 	// Root supports are derived from the steps lazily (sync.Once): plan-only
 	// consumers like the SQL lowering never pay for them. supportIDs is the
 	// persistent dedup table (trimmed bitset key -> id) that Apply extends.
 	supportsOnce sync.Once
-	supports     []bitset // distinct root supports, indexed by support ID
-	supportIDs   map[string]int32
-	nodeSupport  []int32 // node -> support ID, -1 when poss is empty
-	// CSR view of supports for the resolve hot path (layout.go).
-	supOff   []int32
-	supRoots []int32
+	supports     []bitset         // distinct root supports, indexed by support ID
+	supportIDs   map[string]int32 // shared along a lineage; Apply extends it
+	nodeSup      cow[int32]       // node -> support ID, -1 when poss is empty
+	// The flat views the resolve hot path reads: nodeSupport is nodeSup in
+	// one slice, derived on first use (flatOnce), so an Apply successor
+	// nobody resolves against never pays for it; supOff/supRoots are the
+	// CSR view of supports (layout.go).
+	flatOnce    sync.Once
+	nodeSupport []int32
+	supOff      []int32
+	supRoots    []int32
 
 	// dict interns belief values for the columnar resolve path and pool
 	// recycles the per-worker scratch arenas; both survive Apply, so a
@@ -158,8 +170,72 @@ type CompiledNetwork struct {
 	consumed bool // set by Apply: this artifact has a successor
 }
 
+// nodeState is the planner's view of one node.
+type nodeState struct {
+	comp  int32 // condensation component, -1 when unreachable
+	pref  int32 // effective preferred parent, -1 on a tie or with no reachable parent
+	reach bool  // reachable from a root
+}
+
+// component is one condensation component's share of the plan.
+type component struct {
+	members []int  // ascending; nil once Apply invalidated the id
+	steps   []Step // the component's contiguous run of the plan
+	// block is one past the last id issued together with this one:
+	// Compile issues one block of ids, each Apply one more, and the plan
+	// visits the blocks in order and each block's ids descending.
+	block int32
+}
+
 // stepRange is one condensation component's contiguous slice of the plan.
 type stepRange struct{ comp, lo, hi int32 }
+
+// lineage is the writer-side state of one Apply lineage: per-node scratch
+// that Compile sizes and every Apply and planner pass reuses, and the
+// support reference counts. Only the newest artifact of a lineage uses
+// it. Every scratch mark is cleared by the pass that set it, so a pass
+// costs what it visits.
+type lineage struct {
+	dirty   []bool  // Apply: x is in the dirty region
+	pos     []int32 // Apply: x's index in the ascending dirty list
+	open    []bool  // planInto: x is not closed yet
+	kidHead []int32 // planInto: first open node whose preferred parent is x, or -1
+	kidNext []int32 // planInto: the next open node with the same preferred parent
+	scc     graph.SCCScratch
+	list    []int    // Apply: the dirty region, ascending
+	region  []int    // Apply: its reachable nodes; Compile: every reachable node
+	openIDs []int    // planInto's open list
+	queue   []int    // breadth-first and Step-1 queues
+	local   []bitset // Apply: the dirty nodes' new supports, by dirty index
+	ranges  []stepRange
+
+	// supRefs counts the nodes referencing each support id and
+	// liveSupports the ids with a reference: maybeCompactSupports's
+	// trigger without a scan of every node.
+	supRefs      []int32
+	liveSupports int
+}
+
+// grow sizes the per-node scratch for at least nu nodes: exactly at
+// Compile, with a quarter of headroom when Apply meets new users.
+func (ls *lineage) grow(nu int) {
+	have := len(ls.dirty)
+	if have >= nu {
+		return
+	}
+	if have > 0 {
+		nu = max(nu, have+have/4)
+	}
+	ls.dirty = append(ls.dirty, make([]bool, nu-have)...)
+	ls.pos = append(ls.pos, make([]int32, nu-have)...)
+	ls.open = append(ls.open, make([]bool, nu-have)...)
+	for _, list := range []*[]int32{&ls.kidHead, &ls.kidNext} {
+		*list = slices.Grow(*list, nu-have)
+		for len(*list) < nu {
+			*list = append(*list, -1)
+		}
+	}
+}
 
 // Stats summarizes a compiled network for diagnostics. It converts to
 // wire.EngineStats, the engine section of /v1/stats, so the two field
@@ -188,10 +264,13 @@ func Compile(network *tn.Network) (*CompiledNetwork, error) {
 	c := &CompiledNetwork{
 		net:  network,
 		g:    network.Graph(),
+		ls:   new(lineage),
 		dict: newValueDict(),
 		pool: &sync.Pool{},
 		sigs: newSigCache(defaultSigCacheCap),
 	}
+	ls := c.ls
+	ls.grow(nu)
 	c.rootPos = make([]int32, nu)
 	for x := 0; x < nu; x++ {
 		c.rootPos[x] = -1
@@ -200,18 +279,102 @@ func Compile(network *tn.Network) (*CompiledNetwork, error) {
 			c.rootSlots = append(c.rootSlots, x)
 		}
 	}
-	c.reach = c.g.Reachable(c.liveRoots(), nil)
-	c.buildIncoming()
-	c.buildCondensation()
 
-	closed := make([]bool, nu)
+	// Condensation of the reachable subgraph. SCCOf rooted at every
+	// reachable node numbers components in reverse topological order (an
+	// edge between components always goes from a higher id to a lower
+	// one), so visiting ids descending is a topological order.
+	reach := c.g.Reachable(c.liveRoots(), nil)
+	c.nodes = newCow(nu, nodeState{comp: -1, pref: -1})
+	nreach := 0
 	for x := 0; x < nu; x++ {
-		if network.HasExplicit(x) || !c.reach[x] {
-			closed[x] = true
+		if reach[x] {
+			c.nodes.ref(x).reach = true
+			nreach++
 		}
 	}
-	c.planInto(c.sccOrder, closed, new(graph.SCCScratch))
+	ls.region = make([]int, 0, nreach)
+	for x := 0; x < nu; x++ {
+		if reach[x] {
+			ls.region = append(ls.region, x)
+		}
+	}
+	ncomp := c.g.SCCOf(ls.region, func(v int) bool { return reach[v] }, &ls.scc)
+	ls.openIDs = make([]int, 0, nreach)
+	for x := 0; x < nu; x++ {
+		s := c.nodes.ref(x)
+		s.pref = c.preferredOf(x)
+		if reach[x] {
+			s.comp = int32(ls.scc.Comp(x))
+			if !network.HasExplicit(x) {
+				ls.openIDs = append(ls.openIDs, x)
+			}
+		}
+	}
+	c.comps = newCow(0, component{})
+	c.addComps(ls.region, ncomp, func(x int) int { return int(c.nodes.at(x).comp) })
+
+	c.steps, c.planRanges = c.planInto(0, ncomp, ls.openIDs, make([]stepRange, 0, ncomp))
+	c.setRuns(c.steps, c.planRanges)
 	return c, nil
+}
+
+// addComps issues a block of ncomp fresh component ids, the next ones,
+// and fills their member lists from members (ascending), where local(x)
+// is x's component within the block.
+func (c *CompiledNetwork) addComps(members []int, ncomp int, local func(x int) int) {
+	// Counting sort: end[i] ends up one past component i's run in flat.
+	end := make([]int32, ncomp)
+	for _, x := range members {
+		end[local(x)]++
+	}
+	var sum int32
+	for i, k := range end {
+		sum += k
+		end[i] = sum - k // the run's start, advanced to its end below
+	}
+	flat := make([]int, len(members))
+	for _, x := range members {
+		l := local(x)
+		flat[end[l]] = x
+		end[l]++
+	}
+	base := c.comps.len()
+	c.comps.grow(base + ncomp)
+	lo := int32(0)
+	for i, hi := range end {
+		*c.comps.ref(base + i) = component{members: flat[lo:hi:hi], block: int32(base + ncomp)}
+		lo = hi
+	}
+}
+
+// setRuns hands each planned component its run of steps.
+func (c *CompiledNetwork) setRuns(steps []Step, ranges []stepRange) {
+	for _, r := range ranges {
+		c.comps.ref(int(r.comp)).steps = steps[r.lo:r.hi:r.hi]
+	}
+	c.nsteps += len(steps)
+}
+
+// preferredOf derives x's effective preferred parent from its incoming
+// mappings and its parents' reachability: the sole reachable parent of
+// the top priority, or -1 on a tie or with no reachable parent.
+func (c *CompiledNetwork) preferredOf(x int) int32 {
+	top := -1
+	topPrio := 0
+	for _, m := range c.net.In(x) { // sorted: priority desc, parent asc
+		if !c.nodes.at(m.Parent).reach {
+			continue
+		}
+		if top >= 0 {
+			if m.Priority == topPrio {
+				return -1
+			}
+			break
+		}
+		top, topPrio = m.Parent, m.Priority
+	}
+	return int32(top)
 }
 
 // liveRoots returns the users currently holding an explicit belief,
@@ -226,97 +389,105 @@ func (c *CompiledNetwork) liveRoots() []int {
 	return out
 }
 
-// ensureSupports builds the root supports on first use.
+// ensureSupports builds the root supports of a fresh Compile on first
+// use; an Apply successor is born with them.
 func (c *CompiledNetwork) ensureSupports() { c.supportsOnce.Do(c.buildSupports) }
 
-// EnsureSupports derives the root supports now if they have not been
-// derived yet. Publishers sharing an artifact with lock-free readers
-// must call it before publication: derivation reads the underlying
-// network (which may keep mutating afterwards), so leaving it to a
-// reader's first Resolve would race the writer. Idempotent and cheap
-// when supports already exist.
-func (c *CompiledNetwork) EnsureSupports() { c.ensureSupports() }
-
-// buildIncoming flattens the effective incoming-trust tables.
-func (c *CompiledNetwork) buildIncoming() { c.in = buildInCSR(c.net, c.reach) }
-
-// preferredParent returns x's effective preferred parent: the sole row of
-// its top priority bucket. ok is false on a tie or when x has no reachable
-// parents.
-func (c *CompiledNetwork) preferredParent(x int) (int, bool) { return c.in.preferred(x) }
-
-// buildCondensation computes the SCCs of the reachable subgraph, the
-// per-SCC member slices, and a topological order of the condensation DAG.
-func (c *CompiledNetwork) buildCondensation() {
-	active := func(v int) bool { return c.reach[v] }
-	c.comp, c.ncomp = c.g.SCC(active)
-	c.sccMembers = make([][]int, c.ncomp)
-	for v := 0; v < c.net.NumUsers(); v++ {
-		if cv := c.comp[v]; cv >= 0 {
-			c.sccMembers[cv] = append(c.sccMembers[cv], v)
+// ensureFlat derives the flat node -> support view the resolve path
+// reads, on first use: it reads only the artifact's own frozen pages, so
+// concurrent readers may race to it.
+func (c *CompiledNetwork) ensureFlat() {
+	c.ensureSupports()
+	c.flatOnce.Do(func() {
+		c.nodeSupport = make([]int32, c.nodeSup.len())
+		for x := range c.nodeSupport {
+			c.nodeSupport[x] = c.nodeSup.at(x)
 		}
-	}
-	// SCC numbers components in reverse topological order (an edge between
-	// components always goes from a higher id to a lower one), so visiting
-	// ids descending is a topological order of the condensation DAG.
-	c.sccOrder = make([]int, c.ncomp)
-	for i := range c.sccOrder {
-		c.sccOrder[i] = c.ncomp - 1 - i
-	}
+	})
 }
 
-// planInto records the control flow of Algorithm 1 over the given
-// condensation components (in topological order) as steps appended to
-// c.steps. Each component is planned on its own: Step 1 drains the copies
-// its closed parents enable, and every Step-2 round runs SCCOf rooted at
-// the component's member list on the caller's scratch, so a round costs
-// the component's members and their out-edges, not the whole graph. A
-// component left with one open node floods it without a Tarjan pass.
-// closed marks the nodes already resolved before the plan starts: roots,
-// unreachable nodes, and — on the incremental path — every clean node.
-func (c *CompiledNetwork) planInto(comps []int, closed []bool, scratch *graph.SCCScratch) {
-	nu := c.net.NumUsers()
-	// preferredChildren[z] lists open nodes whose effective preferred
-	// parent is z, for O(1) discovery of applicable Step-1 copies.
-	preferredChildren := make([][]int, nu)
-	for x := 0; x < nu; x++ {
-		if closed[x] {
-			continue
-		}
-		if z, ok := c.preferredParent(x); ok {
-			preferredChildren[z] = append(preferredChildren[z], x)
+// EnsureSupports derives the root supports and the resolve path's flat
+// views now if they have not been derived yet. Publishers sharing an
+// artifact with lock-free readers must call it before publication:
+// deriving a fresh Compile's supports reads the underlying network
+// (which may keep mutating afterwards), so leaving it to a reader's first
+// Resolve would race the writer. Idempotent and cheap once derived.
+func (c *CompiledNetwork) EnsureSupports() { c.ensureFlat() }
+
+// preferredParent returns x's effective preferred parent: the sole
+// reachable parent of the top priority. ok is false on a tie or when x has
+// no reachable parents.
+func (c *CompiledNetwork) preferredParent(x int) (int, bool) {
+	z := c.nodes.at(x).pref
+	return int(z), z >= 0
+}
+
+// planInto records the control flow of Algorithm 1 over the condensation
+// components lo..hi-1, visited descending (a topological order of one
+// block of ids), as steps appended to steps, and returns them with each
+// planned component's run. Each component is planned on its own: Step 1
+// drains the copies its closed parents enable, and every Step-2 round
+// runs SCCOf rooted at the component's member list on the lineage's
+// scratch, so a round costs the component's members and their out-edges,
+// not the whole graph. A component left with one open node floods it
+// without a Tarjan pass. open lists the nodes to resolve, ascending; every
+// other node counts as closed: roots, unreachable nodes, and — on the
+// incremental path — every clean node. The runs are appended to ranges.
+func (c *CompiledNetwork) planInto(lo, hi int, open []int, ranges []stepRange) (steps []Step, _ []stepRange) {
+	ls := c.ls
+	steps = make([]Step, 0, len(open)) // every step closes an open node
+	for _, x := range open {
+		ls.open[x] = true
+	}
+	// The open nodes whose effective preferred parent is z form a linked
+	// list from kidHead[z], ascending, for O(1) discovery of applicable
+	// Step-1 copies.
+	for i := len(open) - 1; i >= 0; i-- {
+		x := open[i]
+		if z := c.nodes.at(x).pref; z >= 0 {
+			ls.kidNext[x] = ls.kidHead[z]
+			ls.kidHead[z] = int32(x)
 		}
 	}
+	defer func() {
+		for _, x := range open {
+			ls.open[x] = false
+			if z := c.nodes.at(x).pref; z >= 0 {
+				ls.kidHead[z] = -1
+			}
+		}
+	}()
 
 	var (
 		comp  int   // the component being planned
 		queue []int // Step-1 queue, local to comp
 		nOpen int   // comp's members not yet closed
 	)
+	closed := func(x int) bool { return !ls.open[x] }
 	// Parents outside comp are already closed (topological order), so the
 	// initial scan plus enqueues on close find every applicable copy.
 	enqueue := func(z int) {
-		for _, x := range preferredChildren[z] {
-			if !closed[x] && c.comp[x] == comp {
-				queue = append(queue, x)
+		for x := ls.kidHead[z]; x >= 0; x = ls.kidNext[x] {
+			if ls.open[x] && int(c.nodes.at(int(x)).comp) == comp {
+				queue = append(queue, int(x))
 			}
 		}
 	}
-	open := func(v int) bool { return c.comp[v] == comp && !closed[v] }
+	isOpen := func(v int) bool { return int(c.nodes.at(v).comp) == comp && ls.open[v] }
 	flood := func(members []int) {
 		var sources []int
 		for _, x := range members {
 			for _, m := range c.net.In(x) {
-				if closed[m.Parent] && c.reach[m.Parent] {
+				if closed(m.Parent) && c.nodes.at(m.Parent).reach {
 					sources = append(sources, m.Parent)
 				}
 			}
 		}
 		sort.Ints(sources)
 		sources = slices.Compact(sources)
-		c.steps = append(c.steps, Step{Kind: StepFlood, Members: members, Sources: sources})
+		steps = append(steps, Step{Kind: StepFlood, Members: members, Sources: sources})
 		for _, x := range members {
-			closed[x] = true
+			ls.open[x] = false
 		}
 		nOpen -= len(members)
 		for _, x := range members {
@@ -324,17 +495,18 @@ func (c *CompiledNetwork) planInto(comps []int, closed []bool, scratch *graph.SC
 		}
 	}
 
-	for _, comp = range comps {
-		firstStep := len(c.steps)
-		members := c.sccMembers[comp]
+	queue = ls.queue[:0]
+	for comp = hi - 1; comp >= lo; comp-- {
+		firstStep := len(steps)
+		members := c.comps.at(comp).members
 		queue = queue[:0]
 		nOpen = 0
 		for _, x := range members {
-			if closed[x] {
+			if closed(x) {
 				continue
 			}
 			nOpen++
-			if z, ok := c.preferredParent(x); ok && closed[z] {
+			if z, ok := c.preferredParent(x); ok && closed(z) {
 				queue = append(queue, x)
 			}
 		}
@@ -342,12 +514,12 @@ func (c *CompiledNetwork) planInto(comps []int, closed []bool, scratch *graph.SC
 			// (S1) Drain preferred-edge copies.
 			for head := 0; head < len(queue); head++ {
 				x := queue[head]
-				if closed[x] {
+				if closed(x) {
 					continue
 				}
 				z, _ := c.preferredParent(x)
-				c.steps = append(c.steps, Step{Kind: StepCopy, Target: x, Source: z})
-				closed[x] = true
+				steps = append(steps, Step{Kind: StepCopy, Target: x, Source: z})
+				ls.open[x] = false
 				nOpen--
 				enqueue(x)
 			}
@@ -358,7 +530,7 @@ func (c *CompiledNetwork) planInto(comps []int, closed []bool, scratch *graph.SC
 			if nOpen == 1 {
 				// A lone open node is its own minimal SCC.
 				for _, x := range members {
-					if !closed[x] {
+					if !closed(x) {
 						flood([]int{x})
 						break
 					}
@@ -373,20 +545,20 @@ func (c *CompiledNetwork) planInto(comps []int, closed []bool, scratch *graph.SC
 			// member slice equals global minimality. Rooting the pass at
 			// the ascending member list numbers sub-components exactly as
 			// a whole-graph pass would.
-			nsub := c.g.SCCOf(members, open, scratch)
+			nsub := c.g.SCCOf(members, isOpen, &ls.scc)
 			if nsub == 0 {
 				break
 			}
 			hasIncoming := make([]bool, nsub)
 			memberList := make([][]int, nsub)
 			for _, v := range members {
-				sv := scratch.Comp(v)
+				sv := ls.scc.Comp(v)
 				if sv < 0 {
 					continue
 				}
 				memberList[sv] = append(memberList[sv], v)
 				for _, m := range c.net.In(v) {
-					if sp := scratch.Comp(m.Parent); sp >= 0 && sp != sv {
+					if sp := ls.scc.Comp(m.Parent); sp >= 0 && sp != sv {
 						hasIncoming[sv] = true
 					}
 				}
@@ -397,11 +569,12 @@ func (c *CompiledNetwork) planInto(comps []int, closed []bool, scratch *graph.SC
 				}
 			}
 		}
-		if len(c.steps) > firstStep {
-			c.planRanges = append(c.planRanges,
-				stepRange{comp: int32(comp), lo: int32(firstStep), hi: int32(len(c.steps))})
+		if len(steps) > firstStep {
+			ranges = append(ranges, stepRange{comp: int32(comp), lo: int32(firstStep), hi: int32(len(steps))})
 		}
 	}
+	ls.queue = queue[:0]
+	return steps, ranges
 }
 
 // buildSupports replays the plan symbolically over root-index bitsets:
@@ -432,7 +605,31 @@ func (c *CompiledNetwork) buildSupports() {
 		}
 		c.nodeSupport[x] = c.internSupport(b)
 	}
+	c.flatOnce.Do(func() {}) // nodeSupport is built; nodeSup is its paged copy
+	c.nodeSup = newCow(nu, int32(-1))
+	for x, id := range c.nodeSupport {
+		if id >= 0 {
+			*c.nodeSup.ref(x) = id
+		}
+	}
+	c.countSupportRefs()
 	c.flattenSupports()
+}
+
+// countSupportRefs recounts the lineage's support references from
+// nodeSup.
+func (c *CompiledNetwork) countSupportRefs() {
+	ls := c.ls
+	ls.supRefs = append(ls.supRefs[:0], make([]int32, len(c.supports))...)
+	ls.liveSupports = 0
+	for x := 0; x < c.nodeSup.len(); x++ {
+		if id := c.nodeSup.at(x); id >= 0 {
+			if ls.supRefs[id] == 0 {
+				ls.liveSupports++
+			}
+			ls.supRefs[id]++
+		}
+	}
 }
 
 // replayStep folds one plan step into the per-node bitsets.
@@ -482,7 +679,7 @@ func (c *CompiledNetwork) replaySteps(byNode []bitset, words, workers int) {
 	level := make([]int32, len(ranges))
 	maxLevel := int32(0)
 	bump := func(ri int, z int) {
-		if pi, ok := compRange[c.comp[z]]; ok && int(pi) != ri && level[pi]+1 > level[ri] {
+		if pi, ok := compRange[int(c.nodes.at(z).comp)]; ok && int(pi) != ri && level[pi]+1 > level[ri] {
 			level[ri] = level[pi] + 1
 		}
 	}
@@ -548,6 +745,7 @@ func (c *CompiledNetwork) internSupport(b bitset) int32 {
 		id = int32(len(c.supports))
 		c.supportIDs[k] = id
 		c.supports = append(c.supports, b)
+		c.ls.supRefs = append(c.ls.supRefs, 0)
 	}
 	return id
 }
@@ -563,31 +761,70 @@ func (c *CompiledNetwork) Roots() []int {
 	return out
 }
 
-// Steps returns the compiled plan. The slice is shared; do not modify.
-func (c *CompiledNetwork) Steps() []Step { return c.steps }
+// Steps returns the compiled plan. On a Compile result the slice is
+// shared (do not modify); on an Apply successor it is built from the live
+// components' runs on each call.
+func (c *CompiledNetwork) Steps() []Step {
+	if c.steps != nil || c.nsteps == 0 {
+		return c.steps
+	}
+	out := make([]Step, 0, c.nsteps)
+	c.eachComp(func(id int) { out = append(out, c.comps.at(id).steps...) })
+	return out
+}
+
+// eachComp calls f with every live component id in plan order: a
+// topological order of the condensation DAG.
+func (c *CompiledNetwork) eachComp(f func(id int)) {
+	for lo := 0; lo < c.comps.len(); {
+		hi := int(c.comps.at(lo).block)
+		for id := hi - 1; id >= lo; id-- {
+			if c.comps.at(id).members != nil {
+				f(id)
+			}
+		}
+		lo = hi
+	}
+}
 
 // Incoming returns the priority-bucketed effective incoming-trust table of
-// node x, reconstructed from the flat CSR rows (diagnostic; the resolve
-// path reads the rows directly).
-func (c *CompiledNetwork) Incoming(x int) []PriorityBucket { return c.in.buckets(x) }
+// node x: its mappings from reachable parents (diagnostic; it reads the
+// live network, so it must not race a mutator).
+func (c *CompiledNetwork) Incoming(x int) []PriorityBucket {
+	if x < 0 || x >= c.nodes.len() {
+		return nil
+	}
+	var out []PriorityBucket
+	for _, m := range c.net.In(x) { // sorted: priority desc, parent asc
+		if !c.nodes.at(m.Parent).reach {
+			continue
+		}
+		if k := len(out); k > 0 && out[k-1].Priority == m.Priority {
+			out[k-1].Parents = append(out[k-1].Parents, m.Parent)
+		} else {
+			out = append(out, PriorityBucket{Priority: m.Priority, Parents: []int{m.Parent}})
+		}
+	}
+	return out
+}
 
 // NumSCCs returns the number of strongly connected components of the
 // reachable subgraph.
-func (c *CompiledNetwork) NumSCCs() int { return c.ncomp - c.deadComps }
+func (c *CompiledNetwork) NumSCCs() int { return c.comps.len() - c.deadComps }
 
 // SCCMembers returns the member slice of condensation component i,
 // ascending, or nil when the id was invalidated by Apply. The slice is
 // shared; do not modify.
-func (c *CompiledNetwork) SCCMembers(i int) []int { return c.sccMembers[i] }
+func (c *CompiledNetwork) SCCMembers(i int) []int { return c.comps.at(i).members }
 
 // SCCEntries returns the trust mappings entering condensation component i
 // from other components: the edges along which flooded values arrive.
 // Derived on demand — it is diagnostic, not on the resolution path.
 func (c *CompiledNetwork) SCCEntries(i int) []tn.Mapping {
 	var out []tn.Mapping
-	for _, v := range c.sccMembers[i] {
+	for _, v := range c.SCCMembers(i) {
 		for _, m := range c.net.In(v) {
-			if cp := c.comp[m.Parent]; cp >= 0 && cp != i {
+			if cp := int(c.nodes.at(m.Parent).comp); cp >= 0 && cp != i {
 				out = append(out, m)
 			}
 		}
@@ -596,15 +833,18 @@ func (c *CompiledNetwork) SCCEntries(i int) []tn.Mapping {
 }
 
 // SCCOrder returns a topological order of the live condensation DAG: the
-// order in which the planner visited components. The slice is shared; do
-// not modify.
-func (c *CompiledNetwork) SCCOrder() []int { return c.sccOrder }
+// order in which the planner visited components.
+func (c *CompiledNetwork) SCCOrder() []int {
+	out := make([]int, 0, c.NumSCCs())
+	c.eachComp(func(id int) { out = append(out, id) })
+	return out
+}
 
 // Support returns the root nodes whose beliefs constitute poss(x) for
 // every object, ascending; nil when poss(x) is always empty.
 func (c *CompiledNetwork) Support(x int) []int {
 	c.ensureSupports()
-	id := c.nodeSupport[x]
+	id := c.nodeSup.at(x)
 	if id < 0 {
 		return nil
 	}
@@ -639,23 +879,24 @@ func (c *CompiledNetwork) statsWithCounts(users, mappings int) Stats {
 		SCCs:             c.NumSCCs(),
 		DistinctSupports: len(c.supports),
 	}
-	for _, r := range c.reach {
-		if r {
+	for x := 0; x < c.nodes.len(); x++ {
+		if c.nodes.at(x).reach {
 			st.Reachable++
 		}
 	}
-	for i, m := range c.sccMembers {
-		if len(m) > 1 && c.comp[m[0]] == i {
+	c.eachComp(func(id int) {
+		comp := c.comps.at(id)
+		if len(comp.members) > 1 {
 			st.NontrivialSCCs++
 		}
-	}
-	for _, s := range c.steps {
-		if s.Kind == StepCopy {
-			st.CopySteps++
-		} else {
-			st.FloodSteps++
+		for _, s := range comp.steps {
+			if s.Kind == StepCopy {
+				st.CopySteps++
+			} else {
+				st.FloodSteps++
+			}
 		}
-	}
+	})
 	return st
 }
 

@@ -299,6 +299,7 @@ func TestCompilePlanDigest(t *testing.T) {
 // sources), its support table (each support's root slots, by id) and its
 // node -> support map, with FNV-64a.
 func successorDigest(c *CompiledNetwork) uint64 {
+	c.EnsureSupports()
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v int) {

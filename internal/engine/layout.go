@@ -1,145 +1,36 @@
 package engine
 
-// Flat CSR layouts of the compiled artifact's per-node tables. The first
-// engine revisions stored the effective incoming-trust table as a
-// [][]PriorityBucket — a slice of slices of slices — and the root supports
-// as per-support bitsets walked with bit tricks on every gather. Both are
-// pointer-chasing layouts: resolving an object hops between small heap
-// objects, and the compiled artifact carries three levels of slice headers
-// per node. This file flattens them into offset+value int32 arrays
-// (compressed sparse rows):
+// The flat CSR layout of the root supports, the table the resolve hot
+// path gathers from. The first engine revisions walked per-support bitsets
+// with bit tricks on every gather, hopping between small heap objects.
+// The supports flatten instead into supOff/supRoots on CompiledNetwork
+// (compressed sparse rows): support id -> a contiguous run of root slots,
+// ascending. The per-signature gather scans one contiguous int32 run per
+// support with no bit iteration and no branches beyond the tombstone
+// guard.
 //
-//   - inCSR holds every node's effective incoming mappings (reachable
-//     parents only) in two parallel value arrays indexed by one offset
-//     array, rows ordered priority descending then parent ascending — the
-//     order tn.Network.In maintains — so preferred-parent and tie checks
-//     are two adjacent loads;
-//   - the root supports flatten into supOff/supRoots on CompiledNetwork:
-//     support id -> a contiguous run of root slots, ascending. The
-//     per-signature gather scans one contiguous int32 run per support with
-//     no bit iteration and no branches beyond the tombstone guard.
-//
-// The builder-side representations stay what they were: construction and
-// incremental splicing still reason over tn.Network.In and support
-// bitsets (dedup needs the set semantics); the CSR arrays are derived from
-// them at Compile/Apply time and are the only thing the resolve hot path
-// touches.
-
-import "trustmap/internal/tn"
-
-// inCSR is the flattened effective incoming-trust table: rows[off[x]:
-// off[x+1]] are node x's incoming mappings from reachable parents,
-// priority descending, parent ascending within a priority.
-type inCSR struct {
-	off    []int32 // len = numNodes + 1
-	parent []int32
-	prio   []int32
-}
-
-// buildInCSR flattens the effective incoming tables of all nodes.
-func buildInCSR(net *tn.Network, reach []bool) inCSR {
-	nu := net.NumUsers()
-	t := inCSR{off: make([]int32, nu+1)}
-	total := 0
-	for x := 0; x < nu; x++ {
-		for _, m := range net.In(x) {
-			if reach[m.Parent] {
-				total++
-			}
-		}
-	}
-	t.parent = make([]int32, 0, total)
-	t.prio = make([]int32, 0, total)
-	for x := 0; x < nu; x++ {
-		t.appendRows(net, reach, x)
-		t.off[x+1] = int32(len(t.parent))
-	}
-	return t
-}
-
-// appendRows appends node x's effective rows; the caller owns the offsets.
-func (t *inCSR) appendRows(net *tn.Network, reach []bool, x int) {
-	for _, m := range net.In(x) { // sorted: priority desc, parent asc
-		if reach[m.Parent] {
-			t.parent = append(t.parent, int32(m.Parent))
-			t.prio = append(t.prio, int32(m.Priority))
-		}
-	}
-}
-
-// preferred returns x's effective preferred parent: the sole row of the top
-// priority bucket. ok is false on a tie or when x has no reachable parents.
-func (t *inCSR) preferred(x int) (int, bool) {
-	lo, hi := t.off[x], t.off[x+1]
-	if lo == hi || (hi-lo > 1 && t.prio[lo] == t.prio[lo+1]) {
-		return -1, false
-	}
-	return int(t.parent[lo]), true
-}
-
-// buckets reconstructs the priority-bucketed view of node x's rows for
-// diagnostic consumers; nil when x has no effective incoming mappings.
-func (t *inCSR) buckets(x int) []PriorityBucket {
-	var out []PriorityBucket
-	for i := t.off[x]; i < t.off[x+1]; i++ {
-		p := int(t.prio[i])
-		if k := len(out); k > 0 && out[k-1].Priority == p {
-			out[k-1].Parents = append(out[k-1].Parents, int(t.parent[i]))
-		} else {
-			out = append(out, PriorityBucket{Priority: p, Parents: []int{int(t.parent[i])}})
-		}
-	}
-	return out
-}
-
-// splice builds the successor table after an Apply: clean nodes copy their
-// rows from the base (their parents' reachability is unchanged — the dirty
-// region is downstream-closed), dirty nodes recompute from the mutated
-// network under the new reachability. nuNew may exceed the base width;
-// the new nodes are dirty or rowless.
-func (t inCSR) splice(net *tn.Network, reach []bool, dirty []bool, nuNew int) inCSR {
-	n := inCSR{
-		off:    make([]int32, nuNew+1),
-		parent: make([]int32, 0, len(t.parent)),
-		prio:   make([]int32, 0, len(t.prio)),
-	}
-	for x := 0; x < nuNew; x++ {
-		if x < len(t.off)-1 && !dirty[x] {
-			lo, hi := t.off[x], t.off[x+1]
-			n.parent = append(n.parent, t.parent[lo:hi]...)
-			n.prio = append(n.prio, t.prio[lo:hi]...)
-		} else {
-			n.appendRows(net, reach, x)
-		}
-		n.off[x+1] = int32(len(n.parent))
-	}
-	return n
-}
-
-// grow widens the table to nuNew nodes with no rows of their own, sharing
-// the row arrays with the base (the grown-users-only Apply path).
-func (t inCSR) grow(nuNew int) inCSR {
-	off := make([]int32, nuNew+1)
-	copy(off, t.off)
-	for x := len(t.off); x <= nuNew; x++ {
-		off[x] = off[len(t.off)-1]
-	}
-	return inCSR{off: off, parent: t.parent, prio: t.prio}
-}
+// The builder-side representation stays the bitsets (dedup and Apply's
+// splice need the set semantics); the CSR arrays are derived from them at
+// Compile/Apply time. The planner's per-node tables are not on the
+// resolve path, and live in copy-on-write pages instead (cow.go).
 
 // flattenSupports derives the CSR view of the support table: supRoots
 // holds each support's root slots ascending, supOff indexes it by support
-// id. Called whenever the support table changes (buildSupports, Apply
-// splice, compaction).
+// id. buildSupports and a compaction rebuild it; an Apply successor only
+// appends its new supports (appendSupportRuns).
 func (c *CompiledNetwork) flattenSupports() {
-	total := 0
-	for _, b := range c.supports {
-		total += b.count()
-	}
-	c.supOff = make([]int32, len(c.supports)+1)
-	c.supRoots = make([]int32, 0, total)
-	for i, b := range c.supports {
+	c.supOff = []int32{0}
+	c.supRoots = nil
+	c.appendSupportRuns(0)
+}
+
+// appendSupportRuns appends the runs of supports from..len-1 to the CSR
+// view. The arrays are append-only along a lineage, so a successor
+// extends its base's arrays in place: the base never reads past its own
+// length.
+func (c *CompiledNetwork) appendSupportRuns(from int) {
+	for _, b := range c.supports[from:] {
 		b.each(func(slot int) { c.supRoots = append(c.supRoots, int32(slot)) })
-		c.supOff[i+1] = int32(len(c.supRoots))
+		c.supOff = append(c.supOff, int32(len(c.supRoots)))
 	}
 }

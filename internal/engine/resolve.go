@@ -132,7 +132,7 @@ func (c *CompiledNetwork) scan(ctx context.Context, workers, n int, body func(s 
 // individually. A malformed object (missing root belief) returns a nil
 // result and the error of the smallest failing object index.
 func (c *CompiledNetwork) Resolve(ctx context.Context, objects map[string]map[int]tn.Value, opts Options) (*BulkResult, error) {
-	c.ensureSupports()
+	c.ensureFlat()
 	keys := make([]string, 0, len(objects))
 	for k := range objects {
 		keys = append(keys, k)
