@@ -258,7 +258,7 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 		}
 		if !copied {
 			n.rootSlots = slices.Clone(c.rootSlots)
-			n.rootPos = growCopyI32(c.rootPos, nuNew)
+			n.rootPos = grown(c.rootPos, nuNew, -1)
 			copied = true
 		}
 		switch {
@@ -448,13 +448,4 @@ func (n *CompiledNetwork) maybeCompactSupports() bool {
 	n.countSupportRefs()
 	n.flattenSupports()
 	return true
-}
-
-func growCopyI32(src []int32, size int) []int32 {
-	out := make([]int32, size)
-	copy(out, src)
-	for i := len(src); i < size; i++ {
-		out[i] = -1
-	}
-	return out
 }

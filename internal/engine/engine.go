@@ -226,15 +226,20 @@ func (ls *lineage) grow(nu int) {
 	if have > 0 {
 		nu = max(nu, have+have/4)
 	}
-	ls.dirty = append(ls.dirty, make([]bool, nu-have)...)
-	ls.pos = append(ls.pos, make([]int32, nu-have)...)
-	ls.open = append(ls.open, make([]bool, nu-have)...)
-	for _, list := range []*[]int32{&ls.kidHead, &ls.kidNext} {
-		*list = slices.Grow(*list, nu-have)
-		for len(*list) < nu {
-			*list = append(*list, -1)
-		}
+	ls.dirty = grown(ls.dirty, nu, false)
+	ls.pos = grown(ls.pos, nu, 0)
+	ls.open = grown(ls.open, nu, false)
+	ls.kidHead = grown(ls.kidHead, nu, -1)
+	ls.kidNext = grown(ls.kidNext, nu, -1)
+}
+
+// grown returns s extended to length n with fill, in one allocation.
+func grown[T any](s []T, n int, fill T) []T {
+	out := make([]T, n)
+	for i := copy(out, s); i < n; i++ {
+		out[i] = fill
 	}
+	return out
 }
 
 // Stats summarizes a compiled network for diagnostics. It converts to
@@ -940,7 +945,8 @@ func (b bitset) key() string {
 	for n > 0 && b[n-1] == 0 {
 		n--
 	}
-	buf := make([]byte, 0, n*8)
+	var stack [64]byte // the string conversion copies: buf need not escape
+	buf := stack[:0]
 	for _, w := range b[:n] {
 		for s := 0; s < 64; s += 8 {
 			buf = append(buf, byte(w>>s))

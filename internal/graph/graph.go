@@ -168,10 +168,10 @@ func (s *SCCScratch) Comp(v int) int {
 // the generation counter wraps, so no stale stamp can match.
 func (s *SCCScratch) reset(n int) {
 	if len(s.stamp) < n {
-		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
-		s.index = append(s.index, make([]int32, n-len(s.index))...)
-		s.low = append(s.low, make([]int32, n-len(s.low))...)
-		s.comp = append(s.comp, make([]int32, n-len(s.comp))...)
+		s.stamp = grown(s.stamp, n)
+		s.index = grown(s.index, n)
+		s.low = grown(s.low, n)
+		s.comp = grown(s.comp, n)
 	}
 	s.gen++
 	if s.gen == 0 {
@@ -179,6 +179,13 @@ func (s *SCCScratch) reset(n int) {
 		s.gen = 1
 	}
 	s.next, s.ncomp = 0, 0
+}
+
+// grown returns s extended with zeros to length n, in one allocation.
+func grown[T uint32 | int32](s []T, n int) []T {
+	out := make([]T, n)
+	copy(out, s)
+	return out
 }
 
 // visit runs Tarjan's DFS from root unless root is inactive or already
