@@ -341,6 +341,7 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 	ls.ranges = ranges[:0]
 	n.setRuns(steps, ranges)
 	st.NewSteps = len(steps)
+	n.maybeCompactComps()
 
 	// Support splice: replay only the new steps. Sources are clean nodes
 	// (their interned support) or earlier dirty nodes; dirty roots seed
@@ -396,6 +397,30 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 		n.appendSupportRuns(oldSupports)
 	}
 	return n, st, nil
+}
+
+// maybeCompactComps renumbers the live components once more than half
+// of the ids issued are dead: ids are never reused, so a long lineage
+// would otherwise grow the component table with every Apply. The live
+// components become one block, numbered so that the plan visits them in
+// the order it did.
+func (n *CompiledNetwork) maybeCompactComps() {
+	if n.comps.len() < 64 || 2*n.deadComps <= n.comps.len() {
+		return
+	}
+	live := n.comps.len() - n.deadComps
+	comps := newCow(live, component{})
+	id := live
+	n.eachComp(func(old int) {
+		id--
+		comp := n.comps.at(old)
+		comp.block = int32(live)
+		*comps.ref(id) = comp
+		for _, x := range comp.members {
+			n.nodes.ref(x).comp = int32(id)
+		}
+	})
+	n.comps, n.deadComps = comps, 0
 }
 
 // setSupport points node x at support id (-1: none), keeping the

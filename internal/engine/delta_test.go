@@ -442,7 +442,8 @@ func TestApplyParityRandomMutations(t *testing.T) {
 }
 
 // TestApplyLongChainCompaction drives enough mutations through one artifact
-// lineage to trigger support-table compaction and re-checks parity.
+// lineage to trigger support-table and component-table compaction and
+// re-checks parity.
 func TestApplyLongChainCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	net := workload.RandomBTN(rng, 60, 0.3, []tn.Value{"v0", "v1", "v2"})
@@ -465,6 +466,9 @@ func TestApplyLongChainCompaction(t *testing.T) {
 	}
 	if len(c.supports) >= 64 && len(c.supports) > 2*len(live) {
 		t.Errorf("support table not compacted: %d entries, %d live", len(c.supports), len(live))
+	}
+	if ids := c.comps.len(); ids >= 64 && ids > 2*c.NumSCCs() {
+		t.Errorf("component table not compacted: %d ids, %d live", ids, c.NumSCCs())
 	}
 	assertParityWithFresh(t, "long chain", c, 4)
 }
