@@ -12,7 +12,7 @@ ENGINE_COVER_FLOOR ?= 75
 API_PKGS ?= .,wire,client
 API_GOLDEN ?= api/API.txt
 
-.PHONY: all build test race bench cover loc smoke crash poison loadgen-smoke replica-smoke cluster-smoke fuzz fmt vet lint api api-save doc-gate deps-gate ci
+.PHONY: all build test race bench bench-e2e cover loc smoke crash poison loadgen-smoke replica-smoke cluster-smoke fuzz fmt vet lint api api-save doc-gate deps-gate ci
 
 all: build test
 
@@ -31,6 +31,14 @@ race:
 # `go run ./benchmark` times the serving layers end to end.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# End-to-end trajectory: the four frozen workloads of `go run ./benchmark`
+# over seeds 1-3 plus one -trace run each, appended as one record (the
+# commit, per-workload medians, per-layer counters, and the host-independent
+# counts apart) to BENCH_e2e.json. Needs jq; about ten minutes on a 2-CPU
+# box.
+bench-e2e:
+	GO=$(GO) scripts/bench-e2e.sh BENCH_e2e.json
 
 # Coverage across all packages, plus an advisory floor report for the
 # engine (the hot core whose coverage should not silently erode). The

@@ -15,7 +15,10 @@ package trustmap
 // the next read re-resolves only that object — every other stored object
 // keeps serving its cached resolution — and a trust mutation advances the
 // epoch, after which stale objects are re-resolved lazily in one
-// signature-deduplicated batch. Every read hands out ObjectRows; the rows
+// signature-deduplicated batch. The cache holds one epoch at a time: the
+// first refill at a newer epoch drops every older entry, so what the cache
+// keeps reachable follows the live state, not the write history. Every
+// read hands out ObjectRows; the rows
 // of one batch share its bulkResolution, and batch reads return them
 // sorted by object key.
 //
