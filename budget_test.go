@@ -105,9 +105,9 @@ func allocatedBytes(f func()) uint64 {
 // Compile). Compile is linear in what it plans: each Step-2 round runs
 // Tarjan over one component's members on reused scratch, where a pass
 // over the whole graph per flood round would blow the n=4000 ceiling more
-// than a hundredfold. An Apply costs
-// what it dirties: it copies the pages its region writes and the page
-// directories, so 16× the users may cost at most twice the bytes.
+// than a hundredfold. An Apply costs what it dirties: it copies the pages
+// its region writes and the page directories, so 16× the users may cost
+// at most twice the bytes.
 func TestCompileApplyBytesBudget(t *testing.T) {
 	// Last moved: measured on 21c4227, paged copy-on-write plan tables.
 	// Compile spread over six runs was 260 656–261 200 B at n=250,
@@ -170,7 +170,7 @@ type churnEdge struct {
 func churnStore(t *testing.T) (*Store, []churnEdge) {
 	t.Helper()
 	w := workload.PowerLawTiered(rand.New(rand.NewSource(1)), 1500, 2, 3, 0.1, []tn.Value{"a", "b", "c"})
-	st, err := (&Network{inner: w.Clone(), constraints: make(map[int][]string)}).NewStore(WithWorkers(1))
+	st, err := (&Network{inner: w, constraints: make(map[int][]string)}).NewStore(WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
