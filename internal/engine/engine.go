@@ -429,15 +429,15 @@ func (c *CompiledNetwork) preferredParent(x int) (int, bool) {
 
 // planInto records the control flow of Algorithm 1 over the condensation
 // components lo..hi-1, visited descending (a topological order of one
-// block of ids), as steps appended to steps, and returns them with each
-// planned component's run. Each component is planned on its own: Step 1
+// block of ids), as steps, and returns them with each planned component's
+// run appended to ranges. Each component is planned on its own: Step 1
 // drains the copies its closed parents enable, and every Step-2 round
 // runs SCCOf rooted at the component's member list on the lineage's
 // scratch, so a round costs the component's members and their out-edges,
 // not the whole graph. A component left with one open node floods it
 // without a Tarjan pass. open lists the nodes to resolve, ascending; every
 // other node counts as closed: roots, unreachable nodes, and — on the
-// incremental path — every clean node. The runs are appended to ranges.
+// incremental path — every clean node.
 func (c *CompiledNetwork) planInto(lo, hi int, open []int, ranges []stepRange) (steps []Step, _ []stepRange) {
 	ls := c.ls
 	steps = make([]Step, 0, len(open)) // every step closes an open node
@@ -625,7 +625,7 @@ func (c *CompiledNetwork) buildSupports() {
 // nodeSup.
 func (c *CompiledNetwork) countSupportRefs() {
 	ls := c.ls
-	ls.supRefs = append(ls.supRefs[:0], make([]int32, len(c.supports))...)
+	ls.supRefs = append(ls.supRefs[:0], make([]int32, len(c.supports))...) // internSupport has sized it
 	ls.liveSupports = 0
 	for x := 0; x < c.nodeSup.len(); x++ {
 		if id := c.nodeSup.at(x); id >= 0 {
