@@ -3,9 +3,11 @@ package query_test
 // FuzzQueryPlanParity: a seeded generator draws random valid query
 // patterns and requires three independent evaluations to agree exactly
 // — the greedy plan, the naive left-to-right plan, and the brute-force
-// oracle over the materialized relation. Any divergence is a planner or
-// executor bug by construction: greedy reordering, pushdown extraction,
-// and partial-aggregate merging must all be invisible in the answer.
+// oracle over the materialized relation — and an aggregate plan must
+// answer the same again as three key partitions merged by Finalize. Any
+// divergence is a planner or executor bug by construction: greedy
+// reordering, pushdown extraction, and partial-aggregate merging must
+// all be invisible in the answer.
 
 import (
 	"context"
@@ -278,6 +280,18 @@ func FuzzQueryPlanParity(f *testing.F) {
 		}
 		if !rowsEqual(naive.Rows, wantRows) {
 			t.Fatalf("naive diverges from oracle on %+v:\n naive: %v\n oracle: %v", q, naive.Rows, wantRows)
+		}
+		if !greedyPlan.Aggregated() {
+			return
+		}
+		for name, plan := range map[string]*query.Plan{"greedy": greedyPlan, "naive": naivePlan} {
+			merged, err := runPartitioned(ctx, st, plan, 3)
+			if err != nil {
+				t.Fatalf("3 partitions (%s): %v", name, err)
+			}
+			if !rowsEqual(merged.Rows, wantRows) {
+				t.Fatalf("3 merged partitions (%s) diverge from oracle on %+v:\n merged: %v\n oracle: %v", name, q, merged.Rows, wantRows)
+			}
 		}
 	})
 }
