@@ -6,6 +6,14 @@ package query
 // scatter-gather seam: every shard accumulates its own objects at its
 // own pinned epoch, and the merge is exact because every aggregate
 // function decomposes.
+//
+// An unjoined aggregate grouped by user alone, or not grouped at all,
+// probes its group map once per scanned user, not once per row: the
+// group key is then a function of the row's position in the scanned
+// users, since (object, user) is a key of the relation, so RunPartial
+// memoizes that position's *accum after its first probe. The memo holds
+// only pointers into Partial.groups, which stays the one record of the
+// groups, so folding through it is exactly folding after a probe.
 
 import (
 	"cmp"
@@ -96,6 +104,8 @@ type exec struct {
 	stats    wire.QueryStats
 	epoch    uint64
 	hasEpoch bool
+	pos      int // the scanned-user position of the unjoined row being yielded
+	probes   int // group-map probes made by partial
 
 	t           tuple    // the tuple handed to predicates and yield
 	cur         row      // the row being built
@@ -186,6 +196,7 @@ func (ex *exec) object(or trustmap.ObjectRow, yield func(*tuple) bool) (stopped 
 				continue
 			}
 			ex.stats.RowsScanned++
+			ex.pos = i
 			if pass(ex.p.filters, &ex.t) && !yield(&ex.t) {
 				return true, nil
 			}
@@ -351,22 +362,46 @@ type Partial struct {
 
 // RunPartial scans the site and accumulates the plan's groups without
 // finalizing them. The plan must be Aggregated.
+//
+// When the plan is unjoined and groups by user alone or not at all, a
+// row's group is fixed by its scanned-user position, so only the first
+// row at each position encodes the key and probes the group map; later
+// rows there fold into the *accum that probe returned, kept in a memo
+// local to the call (the Plan is shared by concurrent shard calls).
 func RunPartial(ctx context.Context, site Site, p *Plan) (*Partial, error) {
 	if !p.Aggregated() {
 		return nil, errors.New("query: RunPartial needs an aggregate plan")
 	}
-	ex := newExec(site, p)
+	return newExec(site, p).partial(ctx)
+}
+
+func (ex *exec) partial(ctx context.Context) (*Partial, error) {
+	p := ex.p
 	part := &Partial{groups: map[string]*accum{}}
+	var memo []*accum // by scanned-user position, when that fixes the group
+	if p.join == nil && !slices.ContainsFunc(p.groupBy, func(c column) bool { return c.slot != slotUser }) {
+		memo = make([]*accum, len(ex.users))
+	}
 	var key []byte // reused: probing with string(key) does not allocate
 	_, err := ex.scan(ctx, func(t *tuple) bool {
-		key = appendGroupKey(key[:0], p.groupBy, t)
-		a := part.groups[string(key)]
+		var a *accum
+		if memo != nil {
+			a = memo[ex.pos]
+		}
 		if a == nil {
-			a = &accum{keyVals: make([]any, len(p.groupBy)), aggs: make([]aggState, len(p.aggs))}
-			for i, c := range p.groupBy {
-				a.keyVals[i] = t.box(c.slot)
+			ex.probes++
+			key = appendGroupKey(key[:0], p.groupBy, t)
+			a = part.groups[string(key)]
+			if a == nil {
+				a = &accum{keyVals: make([]any, len(p.groupBy)), aggs: make([]aggState, len(p.aggs))}
+				for i, c := range p.groupBy {
+					a.keyVals[i] = t.box(c.slot)
+				}
+				part.groups[string(key)] = a
 			}
-			part.groups[string(key)] = a
+			if memo != nil {
+				memo[ex.pos] = a
+			}
 		}
 		for i := range p.aggs {
 			p.aggs[i].fold(&a.aggs[i], t)

@@ -1,0 +1,11 @@
+package query
+
+import "context"
+
+// PartialProbes runs RunPartial and also reports how many times its scan
+// probed the group map.
+func PartialProbes(ctx context.Context, site Site, p *Plan) (*Partial, int, error) {
+	ex := newExec(site, p)
+	part, err := ex.partial(ctx)
+	return part, ex.probes, err
+}

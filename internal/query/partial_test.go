@@ -130,3 +130,68 @@ func TestGroupedScanDigest(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupedScanProbesOncePerGroup: a scan grouped by user alone, or
+// not grouped, probes its group map at most once per scanned user in
+// each RunPartial, however many objects it folds; a scan grouped by
+// anything else still probes once per row it folds.
+func TestGroupedScanProbesOncePerGroup(t *testing.T) {
+	st, users, _, _ := fuzzFixture(t)
+	count := []wire.Aggregate{{Fn: wire.AggCount, As: "n"}}
+	pushed := []any{users[1], users[4], users[9]}
+	sites := []query.Site{st, keyPartition{st, 0, 3}, keyPartition{st, 1, 3}, keyPartition{st, 2, 3}}
+	ctx := context.Background()
+	probe := func(t *testing.T, site query.Site, q wire.Query) (probes int, res *query.Result) {
+		t.Helper()
+		plan, err := query.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, probes, err := query.PartialProbes(ctx, site, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err = query.Finalize([]*query.Partial{part}, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return probes, res
+	}
+	for _, c := range []struct {
+		name    string
+		q       wire.Query
+		scanned int // users each RunPartial scans
+	}{
+		{"group by user", wire.Query{GroupBy: []string{"user"}, Aggs: count}, len(users)},
+		{"global", wire.Query{Aggs: count}, len(users)},
+		{"group by user under a user pushdown", wire.Query{
+			Where:   []wire.Predicate{{Col: "user", Op: wire.PredIn, Values: pushed}},
+			GroupBy: []string{"user"}, Aggs: count,
+		}, len(pushed)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for i, site := range sites {
+				probes, res := probe(t, site, c.q)
+				if res.Stats.RowsScanned == 0 {
+					t.Fatalf("site %d scanned no rows: the fixture does not exercise the scan", i)
+				}
+				if probes > c.scanned {
+					t.Errorf("site %d: %d probes for %d rows scanned, want at most one per scanned user (%d)",
+						i, probes, res.Stats.RowsScanned, c.scanned)
+				}
+			}
+		})
+	}
+	t.Run("group by certain", func(t *testing.T) {
+		for i, site := range sites {
+			probes, res := probe(t, site, wire.Query{GroupBy: []string{"certain"}, Aggs: count})
+			yielded := int64(0)
+			for _, r := range res.Rows {
+				yielded += r[1].(int64)
+			}
+			if int64(probes) != yielded || uint64(probes) != res.Stats.RowsScanned {
+				t.Errorf("site %d: %d probes for %d yielded rows (%d scanned), want one per row", i, probes, yielded, res.Stats.RowsScanned)
+			}
+		}
+	})
+}
