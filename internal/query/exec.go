@@ -7,13 +7,10 @@ package query
 // own pinned epoch, and the merge is exact because every aggregate
 // function decomposes.
 //
-// An unjoined aggregate grouped by user alone, or not grouped at all,
-// probes its group map once per scanned user, not once per row: the
-// group key is then a function of the row's position in the scanned
-// users, since (object, user) is a key of the relation, so RunPartial
-// memoizes that position's *accum after its first probe. The memo holds
-// only pointers into Partial.groups, which stays the one record of the
-// groups, so folding through it is exactly folding after a probe.
+// An aggregate grouped by user alone, or global, probes its group map
+// once per scanned user, not per row: (object, user) is a key of the
+// relation, so the group key is a function of the row's user position.
+// The memo caches only a pointer into Partial.groups, so it is exact.
 
 import (
 	"cmp"
@@ -363,11 +360,9 @@ type Partial struct {
 // RunPartial scans the site and accumulates the plan's groups without
 // finalizing them. The plan must be Aggregated.
 //
-// When the plan is unjoined and groups by user alone or not at all, a
-// row's group is fixed by its scanned-user position, so only the first
-// row at each position encodes the key and probes the group map; later
-// rows there fold into the *accum that probe returned, kept in a memo
-// local to the call (the Plan is shared by concurrent shard calls).
+// An unjoined plan grouped by user alone, or global, probes the group map
+// for the first row at each scanned-user position only; later rows there
+// fold into the *accum it returned, memoized for the call.
 func RunPartial(ctx context.Context, site Site, p *Plan) (*Partial, error) {
 	if !p.Aggregated() {
 		return nil, errors.New("query: RunPartial needs an aggregate plan")
@@ -378,7 +373,7 @@ func RunPartial(ctx context.Context, site Site, p *Plan) (*Partial, error) {
 func (ex *exec) partial(ctx context.Context) (*Partial, error) {
 	p := ex.p
 	part := &Partial{groups: map[string]*accum{}}
-	var memo []*accum // by scanned-user position, when that fixes the group
+	var memo []*accum // by user position; not on the Plan, which shards share
 	if p.join == nil && !slices.ContainsFunc(p.groupBy, func(c column) bool { return c.slot != slotUser }) {
 		memo = make([]*accum, len(ex.users))
 	}
@@ -391,8 +386,7 @@ func (ex *exec) partial(ctx context.Context) (*Partial, error) {
 		if a == nil {
 			ex.probes++
 			key = appendGroupKey(key[:0], p.groupBy, t)
-			a = part.groups[string(key)]
-			if a == nil {
+			if a = part.groups[string(key)]; a == nil {
 				a = &accum{keyVals: make([]any, len(p.groupBy)), aggs: make([]aggState, len(p.aggs))}
 				for i, c := range p.groupBy {
 					a.keyVals[i] = t.box(c.slot)
