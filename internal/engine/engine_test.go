@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"testing"
@@ -398,4 +399,158 @@ func TestApplyPlanDigest(t *testing.T) {
 			t.Errorf("%s: apply digest %#016x, want %#016x", c.name, got, c.digest)
 		}
 	}
+}
+
+// resolveDigest hashes poss(x, k) for every object k, in key order, and
+// every node x below nu, with FNV-64a: each set is its length followed by
+// its values, each value length-prefixed.
+func resolveDigest(r *BulkResult, nu int) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
+		h.Write(buf[:])
+	}
+	for _, k := range r.Keys() {
+		for x := 0; x < nu; x++ {
+			set := r.Possible(x, k)
+			put(len(set))
+			for _, v := range set {
+				put(len(v))
+				h.Write([]byte(v))
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// digestBatches returns the two batches TestResolveDigest resolves over
+// the given roots: "repeated", 240 objects cycling 6 root assignments, and
+// "distinct", 300 objects (past the dedup probe window, so the scan bails
+// out of grouping) that each give the first root a value of their own.
+func digestBatches(roots []int) (repeated, distinct map[string]map[int]tn.Value) {
+	assign := func(first tn.Value, salt int) map[int]tn.Value {
+		bs := make(map[int]tn.Value, len(roots))
+		for j, r := range roots {
+			bs[r] = tn.Value(fmt.Sprintf("v%d", (salt*31+j*7)%5))
+		}
+		bs[roots[0]] = first
+		return bs
+	}
+	repeated = make(map[string]map[int]tn.Value, 240)
+	for i := 0; i < 240; i++ {
+		p := i % 6
+		repeated[fmt.Sprintf("r%03d", i)] = assign(tn.Value(fmt.Sprintf("p%d", p)), p)
+	}
+	distinct = make(map[string]map[int]tn.Value, 300)
+	for i := 0; i < 300; i++ {
+		distinct[fmt.Sprintf("d%03d", i)] = assign(tn.Value(fmt.Sprintf("u%d", i)), i)
+	}
+	return repeated, distinct
+}
+
+// TestResolveDigest pins what Resolve answers on the three
+// TestCompilePlanDigest networks: poss(x, k) for every object and node,
+// for a batch of repeated signatures and one of distinct signatures, each
+// with dedup on and off and with 1 and 4 workers (all four must agree).
+// It then resolves the repeated batch again through a value-only Apply
+// successor, which keeps the signature cache and must serve every
+// signature from it, and both batches through a structural successor (a
+// leaf-edge removal), which starts a fresh cache. How Resolve stores its
+// answers may change; the answers may not.
+func TestResolveDigest(t *testing.T) {
+	vals := []tn.Value{"a", "b", "c"}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name   string
+		net    *tn.Network
+		digest uint64
+	}{
+		{"powerlaw-tiered-1500", tn.Binarize(workload.PowerLawTiered(rand.New(rand.NewSource(1)), 1500, 2, 3, 0.1, vals)), 0x3ff63767b6dda787},
+		{"nested-scc-30", tn.Binarize(workload.NestedSCC(30)), 0xb43d75ba0981b3fd},
+		{"oscillators-8", tn.Binarize(workload.OscillatorClusters(8)), 0xbaaa1c00642c53b7},
+	} {
+		n := c.net
+		nu := n.NumUsers()
+		cn := mustCompile(t, n)
+		repeated, distinct := digestBatches(cn.Roots())
+		h := fnv.New64a()
+		// resolveAll resolves objs under every option set and returns the
+		// digest they agree on.
+		resolveAll := func(label string, cn *CompiledNetwork, objs map[string]map[int]tn.Value, opts ...Options) uint64 {
+			var first uint64
+			for i, o := range opts {
+				r, err := cn.Resolve(ctx, objs, o)
+				if err != nil {
+					t.Fatalf("%s: %s %+v: %v", c.name, label, o, err)
+				}
+				d := resolveDigest(r, nu)
+				if i == 0 {
+					first = d
+				} else if d != first {
+					t.Fatalf("%s: %s %+v: digest %#016x, want %#016x as with %+v", c.name, label, o, d, first, opts[0])
+				}
+			}
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], first)
+			h.Write(buf[:])
+			return first
+		}
+		all := []Options{{Workers: 1}, {Workers: 4}, {Workers: 1, DisableDedup: true}, {Workers: 4, DisableDedup: true}}
+		rep := resolveAll("repeated", cn, repeated, all...)
+		resolveAll("distinct", cn, distinct, all...)
+
+		// Value-only: the plan is belief-value-independent, so the
+		// artifact and its signature cache carry over.
+		root := cn.Roots()[0]
+		n.SetExplicit(root, "changed")
+		same := mustApplyIncremental(t, cn)
+		r, err := same.Resolve(ctx, repeated, Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Dedup(); st.CacheHits != st.DistinctSignatures || st.Resolved != 0 {
+			t.Errorf("%s: value-only successor: dedup %+v, want every signature from the cache", c.name, st)
+		}
+		if d := resolveDigest(r, nu); d != rep {
+			t.Errorf("%s: value-only successor: digest %#016x, want %#016x", c.name, d, rep)
+		}
+
+		// Structural: a fresh signature cache over the spliced plan.
+		g := n.Graph()
+		leaf := -1
+		for x := 0; x < nu; x++ {
+			if len(n.In(x)) > 0 && (leaf < 0 || len(g.Out(x)) < len(g.Out(leaf))) {
+				leaf = x
+			}
+		}
+		n.RemoveMapping(n.In(leaf)[0].Parent, leaf)
+		next := mustApplyIncremental(t, same)
+		if next == same {
+			t.Fatalf("%s: leaf-edge removal returned the base artifact", c.name)
+		}
+		r, err = next.Resolve(ctx, repeated, Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Dedup(); st.CacheHits != 0 {
+			t.Errorf("%s: structural successor: dedup %+v, want a fresh cache", c.name, st)
+		}
+		resolveAll("structural/repeated", next, repeated, Options{Workers: 4}, Options{Workers: 1, DisableDedup: true})
+		resolveAll("structural/distinct", next, distinct, Options{Workers: 4}, Options{Workers: 1, DisableDedup: true})
+		if got := h.Sum64(); got != c.digest {
+			t.Errorf("%s: resolve digest %#016x, want %#016x", c.name, got, c.digest)
+		}
+	}
+}
+
+// mustApplyIncremental drains the network journal into c, requiring no
+// full recompile.
+func mustApplyIncremental(t *testing.T, c *CompiledNetwork) *CompiledNetwork {
+	t.Helper()
+	next, st := mustApply(t, c, ApplyOptions{MaxDirtyFraction: 1})
+	if st.FullRecompile {
+		t.Fatalf("want an incremental Apply, stats %+v", st)
+	}
+	return next
 }
