@@ -243,6 +243,59 @@ func TestSpineWriteBytesBudget(t *testing.T) {
 	}
 }
 
+// TestCachedObjectBytesBudget ceilings the live heap one cached
+// resolution costs on the serve-read benchmark's world: the tiered
+// power-law network PowerLawTiered(4000, 2, 3, 0.1) over four values and
+// 5 000 objects with three root beliefs each, every object read once by
+// ResolveObject, so the result cache holds one single-object batch per
+// object. The figure is the live-heap growth over the reads divided by
+// the objects.
+func TestCachedObjectBytesBudget(t *testing.T) {
+	ctx := context.Background()
+	vals := []tn.Value{"v0", "v1", "v2", "v3"}
+	w := workload.PowerLawTiered(rand.New(rand.NewSource(1)), 4000, 2, 3, 0.1, vals)
+	st, err := (&Network{inner: w, constraints: make(map[int][]string)}).NewStore(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []string
+	for x := 0; x < w.NumUsers(); x++ {
+		if w.HasExplicit(x) {
+			roots = append(roots, w.Name(x))
+		}
+	}
+	const objects = 5000
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < objects; i++ {
+		beliefs := make(map[string]string, 3)
+		for len(beliefs) < 3 {
+			beliefs[roots[rng.Intn(len(roots))]] = string(vals[rng.Intn(len(vals))])
+		}
+		if err := st.PutObject(ctx, fmt.Sprintf("obj%06d", i), beliefs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := liveHeap()
+	for i := 0; i < objects; i++ {
+		if _, err := st.ResolveObject(ctx, fmt.Sprintf("obj%06d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perObject := (int64(liveHeap()) - int64(base)) / objects
+	runtime.KeepAlive(st)
+	if misses := st.Stats().CacheMisses; misses != objects {
+		t.Fatalf("%d cache misses, want one per object (%d)", misses, objects)
+	}
+	// Last moved: one interned set id per support. Measured 16 383 B at
+	// 31c515c (a []tn.Value header per support) and 3 400–3 402 B over
+	// four runs after.
+	const budget = 4 << 10
+	if perObject > budget {
+		t.Errorf("a cached object costs %d B of live heap, budget %d", perObject, budget)
+	}
+	t.Logf("%d B of live heap per cached object", perObject)
+}
+
 // liveHeap reports the live heap after a full collection.
 func liveHeap() uint64 {
 	var ms runtime.MemStats

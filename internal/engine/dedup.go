@@ -13,8 +13,8 @@ package engine
 //     column and hashed (FNV-1a over the column, slot order);
 //   - columns group into canonical signatures — hash bucket plus exact
 //     column comparison, so dedup is never probabilistic;
-//   - each distinct signature resolves exactly once; its per-support result
-//     fans out to all member objects by pointer.
+//   - each distinct signature resolves exactly once; its per-support set
+//     ids fan out to all member objects by pointer.
 //
 // Grouping also consults a per-CompiledNetwork signature -> result cache
 // that survives across Resolve calls, giving Session workloads cross-batch
@@ -34,8 +34,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"trustmap/internal/tn"
 )
 
 // DedupStats reports what signature deduplication did for one Resolve
@@ -65,7 +63,7 @@ func hashColumn(col []int32) uint64 {
 type sigGroup struct {
 	col  []int32 // owned copy of the canonical column
 	hash uint64
-	res  [][]tn.Value // per-support result; nil until resolved (or cached)
+	res  []int32 // per-support set ids (intern.go); nil until resolved (or cached)
 }
 
 // The adaptive bail-out: once a large probe prefix of the batch has turned
@@ -148,7 +146,7 @@ func newSigCache(capacity int) *sigCache {
 }
 
 // get returns the cached result for col, or nil.
-func (sc *sigCache) get(h uint64, col []int32) [][]tn.Value {
+func (sc *sigCache) get(h uint64, col []int32) []int32 {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	for _, e := range sc.buckets[h] {
@@ -161,7 +159,7 @@ func (sc *sigCache) get(h uint64, col []int32) [][]tn.Value {
 
 // put inserts a resolved signature, taking ownership of col. A full cache
 // is flushed first: recurring signatures re-enter on their next sight.
-func (sc *sigCache) put(h uint64, col []int32, res [][]tn.Value) {
+func (sc *sigCache) put(h uint64, col []int32, res []int32) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	for _, e := range sc.buckets[h] {

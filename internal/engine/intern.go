@@ -17,10 +17,14 @@ package engine
 //   - the per-support gather scans the flat supRoots CSR run (layout.go):
 //     contiguous int32 loads, no bit iteration, no pointer chasing;
 //   - each worker owns a scratch arena (column, gather buffer, key buffer,
-//     result cache) recycled through a sync.Pool;
-//   - materialized possible-value sets are cached per worker keyed by the
-//     id set, so the same conflict pattern resolves to the same shared
-//     slice with no allocation after first sight.
+//     set memo) recycled through a sync.Pool;
+//   - possible-value sets are interned like the values: the dictionary
+//     gives each distinct set one dense int32 set id and keeps the set
+//     once, so a resolved object is one pointer-free []int32 of set ids,
+//     one per support, and Possible(x) is sets[ids[support[x]]]. Workers
+//     front the set table with a private memo keyed by the id set, so a
+//     recurring conflict pattern costs no lock and no allocation after
+//     first sight.
 //
 // In steady state — dictionary warm, caches warm — resolveObject performs
 // zero heap allocations per object (asserted by TestResolveObjectZeroAllocs
@@ -29,23 +33,29 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"trustmap/internal/tn"
 )
 
-// valueDict interns belief values into dense int32 ids. It is shared by
-// every resolve worker and carried across Apply generations; lookups take
-// a read lock only, so the steady state is contention- and allocation-free.
+// valueDict interns belief values into dense int32 ids, and sets of them
+// into dense int32 set ids. It is shared by every resolve worker and
+// carried across Apply generations. Both tables are append-only: an id,
+// once handed out, names the same value or set for the lineage's life, so
+// a table snapshot stays valid however much is appended later. Workers
+// front both with private memos, so the steady state takes no locks.
 type valueDict struct {
 	mu   sync.RWMutex
 	ids  map[tn.Value]int32
 	vals []tn.Value
+	// setIDs maps an ascending value-id set's appendSetKey image to its
+	// set id; sets maps the set id to the set's values, sorted.
+	setIDs map[string]int32
+	sets   [][]tn.Value
 }
 
 func newValueDict() *valueDict {
-	return &valueDict{ids: make(map[tn.Value]int32)}
+	return &valueDict{ids: make(map[tn.Value]int32), setIDs: make(map[string]int32)}
 }
 
 // id interns v, returning its dense id.
@@ -67,27 +77,59 @@ func (d *valueDict) id(v tn.Value) int32 {
 	return id
 }
 
-// snapshot returns the id -> value column. Only indices assigned before
-// the call are valid; the backing array is append-only.
-func (d *valueDict) snapshot() []tn.Value {
+// appendSetKey appends the byte image of an ascending value-id set, four
+// little-endian bytes per id: the key of both set tables.
+func appendSetKey(k []byte, ids []int32) []byte {
+	for _, id := range ids {
+		k = append(k, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	}
+	return k
+}
+
+// setID interns the set of the ascending, distinct value ids ids, whose
+// appendSetKey image is key, returning its dense set id.
+func (d *valueDict) setID(key []byte, ids []int32) int32 {
 	d.mu.RLock()
-	v := d.vals
+	id, ok := d.setIDs[string(key)]
 	d.mu.RUnlock()
-	return v
+	if ok {
+		return id
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if id, ok := d.setIDs[string(key)]; ok {
+		return id
+	}
+	set := make([]tn.Value, len(ids))
+	for j, v := range ids {
+		set[j] = d.vals[v]
+	}
+	slices.Sort(set) // by value: ids follow interning order
+	id = int32(len(d.sets))
+	d.sets = append(d.sets, set)
+	d.setIDs[string(key)] = id
+	return id
+}
+
+// setTable returns the set id -> values column. Only ids assigned before
+// the call are valid; the backing array is append-only.
+func (d *valueDict) setTable() [][]tn.Value {
+	d.mu.RLock()
+	sets := d.sets
+	d.mu.RUnlock()
+	return sets
 }
 
 // scratch is a per-worker resolve arena. All fields are reused across
-// objects; sets caches materialized possible-value slices keyed by the
-// byte image of the sorted id set, so recurring conflict patterns share
-// one canonical slice; memo fronts the shared value dictionary without
-// locks.
+// objects; sets memoizes the dictionary's set ids by the byte image of the
+// sorted id set, and memo its value ids by value, so a warm worker takes
+// no lock.
 type scratch struct {
 	col  []int32 // root slot -> interned belief id of the current object
 	memo map[tn.Value]int32
-	vals []tn.Value
 	buf  []int32
 	key  []byte
-	sets map[string][]tn.Value
+	sets map[string]int32
 }
 
 // getScratch takes a warm arena from the pool, sized for this network.
@@ -97,7 +139,7 @@ func (c *CompiledNetwork) getScratch() *scratch {
 	s, _ := c.pool.Get().(*scratch)
 	if s == nil {
 		s = &scratch{
-			sets: make(map[string][]tn.Value),
+			sets: make(map[string]int32),
 			memo: make(map[tn.Value]int32),
 		}
 	}
@@ -168,13 +210,10 @@ func (c *CompiledNetwork) numLiveRoots() int {
 	return n
 }
 
-// resolveColumn materializes the per-support possible-value sets of one
-// interned column into dst (length len(c.supports)): the columnar core of
-// the bulk scan. Zero heap allocations in steady state.
-func (c *CompiledNetwork) resolveColumn(s *scratch, col []int32, dst [][]tn.Value) {
-	// Snapshot after interning: every id in col is below the column's
-	// length, and the column is append-only.
-	s.vals = c.dict.snapshot()
+// resolveColumn writes the set id of each support's possible values for
+// one interned column into dst (length len(c.supports)): the columnar core
+// of the bulk scan. Zero heap allocations in steady state.
+func (c *CompiledNetwork) resolveColumn(s *scratch, col []int32, dst []int32) {
 	supRoots := c.supRoots
 	for si := range dst {
 		// Gather the root values of this support: one contiguous CSR run.
@@ -197,27 +236,20 @@ func (c *CompiledNetwork) resolveColumn(s *scratch, col []int32, dst [][]tn.Valu
 				out = append(out, id)
 			}
 		}
-		k := s.key[:0]
-		for _, id := range out {
-			k = append(k, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
+		k := appendSetKey(s.key[:0], out)
 		s.key = k
 		set, ok := s.sets[string(k)]
 		if !ok { // cold path: first sight of this id set on this worker
-			set = make([]tn.Value, len(out))
-			for j, id := range out {
-				set[j] = s.vals[id]
-			}
-			sort.Slice(set, func(a, b int) bool { return set[a] < set[b] })
+			set = c.dict.setID(k, out)
 			s.sets[string(k)] = set
 		}
 		dst[si] = set
 	}
 }
 
-// resolveObject materializes the per-support possible-value sets of one
-// object into dst (length len(c.supports)): fillColumn + resolveColumn.
-func (c *CompiledNetwork) resolveObject(s *scratch, key string, beliefs map[int]tn.Value, dst [][]tn.Value) error {
+// resolveObject writes the per-support set ids of one object into dst
+// (length len(c.supports)): fillColumn + resolveColumn.
+func (c *CompiledNetwork) resolveObject(s *scratch, key string, beliefs map[int]tn.Value, dst []int32) error {
 	if err := c.fillColumn(s, key, beliefs, c.numLiveRoots()); err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"trustmap/internal/tn"
@@ -27,7 +28,7 @@ func TestResolveObjectZeroAllocs(t *testing.T) {
 	}
 	s := c.getScratch()
 	defer c.putScratch(s)
-	dst := make([][]tn.Value, len(c.supports))
+	dst := make([]int32, len(c.supports))
 	if err := c.resolveObject(s, "warm", beliefs, dst); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,8 @@ func TestResolveObjectZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestValueDict exercises the interning dictionary directly.
+// TestValueDict exercises the interning dictionary directly: values and
+// sets of them.
 func TestValueDict(t *testing.T) {
 	d := newValueDict()
 	a := d.id("fish")
@@ -52,14 +54,95 @@ func TestValueDict(t *testing.T) {
 	if a == b {
 		t.Error("distinct values must get distinct ids")
 	}
-	vals := d.snapshot()
-	if vals[a] != "fish" || vals[b] != "jar" {
-		t.Errorf("snapshot mismatch: %v", vals)
+	if d.vals[a] != "fish" || d.vals[b] != "jar" {
+		t.Errorf("value column mismatch: %v", d.vals)
+	}
+
+	z := d.id("aa") // interned after "fish": sets must sort by value, not id
+	set := func(ids ...int32) int32 { return d.setID(appendSetKey(nil, ids), ids) }
+	both, one := set(a, z), set(a)
+	if set(a, z) != both || set(a) != one {
+		t.Error("re-interning a set must return the same set id")
+	}
+	if both == one {
+		t.Error("distinct sets must get distinct set ids")
+	}
+	snap := d.setTable()
+	for i := 0; i < 100; i++ { // outgrow the set table's backing array
+		set(d.id(tn.Value(fmt.Sprintf("x%d", i))))
+	}
+	if got := snap[both]; len(got) != 2 || got[0] != "aa" || got[1] != "fish" {
+		t.Errorf("snapshot set %d = %v after later appends, want [aa fish]", both, got)
+	}
+	if got := snap[one]; len(got) != 1 || got[0] != "fish" {
+		t.Errorf("snapshot set %d = %v after later appends, want [fish]", one, got)
+	}
+	if len(d.setTable()) != len(snap)+100 {
+		t.Errorf("set table holds %d sets, want %d", len(d.setTable()), len(snap)+100)
+	}
+}
+
+// TestResolveConcurrentSetIDs runs two Resolves of one batch at once on a
+// freshly compiled artifact, so both intern into a cold set table
+// concurrently (the point under -race): equal sets must get equal ids
+// across both results, and both must answer as a one-worker Resolve does.
+func TestResolveConcurrentSetIDs(t *testing.T) {
+	bin := dedupNet(t)
+	roots := liveRootsOf(bin)
+	c, err := Compile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	objs := make(map[string]map[int]tn.Value, 300)
+	for i := 0; i < 300; i++ {
+		bs := make(map[int]tn.Value, len(roots))
+		for _, r := range roots {
+			bs[r] = tn.Value(fmt.Sprintf("v%d", rng.Intn(6)))
+		}
+		objs[fmt.Sprintf("obj%03d", i)] = bs
+	}
+	ctx := context.Background()
+	opts := []Options{{Workers: 4}, {Workers: 4, DisableDedup: true}}
+	got := make([]*BulkResult, len(opts))
+	errs := make([]error, len(opts))
+	var wg sync.WaitGroup
+	for i, o := range opts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = c.Resolve(ctx, objs, o)
+		}()
+	}
+	wg.Wait()
+	want, err := c.Resolve(ctx, objs, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idOf := make(map[string]int32)
+	for i, r := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for _, ids := range r.poss {
+			for _, id := range ids {
+				k := fmt.Sprint(r.sets[id])
+				if prev, ok := idOf[k]; !ok {
+					idOf[k] = id
+				} else if prev != id {
+					t.Fatalf("set %s has ids %d and %d", k, prev, id)
+				}
+			}
+		}
+		assertSameResults(t, fmt.Sprintf("%+v vs workers=1", opts[i]), bin, r, want)
+	}
+	if len(idOf) < 2 {
+		t.Fatalf("batch interned %d distinct sets, want a conflict mix", len(idOf))
 	}
 }
 
 // TestResolveSharedSetsAcrossObjects checks that recurring conflict
-// patterns share one canonical slice and that sets are value-sorted even
+// patterns share one interned set and that sets are value-sorted even
 // when the interning order differs from the lexicographic order.
 func TestResolveSharedSetsAcrossObjects(t *testing.T) {
 	n := tn.New()
@@ -91,9 +174,9 @@ func TestResolveSharedSetsAcrossObjects(t *testing.T) {
 			t.Fatalf("poss(x1, %s)=%v want [aa zz] (lexicographic)", k, got)
 		}
 	}
-	// Same worker, same id set: the slices must be shared, not merely equal.
-	if &r.Possible(x1, "o1")[0] != &r.Possible(x1, "o2")[0] {
-		t.Error("recurring id set must share one canonical slice")
+	// Same id set, same set id: the slices must be shared, not merely equal.
+	if &r.Possible(x1, "o1")[0] != &r.Possible(x1, "o3")[0] {
+		t.Error("recurring id set must share one interned set")
 	}
 }
 
@@ -147,7 +230,7 @@ func BenchmarkResolveObjectSteadyState(b *testing.B) {
 	}
 	s := c.getScratch()
 	defer c.putScratch(s)
-	dst := make([][]tn.Value, len(c.supports))
+	dst := make([]int32, len(c.supports))
 	if err := c.resolveObject(s, "warm", beliefs, dst); err != nil {
 		b.Fatal(err)
 	}

@@ -34,10 +34,13 @@ type BulkResult struct {
 	c    *CompiledNetwork
 	keys []string
 	idx  map[string]int
-	// poss[objIdx][supportID] is the sorted distinct values of the roots in
-	// that support. Objects sharing a signature share the whole slice;
-	// recurring value sets share one canonical slice per worker (intern.go).
-	poss [][][]tn.Value
+	// poss[objIdx][supportID] is the set id (intern.go) of the sorted
+	// distinct values of the roots in that support: 4 B per support, no
+	// pointers. Objects sharing a signature share the whole slice.
+	poss [][]int32
+	// sets is the lineage's set table as of the end of the call: set id ->
+	// sorted distinct values, each set kept once for the whole lineage.
+	sets [][]tn.Value
 	// done marks objects actually resolved: all of them on a nil-error
 	// return, a prefix-closed-under-signature subset after an aborted run.
 	done  []bool
@@ -143,7 +146,7 @@ func (c *CompiledNetwork) Resolve(ctx context.Context, objects map[string]map[in
 		c:    c,
 		keys: keys,
 		idx:  make(map[string]int, len(keys)),
-		poss: make([][][]tn.Value, len(keys)),
+		poss: make([][]int32, len(keys)),
 		done: make([]bool, len(keys)),
 	}
 	for i, k := range keys {
@@ -165,7 +168,7 @@ func (c *CompiledNetwork) Resolve(ctx context.Context, objects map[string]map[in
 
 	if opts.DisableDedup {
 		r.dedup = DedupStats{Objects: len(keys)}
-		flat := make([][]tn.Value, len(keys)*ns)
+		flat := make([]int32, len(keys)*ns)
 		c.scan(ctx, workers, len(keys), func(s *scratch, i int) bool {
 			if err := c.fillColumn(s, keys[i], objects[keys[i]], liveRoots); err != nil {
 				fail.record(i, err)
@@ -196,7 +199,7 @@ func (c *CompiledNetwork) Resolve(ctx context.Context, objects map[string]map[in
 			return false
 		}
 		if groups.bailed.Load() {
-			dst := make([][]tn.Value, ns)
+			dst := make([]int32, ns)
 			c.resolveColumn(s, s.col, dst)
 			r.poss[i] = dst
 			r.done[i] = true
@@ -234,7 +237,7 @@ func (c *CompiledNetwork) Resolve(ctx context.Context, objects map[string]map[in
 	cache := !groups.bailed.Load()
 	c.scan(ctx, w, len(misses), func(s *scratch, gi int) bool {
 		g := misses[gi]
-		dst := make([][]tn.Value, ns)
+		dst := make([]int32, ns)
 		c.resolveColumn(s, g.col, dst)
 		g.res = dst
 		if cache {
@@ -266,6 +269,8 @@ func (r *BulkResult) finish(ctx context.Context, fail *failState) (*BulkResult, 
 	if fail.err != nil {
 		return nil, fail.err
 	}
+	// Every set id the workers wrote was interned before they finished.
+	r.sets = r.c.dict.setTable()
 	if err := ctx.Err(); err != nil {
 		return r, fmt.Errorf("%w: %w", ErrResolveAborted, err)
 	}
@@ -309,7 +314,8 @@ func (r *BulkResult) Lookup(x int, key string) ([]tn.Value, error) {
 // of one object and should pay the key probe once.
 type ObjectSets struct {
 	support []int32      // node -> support ID; -1 when poss is empty
-	poss    [][]tn.Value // support ID -> sorted distinct values
+	ids     []int32      // support ID -> set id
+	sets    [][]tn.Value // set id -> sorted distinct values
 }
 
 // Object locates one resolved object; the errors are Lookup's
@@ -322,7 +328,7 @@ func (r *BulkResult) Object(key string) (ObjectSets, error) {
 	if !r.done[i] {
 		return ObjectSets{}, ErrResolveAborted
 	}
-	return ObjectSets{support: r.c.nodeSupport, poss: r.poss[i]}, nil
+	return ObjectSets{support: r.c.nodeSupport, ids: r.poss[i], sets: r.sets}, nil
 }
 
 // Possible returns poss(x, k), sorted; the slice is shared, do not modify.
@@ -332,7 +338,7 @@ func (o ObjectSets) Possible(x int) []tn.Value {
 	if x < 0 || x >= len(o.support) || o.support[x] < 0 {
 		return nil
 	}
-	return o.poss[o.support[x]]
+	return o.sets[o.ids[o.support[x]]]
 }
 
 // Certain returns cert(x, k): the single possible value, or tn.NoValue —

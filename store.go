@@ -97,6 +97,10 @@ func WithExtraRoots(users ...string) StoreOption {
 // refilling. The cache therefore keeps at most one artifact generation
 // reachable, whatever the write history; within it, memory is bounded by
 // one batch per object, traded for zero per-object copying on the fan-out.
+// A batch holds one 4-byte set id per root support per object, and the
+// sets themselves once per Apply lineage (internal/engine/intern.go): on
+// the serve-read world a single-object batch costs about 3.4 KB
+// (TestCachedObjectBytesBudget).
 type storeCached struct {
 	epoch uint64
 	over  uint64 // object belief version at resolution time
