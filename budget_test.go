@@ -286,9 +286,9 @@ func TestCachedObjectBytesBudget(t *testing.T) {
 	if misses := st.Stats().CacheMisses; misses != objects {
 		t.Fatalf("%d cache misses, want one per object (%d)", misses, objects)
 	}
-	// Last moved: one interned set id per support. Measured 16 383 B at
-	// 31c515c (a []tn.Value header per support) and 3 400–3 402 B over
-	// four runs after.
+	// Last moved: 21d27f1, one interned set id per support. Measured
+	// 16 383 B at its parent 31c515c (a []tn.Value header per support)
+	// and 3 400–3 402 B over four runs at 21d27f1.
 	const budget = 4 << 10
 	if perObject > budget {
 		t.Errorf("a cached object costs %d B of live heap, budget %d", perObject, budget)

@@ -238,12 +238,12 @@ func (c *CompiledNetwork) resolveColumn(s *scratch, col []int32, dst []int32) {
 		}
 		k := appendSetKey(s.key[:0], out)
 		s.key = k
-		set, ok := s.sets[string(k)]
+		sid, ok := s.sets[string(k)]
 		if !ok { // cold path: first sight of this id set on this worker
-			set = c.dict.setID(k, out)
-			s.sets[string(k)] = set
+			sid = c.dict.setID(k, out)
+			s.sets[string(k)] = sid
 		}
-		dst[si] = set
+		dst[si] = sid
 	}
 }
 
