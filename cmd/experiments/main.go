@@ -152,23 +152,13 @@ func figBulk(quick bool, seed int64) {
 		s.Fprint(os.Stdout)
 		fmt.Println()
 	}
-	fmt.Printf("%-14s %-14s %-16s %-14s %s\n", "objects", "signatures", "warm-hit-rate", "cold-speedup", "warm-speedup")
+	fmt.Printf("%-14s %-14s %s\n", "objects", "signatures", "speedup")
 	for _, p := range points {
-		hitRate := 0.0
-		if p.WarmStats.DistinctSignatures > 0 {
-			hitRate = float64(p.WarmStats.CacheHits) / float64(p.WarmStats.DistinctSignatures)
-		}
-		cold, warmSpeed := 0.0, 0.0
+		speedup := 0.0
 		if p.SecsDedup > 0 {
-			cold = p.SecsNoDedup / p.SecsDedup
+			speedup = p.SecsNoDedup / p.SecsDedup
 		}
-		if p.SecsDedupWarm > 0 {
-			warmSpeed = p.SecsNoDedup / p.SecsDedupWarm
-		}
-		fmt.Printf("%-14d %-14d %-16s %-14s %.1fx\n",
-			p.Objects, p.Stats.DistinctSignatures,
-			fmt.Sprintf("%d/%d (%.0f%%)", p.WarmStats.CacheHits, p.WarmStats.DistinctSignatures, 100*hitRate),
-			fmt.Sprintf("%.1fx", cold), warmSpeed)
+		fmt.Printf("%-14d %-14d %.1fx\n", p.Objects, p.Stats.DistinctSignatures, speedup)
 	}
-	fmt.Printf("(clustered workload: objects drawn from %d signature prototypes, zipf-skewed;\n dedup resolves each distinct signature once and fans the result out; the\n repeat batch is served from the cross-batch signature cache)\n", distinct)
+	fmt.Printf("(clustered workload: objects drawn from %d signature prototypes, zipf-skewed;\n dedup resolves each distinct signature once and fans the result out)\n", distinct)
 }

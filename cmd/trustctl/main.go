@@ -232,12 +232,7 @@ func printDedupLine(w io.Writer, st trustmap.DedupStats) {
 	if st.Objects == 0 {
 		return
 	}
-	hitRate := 0.0
-	if st.DistinctSignatures > 0 {
-		hitRate = float64(st.CacheHits) / float64(st.DistinctSignatures)
-	}
-	fmt.Fprintf(w, "\ndedup: %d objects -> %d distinct signatures, %d cache hits (%.0f%% hit rate), %d resolved\n",
-		st.Objects, st.DistinctSignatures, st.CacheHits, 100*hitRate, st.Resolved)
+	fmt.Fprintf(w, "\ndedup: %d objects -> %d distinct signatures\n", st.Objects, st.DistinctSignatures)
 }
 
 // runSession compiles the network once into a store, stores and resolves

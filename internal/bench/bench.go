@@ -269,29 +269,21 @@ func AllDistinctBulkWorkload(users, objects int, seed int64) (*tn.Network, map[s
 }
 
 // DedupPoint is one clustered-workload measurement: wall time with and
-// without signature dedup for a cold artifact, plus a second dedup batch
-// against the same artifact showing the cross-batch cache (the Session
-// steady state — WarmStats.CacheHits over DistinctSignatures is the hit
-// rate).
+// without signature dedup, each on a freshly compiled artifact.
 type DedupPoint struct {
-	Objects       int
-	SecsDedup     float64 // cold: every distinct signature resolved here
-	SecsNoDedup   float64
-	SecsDedupWarm float64 // repeat batch: signatures served from the cache
-	Stats         engine.DedupStats
-	WarmStats     engine.DedupStats
+	Objects     int
+	SecsDedup   float64
+	SecsNoDedup float64
+	Stats       engine.DedupStats
 }
 
 // BulkDedup contrasts signature-deduplicated resolution against the
 // per-object scan on clustered workloads of growing object count (the
 // network and the `distinct` signature prototypes stay fixed). Artifacts
-// are compiled fresh per point, the dedup batch runs twice against the
-// same artifact: cold (every distinct signature resolved in the measured
-// call) and warm (served from the cross-batch signature cache).
+// are compiled fresh per point and per strategy.
 func BulkDedup(users int, objectCounts []int, distinct, workers int, seed int64) ([]Series, []DedupPoint) {
 	ded := Series{Name: fmt.Sprintf("bulk: engine + signature dedup (%d signatures)", distinct), XLabel: "objects"}
 	nod := Series{Name: "bulk: engine, dedup disabled", XLabel: "objects"}
-	warm := Series{Name: "bulk: engine + dedup, repeat batch (warm signature cache)", XLabel: "objects"}
 	var points []DedupPoint
 	for _, count := range objectCounts {
 		bin, objs := ClusteredBulkWorkload(users, count, distinct, seed)
@@ -307,12 +299,6 @@ func BulkDedup(users int, objectCounts []int, distinct, workers int, seed int64)
 		}
 		p.SecsDedup = time.Since(start).Seconds()
 		p.Stats = r.Dedup()
-		start = time.Now()
-		if r, err = c.Resolve(context.Background(), objs, engine.Options{Workers: workers}); err != nil {
-			panic(err)
-		}
-		p.SecsDedupWarm = time.Since(start).Seconds()
-		p.WarmStats = r.Dedup()
 		cn, err := engine.Compile(bin)
 		if err != nil {
 			panic(err)
@@ -323,11 +309,10 @@ func BulkDedup(users int, objectCounts []int, distinct, workers int, seed int64)
 		}
 		p.SecsNoDedup = time.Since(start).Seconds()
 		ded.Points = append(ded.Points, Point{X: count, Seconds: p.SecsDedup})
-		warm.Points = append(warm.Points, Point{X: count, Seconds: p.SecsDedupWarm})
 		nod.Points = append(nod.Points, Point{X: count, Seconds: p.SecsNoDedup})
 		points = append(points, p)
 	}
-	return []Series{ded, warm, nod}, points
+	return []Series{ded, nod}, points
 }
 
 // BulkSeqVsPar contrasts the three bulk execution strategies on the same

@@ -16,19 +16,9 @@ package engine
 //   - each distinct signature resolves exactly once; its per-support set
 //     ids fan out to all member objects by pointer.
 //
-// Grouping also consults a per-CompiledNetwork signature -> result cache
-// that survives across Resolve calls, giving Session workloads cross-batch
-// reuse: a mutate -> resolve loop whose objects repeat earlier signatures
-// skips their resolution entirely. The cache is valid for exactly one
-// artifact generation — plans, supports, and root slots are immutable on a
-// CompiledNetwork — and structural Apply successors start empty, which is
-// the invalidation. (Value-only Apply batches return the same artifact,
-// and grown-users-only successors share unchanged supports and root
-// slots; both keep the cache: the plan is belief-value-independent, and
-// signatures are built from the objects' own beliefs, not the network's.)
-// The cache is
-// bounded; when full it is flushed wholesale rather than evicted piecewise,
-// keeping the bookkeeping off the hot path.
+// Grouping lasts one Resolve call: nothing about a signature survives it.
+// Results carried from one call to the next are the store's per-object
+// result cache, a layer up.
 
 import (
 	"slices"
@@ -37,16 +27,13 @@ import (
 )
 
 // DedupStats reports what signature deduplication did for one Resolve
-// call. Zero-valued (except Objects) when dedup was disabled. After an
-// adaptive bail-out (see sigGroups), each directly-resolved object counts
-// as its own signature in both DistinctSignatures and Resolved, so
-// CacheHits + Resolved == DistinctSignatures always holds for a completed
-// call.
+// call. With dedup on, a completed call resolves one column per distinct
+// signature; with it off, DistinctSignatures is zero and every object
+// resolves on its own. After an adaptive bail-out (see sigGroups), each
+// directly-resolved object counts as its own signature.
 type DedupStats struct {
 	Objects            int // objects in the batch
 	DistinctSignatures int // distinct root-assignment signatures among them
-	CacheHits          int // signatures served from the cross-batch cache
-	Resolved           int // signatures resolved by this call
 }
 
 // hashColumn is FNV-1a over the column's int32s in slot order.
@@ -61,9 +48,8 @@ func hashColumn(col []int32) uint64 {
 
 // sigGroup is one distinct signature of the current batch.
 type sigGroup struct {
-	col  []int32 // owned copy of the canonical column
-	hash uint64
-	res  []int32 // per-support set ids (intern.go); nil until resolved (or cached)
+	col []int32 // owned copy of the canonical column
+	res []int32 // per-support set ids (intern.go); nil until resolved
 }
 
 // The adaptive bail-out: once a large probe prefix of the batch has turned
@@ -120,57 +106,10 @@ func (g *sigGroups) claim(col []int32, h uint64) int32 {
 		}
 	}
 	gi := int32(len(g.groups))
-	g.groups = append(g.groups, &sigGroup{col: append([]int32(nil), col...), hash: h})
+	g.groups = append(g.groups, &sigGroup{col: append([]int32(nil), col...)})
 	g.buckets[h] = append(g.buckets[h], gi)
 	if g.seen >= dedupProbeWindow && len(g.groups)*dedupBailDen >= g.seen*dedupBailNum {
 		g.bailed.Store(true)
 	}
 	return gi
-}
-
-// defaultSigCacheCap bounds the cross-batch cache: distinct signatures
-// retained per artifact generation before a wholesale flush.
-const defaultSigCacheCap = 4096
-
-// sigCache is the per-artifact signature -> result cache. Safe for
-// concurrent use; entries are immutable once inserted.
-type sigCache struct {
-	mu      sync.Mutex
-	cap     int
-	n       int
-	buckets map[uint64][]*sigGroup // reuses sigGroup as the entry shape
-}
-
-func newSigCache(capacity int) *sigCache {
-	return &sigCache{cap: capacity, buckets: make(map[uint64][]*sigGroup)}
-}
-
-// get returns the cached result for col, or nil.
-func (sc *sigCache) get(h uint64, col []int32) []int32 {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	for _, e := range sc.buckets[h] {
-		if slices.Equal(e.col, col) {
-			return e.res
-		}
-	}
-	return nil
-}
-
-// put inserts a resolved signature, taking ownership of col. A full cache
-// is flushed first: recurring signatures re-enter on their next sight.
-func (sc *sigCache) put(h uint64, col []int32, res []int32) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	for _, e := range sc.buckets[h] {
-		if slices.Equal(e.col, col) {
-			return // raced with another worker; first insert wins
-		}
-	}
-	if sc.n >= sc.cap {
-		sc.buckets = make(map[uint64][]*sigGroup)
-		sc.n = 0
-	}
-	sc.buckets[h] = append(sc.buckets[h], &sigGroup{col: col, hash: h, res: res})
-	sc.n++
 }

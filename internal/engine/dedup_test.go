@@ -79,18 +79,20 @@ func TestDedupClusteredBatch(t *testing.T) {
 		if st.Objects != 100 || st.DistinctSignatures != len(keys) {
 			t.Fatalf("workers=%d: stats=%+v want 100 objects, %d signatures", workers, st, len(keys))
 		}
-		if st.CacheHits+st.Resolved != st.DistinctSignatures {
-			t.Fatalf("workers=%d: hits %d + resolved %d != distinct %d", workers, st.CacheHits, st.Resolved, st.DistinctSignatures)
-		}
 	}
-	// Cross-batch reuse: a later batch repeating the signatures is served
-	// entirely from the cache.
+	// A later batch repeating the signatures resolves them again, to the
+	// same answers.
+	first, err := c.Resolve(context.Background(), objs, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	again, err := c.Resolve(context.Background(), objs, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := again.Dedup(); st.CacheHits != st.DistinctSignatures || st.Resolved != 0 {
-		t.Fatalf("second batch not served from cache: %+v", st)
+	assertSameResults(t, "clustered/second-batch", bin, again, first)
+	if st := again.Dedup(); st.DistinctSignatures != len(keys) {
+		t.Fatalf("second batch: stats=%+v want %d signatures", st, len(keys))
 	}
 }
 
@@ -160,16 +162,12 @@ func TestDedupBailOutOnAdversarialBatch(t *testing.T) {
 	if st.DistinctSignatures != nObj {
 		t.Fatalf("stats=%+v want %d distinct signatures (groups + direct)", st, nObj)
 	}
-	if st.CacheHits+st.Resolved != st.DistinctSignatures {
-		t.Fatalf("stats inconsistent after bail-out: %+v", st)
-	}
 }
 
-// TestDedupCacheInvalidatedByApply: a structural mutation produces a
-// successor whose signature cache starts empty, and the successor's results
-// reflect the mutated network; a value-only batch keeps both artifact and
-// cache.
-func TestDedupCacheInvalidatedByApply(t *testing.T) {
+// TestResolveAcrossApply: a value-only batch keeps the artifact and its
+// answers, and a structural mutation produces a successor whose answers
+// reflect the mutated network; each call resolves its one signature anew.
+func TestResolveAcrossApply(t *testing.T) {
 	n := tn.New()
 	r1, r2 := n.AddUser("r1"), n.AddUser("r2")
 	a, b := n.AddUser("a"), n.AddUser("b")
@@ -194,11 +192,11 @@ func TestDedupCacheInvalidatedByApply(t *testing.T) {
 	if got := res.Possible(b, "k1"); len(got) != 1 || got[0] != "x" {
 		t.Fatalf("poss(b) = %v, want [x] via preferred edge", got)
 	}
-	if st := res.Dedup(); st.DistinctSignatures != 1 || st.Resolved != 1 {
+	if st := res.Dedup(); st.Objects != 2 || st.DistinctSignatures != 1 {
 		t.Fatalf("warmup stats: %+v", st)
 	}
 
-	// Value-only mutation: same artifact, cache retained.
+	// Value-only mutation: same artifact, same answers.
 	n.SetExplicit(r1, "seed2")
 	same, _, err := c.Apply(n.DrainJournal(), ApplyOptions{})
 	if err != nil {
@@ -211,12 +209,15 @@ func TestDedupCacheInvalidatedByApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := res.Dedup(); st.CacheHits != 1 {
-		t.Fatalf("value-only Apply flushed the signature cache: %+v", st)
+	if st := res.Dedup(); st.Objects != 2 || st.DistinctSignatures != 1 {
+		t.Fatalf("value-only successor stats: %+v", st)
+	}
+	if got := res.Possible(b, "k1"); len(got) != 1 || got[0] != "x" {
+		t.Fatalf("value-only successor poss(b) = %v, want [x]", got)
 	}
 
-	// Structural mutation: a's preferred edge flips to r2 — a cached
-	// signature result serving the old plan would be wrong.
+	// Structural mutation: a's preferred edge flips to r2 — an answer
+	// carried over from the old plan would be wrong.
 	if !n.RemoveMapping(r1, a) {
 		t.Fatal("mapping r1 -> a missing")
 	}
@@ -228,8 +229,8 @@ func TestDedupCacheInvalidatedByApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := res.Dedup(); st.CacheHits != 0 || st.Resolved != 1 {
-		t.Fatalf("successor served stale cache entries: %+v", st)
+	if st := res.Dedup(); st.Objects != 2 || st.DistinctSignatures != 1 {
+		t.Fatalf("structural successor stats: %+v", st)
 	}
 	if got := res.Possible(b, "k1"); len(got) != 1 || got[0] != "y" {
 		t.Fatalf("post-mutation poss(b) = %v, want [y]", got)

@@ -145,9 +145,6 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 			supRoots:   c.supRoots,
 			dict:       c.dict,
 			pool:       c.pool,
-			// Supports and root slots are untouched, so every cached
-			// signature result stays valid: carry the cache over.
-			sigs: c.sigs,
 		}
 		n.nodes.grow(nuNew)
 		n.nodeSup.grow(nuNew)
@@ -236,7 +233,6 @@ func (c *CompiledNetwork) Apply(muts []tn.Mutation, opts ApplyOptions) (*Compile
 		supRoots:   c.supRoots,
 		dict:       c.dict,
 		pool:       c.pool,
-		sigs:       newSigCache(defaultSigCacheCap), // signatures resolve differently now
 	}
 	n.supportsOnce.Do(func() {}) // supports are spliced below, not rebuilt
 	n.nodes.grow(nuNew)

@@ -162,10 +162,6 @@ type CompiledNetwork struct {
 	// allocates nothing even across mutations.
 	dict *valueDict
 	pool *sync.Pool
-	// sigs caches signature -> resolved result across Resolve calls
-	// (dedup.go). Valid while supports and root slots are unchanged:
-	// structural Apply successors start with an empty cache.
-	sigs *sigCache
 
 	consumed bool // set by Apply: this artifact has a successor
 }
@@ -272,7 +268,6 @@ func Compile(network *tn.Network) (*CompiledNetwork, error) {
 		ls:   new(lineage),
 		dict: newValueDict(),
 		pool: &sync.Pool{},
-		sigs: newSigCache(defaultSigCacheCap),
 	}
 	ls := c.ls
 	ls.grow(nu)

@@ -125,8 +125,8 @@ func (c *CompiledNetwork) scan(ctx context.Context, workers, n int, body func(s 
 // The scan deduplicates by signature (dedup.go) unless opts.DisableDedup:
 // objects are transposed into interned root-assignment columns in parallel,
 // grouped into distinct signatures, and each signature is resolved exactly
-// once — consulting the artifact's cross-batch signature cache first — with
-// the canonical result fanned out to all member objects. Workers share no
+// once, with the canonical result fanned out to all member objects. Nothing
+// is cached across calls. Workers share no
 // mutable state on the gather path and, in steady state, allocate nothing
 // per object.
 //
@@ -211,45 +211,22 @@ func (c *CompiledNetwork) Resolve(ctx context.Context, objects map[string]map[in
 	})
 	r.dedup.Objects = len(keys)
 	r.dedup.DistinctSignatures = len(groups.groups) + int(direct.Load())
-	r.dedup.Resolved = int(direct.Load())
 	if fail.err != nil || ctx.Err() != nil {
 		return r.finish(ctx, &fail)
 	}
 
-	// Phase 2: consult the cross-batch cache, then resolve each remaining
-	// signature exactly once, in parallel.
-	misses := make([]*sigGroup, 0, len(groups.groups))
-	for _, g := range groups.groups {
-		if g.res = c.sigs.get(g.hash, g.col); g.res != nil {
-			r.dedup.CacheHits++
-		} else {
-			misses = append(misses, g)
-		}
-	}
+	// Phase 2: resolve each signature exactly once, in parallel.
 	w := workers
-	if w > len(misses) {
-		w = len(misses)
+	if w > len(groups.groups) {
+		w = len(groups.groups)
 	}
-	// A batch that bailed out probed as signature-free: resolve its groups
-	// but keep them out of the cross-batch cache, which exists for
-	// recurring signatures and would only be polluted (and eventually
-	// flushed) by one-off ones.
-	cache := !groups.bailed.Load()
-	c.scan(ctx, w, len(misses), func(s *scratch, gi int) bool {
-		g := misses[gi]
+	c.scan(ctx, w, len(groups.groups), func(s *scratch, gi int) bool {
+		g := groups.groups[gi]
 		dst := make([]int32, ns)
 		c.resolveColumn(s, g.col, dst)
 		g.res = dst
-		if cache {
-			c.sigs.put(g.hash, g.col, dst)
-		}
 		return true
 	})
-	for _, g := range misses {
-		if g.res != nil {
-			r.dedup.Resolved++
-		}
-	}
 
 	// Phase 3: fan each signature's canonical result out to its members.
 	for i, gi := range sigOf {

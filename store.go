@@ -1080,8 +1080,6 @@ func (s *Store) addDedupLocked(res *bulkResolution) {
 	d := res.eng.Dedup()
 	s.dedup.Objects += d.Objects
 	s.dedup.DistinctSignatures += d.DistinctSignatures
-	s.dedup.CacheHits += d.CacheHits
-	s.dedup.Resolved += d.Resolved
 }
 
 // --- statistics --------------------------------------------------------
@@ -1096,9 +1094,8 @@ type StoreStats struct {
 	CacheMisses uint64 // object reads that re-resolved
 	// Dedup sums the signature-deduplication counters of every batch the
 	// store resolved, stored and ad-hoc alike. Objects sharing one
-	// root-assignment signature resolve once per artifact generation: the
-	// signature cache survives across batches and value-only mutations,
-	// and is invalidated by structural ones.
+	// root-assignment signature resolve once per batch; across batches
+	// only the result cache above carries answers.
 	Dedup DedupStats
 }
 

@@ -494,8 +494,9 @@ func (r *bulkResolution) rows(objects map[string]map[string]string) []ObjectRow 
 	return rows
 }
 
-// DedupStats counts what signature deduplication did for the batches a
-// store resolved; see StoreStats.Dedup.
+// DedupStats counts the objects and distinct root-assignment signatures
+// of the batches a store resolved; each signature resolves once per batch.
+// See StoreStats.Dedup.
 type DedupStats = engine.DedupStats
 
 // DOT renders the network in Graphviz dot format (edges from trusted user
