@@ -252,26 +252,10 @@ func TestSpineWriteBytesBudget(t *testing.T) {
 // the objects.
 func TestCachedObjectBytesBudget(t *testing.T) {
 	ctx := context.Background()
-	vals := []tn.Value{"v0", "v1", "v2", "v3"}
-	w := workload.PowerLawTiered(rand.New(rand.NewSource(1)), 4000, 2, 3, 0.1, vals)
-	st, err := (&Network{inner: w, constraints: make(map[int][]string)}).NewStore(WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var roots []string
-	for x := 0; x < w.NumUsers(); x++ {
-		if w.HasExplicit(x) {
-			roots = append(roots, w.Name(x))
-		}
-	}
+	st, beliefs := serveReadWorld(t)
 	const objects = 5000
-	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < objects; i++ {
-		beliefs := make(map[string]string, 3)
-		for len(beliefs) < 3 {
-			beliefs[roots[rng.Intn(len(roots))]] = string(vals[rng.Intn(len(vals))])
-		}
-		if err := st.PutObject(ctx, fmt.Sprintf("obj%06d", i), beliefs); err != nil {
+		if err := st.PutObject(ctx, fmt.Sprintf("obj%06d", i), beliefs()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,12 +272,72 @@ func TestCachedObjectBytesBudget(t *testing.T) {
 	}
 	// Last moved: 21d27f1, one interned set id per support. Measured
 	// 16 383 B at its parent 31c515c (a []tn.Value header per support)
-	// and 3 400–3 402 B over four runs at 21d27f1.
+	// and 3 400–3 402 B over four runs at 21d27f1; 3 271–3 273 B over
+	// four runs at 09f19d4, which dropped the signature cache's entries.
 	const budget = 4 << 10
 	if perObject > budget {
 		t.Errorf("a cached object costs %d B of live heap, budget %d", perObject, budget)
 	}
 	t.Logf("%d B of live heap per cached object", perObject)
+}
+
+// serveReadWorld returns an empty-object store over the serve-read
+// benchmark's network, PowerLawTiered(4000, 2, 3, 0.1) over four values
+// (393 roots), and a seeded source of object beliefs: three random roots,
+// each with a random value.
+func serveReadWorld(t *testing.T) (*Store, func() map[string]string) {
+	t.Helper()
+	vals := []tn.Value{"v0", "v1", "v2", "v3"}
+	w := workload.PowerLawTiered(rand.New(rand.NewSource(1)), 4000, 2, 3, 0.1, vals)
+	st, err := (&Network{inner: w, constraints: make(map[int][]string)}).NewStore(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []string
+	for x := 0; x < w.NumUsers(); x++ {
+		if w.HasExplicit(x) {
+			roots = append(roots, w.Name(x))
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	return st, func() map[string]string {
+		beliefs := make(map[string]string, 3)
+		for len(beliefs) < 3 {
+			beliefs[roots[rng.Intn(len(roots))]] = string(vals[rng.Intn(len(vals))])
+		}
+		return beliefs
+	}
+}
+
+// TestAdhocResolveRetainsNothing ceilings the live heap that ad-hoc
+// Store.Resolve calls leave behind on the serve-read benchmark's world:
+// their results are not stored, so after a warm-up (value interning and
+// scratch pools) 2 000 more calls over random root beliefs must not grow
+// the live heap.
+func TestAdhocResolveRetainsNothing(t *testing.T) {
+	ctx := context.Background()
+	st, beliefs := serveReadWorld(t)
+	resolve := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := st.Resolve(ctx, beliefs()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resolve(100)
+	base := liveHeap()
+	const calls = 2000
+	resolve(calls)
+	grown := int64(liveHeap()) - int64(base)
+	runtime.KeepAlive(st)
+	// Last moved: 09f19d4, no cross-batch signature cache. Its parent
+	// 5bbb24d kept a cache entry per distinct call: 8.84 MB over the
+	// 2 000 calls. Four runs at 09f19d4 shrank the heap by 48–52 KB.
+	const budget = 64 << 10
+	if grown > budget {
+		t.Errorf("%d ad-hoc resolves grew the live heap by %d B, budget %d", calls, grown, budget)
+	}
+	t.Logf("%d ad-hoc resolves grew the live heap by %d B", calls, grown)
 }
 
 // liveHeap reports the live heap after a full collection.
