@@ -210,9 +210,9 @@ func BenchmarkBulkResolve(b *testing.B) {
 		})
 	}
 	// Signature dedup on the clustered 10k-object workload. The compiled
-	// artifact persists across iterations, as in a store: the dedup
-	// run's later iterations are served from the cross-batch signature
-	// cache, the no-dedup run pays per object every time.
+	// artifact persists across iterations, as in a store, so both subs
+	// run with warm scratch arenas: every dedup iteration resolves its 64
+	// signatures, the no-dedup run pays per object.
 	binC, objsC := bench.ClusteredBulkWorkload(10000, 10000, 64, 42)
 	cc, err := engine.Compile(binC)
 	if err != nil {
@@ -234,8 +234,8 @@ func BenchmarkBulkResolve(b *testing.B) {
 	// The adversarial counterpart: every object a distinct signature, so
 	// dedup degenerates to the per-object scan plus grouping overhead up
 	// to the bail-out window. Both subs recompile per iteration (timer
-	// stopped) so every measured resolve is cold — no cross-batch
-	// signature cache, no warm scratch arenas — the worst case for dedup.
+	// stopped) so every measured resolve is cold — no warm value
+	// dictionary or scratch arenas — the worst case for dedup.
 	binD, objsD := bench.AllDistinctBulkWorkload(1000, 1000, 42)
 	for _, sub := range []struct {
 		name    string

@@ -125,10 +125,9 @@ func (c *CompiledNetwork) scan(ctx context.Context, workers, n int, body func(s 
 // The scan deduplicates by signature (dedup.go) unless opts.DisableDedup:
 // objects are transposed into interned root-assignment columns in parallel,
 // grouped into distinct signatures, and each signature is resolved exactly
-// once, with the canonical result fanned out to all member objects. Nothing
-// is cached across calls. Workers share no
-// mutable state on the gather path and, in steady state, allocate nothing
-// per object.
+// once, with the canonical result fanned out to all member objects; no
+// result outlives the call. Workers share no mutable state on the gather
+// path and, in steady state, allocate nothing per object.
 //
 // Cancelling ctx stops the scan early and returns the partial result with
 // an error wrapping ErrResolveAborted; Lookup reports the dropped objects
