@@ -513,7 +513,7 @@ func TestResolveDigest(t *testing.T) {
 			t.Errorf("%s: value-only successor: digest %#016x, want %#016x", c.name, d, rep)
 		}
 
-		// Structural: the spliced plan.
+		// Structural: a leaf-edge removal splices the plan.
 		g := n.Graph()
 		leaf := -1
 		for x := 0; x < nu; x++ {
