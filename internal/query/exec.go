@@ -7,6 +7,13 @@ package query
 // own pinned epoch, and the merge is exact because every aggregate
 // function decomposes.
 //
+// An unjoined aggregate plan that never reads the object column folds
+// each distinct row once: leaving out the object, a row is fixed by the
+// user, the user's interned possible set and the user's stated belief,
+// so the scan only counts how often each such cell occurs, and the fold
+// builds, filters, groups and folds each cell once, weighted by its
+// count. Every other plan folds row by row.
+//
 // An aggregate grouped by user alone, or global, probes its group map
 // once per scanned user, not per row: (object, user) is a key of the
 // relation, so the group key is a function of the row's user position.
@@ -103,6 +110,11 @@ type exec struct {
 	hasEpoch bool
 	pos      int // the scanned-user position of the unjoined row being yielded
 	probes   int // group-map probes made by partial
+	folds    int // rows or cells partial folded
+
+	// The distinct-row scan (nil cells: fold row by row).
+	cells   []cellTable      // by reader snapshot
+	beliefs map[string]int32 // stated belief -> cellKey.belief
 
 	t           tuple    // the tuple handed to predicates and yield
 	cur         row      // the row being built
@@ -185,6 +197,10 @@ func (ex *exec) object(or trustmap.ObjectRow, yield func(*tuple) bool) (stopped 
 		return false, err
 	}
 	ex.noteEpoch(or.Epoch())
+	if ex.cells != nil {
+		ex.count()
+		return false, nil
+	}
 	ex.poss = ex.poss[:0]
 	ex.t = tuple{&ex.cur}
 	if ex.p.join == nil {
@@ -224,6 +240,113 @@ func (ex *exec) object(or trustmap.ObjectRow, yield func(*tuple) bool) (stopped 
 		}
 	}
 	return false, nil
+}
+
+// cellKey is one distinct row of an object-free scan within a snapshot:
+// the user position, the possible-set id (-1 for an empty set) and the
+// stated belief (0 for none, else its number in exec.beliefs; always 0
+// when the plan reads no belief column).
+type cellKey struct{ pos, set, belief int32 }
+
+// cell is one distinct row's key and how many scanned rows it stands for.
+type cell struct {
+	key cellKey
+	m   int64
+}
+
+// cellTable counts the distinct rows of one snapshot. Set ids are
+// compared only within the snapshot that produced them, so a cluster
+// stream gets one table per shard snapshot. The index is open-addressed
+// on the key's three integers: a scanned row costs a multiply and a
+// probe, and the table grows with the distinct rows, never with the
+// objects.
+type cellTable struct {
+	index []slot // power-of-two length, at most half full
+	cells []cell // in order of first sight
+	rows  []row  // rows[c] is cells[c]'s row, built once
+}
+
+// slot is one entry of a cellTable's index: a key and 1 + its cell's
+// position in cells, or cell 0 when the slot is empty.
+type slot struct {
+	key  cellKey
+	cell int32
+}
+
+// newCellTable sizes a table for a few cells per scanned user.
+func newCellTable(users int) cellTable {
+	n := 16
+	for n < 4*users {
+		n *= 2
+	}
+	return cellTable{index: make([]slot, n), cells: make([]cell, 0, users), rows: make([]row, 0, users)}
+}
+
+// probe returns the slot of k's cell, or the empty slot where it goes.
+func (tab *cellTable) probe(k cellKey) *slot {
+	h := (uint64(uint32(k.pos))<<32 | uint64(uint32(k.set))) ^ uint64(uint32(k.belief))*0xc2b2ae3d27d4eb4f
+	h *= 0x9e3779b97f4a7c15
+	mask := uint64(len(tab.index) - 1)
+	for j := h >> 32 & mask; ; j = (j + 1) & mask {
+		if sl := &tab.index[j]; sl.cell == 0 || sl.key == k {
+			return sl
+		}
+	}
+}
+
+// insert adds cell k, whose row is r, at its empty slot sl.
+func (tab *cellTable) insert(sl *slot, k cellKey, r *row) {
+	tab.cells = append(tab.cells, cell{key: k, m: 1})
+	tab.rows = append(tab.rows, *r)
+	*sl = slot{key: k, cell: int32(len(tab.cells))}
+	if 2*len(tab.cells) > len(tab.index) {
+		old := tab.index
+		tab.index = make([]slot, 2*len(old))
+		for _, sl := range old {
+			if sl.cell != 0 {
+				*tab.probe(sl.key) = sl
+			}
+		}
+	}
+}
+
+// count adds the current object's rows to its snapshot's cell table,
+// building a cell's row only the first time the cell occurs.
+func (ex *exec) count() {
+	rd, beliefs := ex.rd, ex.p.need&beliefCols != 0
+	var tab *cellTable
+	scanned := uint64(0)
+	for i := range ex.users {
+		snap, set, ok := rd.PossibleID(i)
+		if !ok {
+			continue
+		}
+		scanned++
+		if tab == nil {
+			for len(ex.cells) <= snap {
+				ex.cells = append(ex.cells, newCellTable(len(ex.users)))
+			}
+			tab = &ex.cells[snap]
+		}
+		k := cellKey{pos: int32(i), set: int32(set)}
+		if beliefs {
+			if b, stated := rd.Belief(i); stated {
+				id, seen := ex.beliefs[b]
+				if !seen {
+					id = int32(len(ex.beliefs)) + 1
+					ex.beliefs[b] = id
+				}
+				k.belief = id
+			}
+		}
+		if sl := tab.probe(k); sl.cell != 0 {
+			tab.cells[sl.cell-1].m++
+		} else {
+			ex.fill("", i)
+			tab.insert(sl, k, &ex.cur)
+		}
+	}
+	ex.stats.RowsScanned += scanned
 }
 
 // fill builds the current object's row for the i-th scanned user into
@@ -360,9 +483,12 @@ type Partial struct {
 // RunPartial scans the site and accumulates the plan's groups without
 // finalizing them. The plan must be Aggregated.
 //
-// An unjoined plan grouped by user alone, or global, probes the group map
-// for the first row at each scanned-user position only; later rows there
-// fold into the *accum it returned, memoized for the call.
+// An unjoined plan that never reads the object column folds each
+// distinct (user, possible set, stated belief) row once, weighted by how
+// many rows it stands for. An unjoined plan grouped by user alone, or
+// global, probes the group map for the first row at each scanned-user
+// position only; later rows there fold into the *accum it returned,
+// memoized for the call.
 func RunPartial(ctx context.Context, site Site, p *Plan) (*Partial, error) {
 	if !p.Aggregated() {
 		return nil, errors.New("query: RunPartial needs an aggregate plan")
@@ -377,8 +503,13 @@ func (ex *exec) partial(ctx context.Context) (*Partial, error) {
 	if p.join == nil && !slices.ContainsFunc(p.groupBy, func(c column) bool { return c.slot != slotUser }) {
 		memo = make([]*accum, len(ex.users))
 	}
+	if p.join == nil && p.need&(1<<slotObject) == 0 {
+		ex.cells = []cellTable{}
+		ex.beliefs = map[string]int32{}
+	}
 	var key []byte // reused: probing with string(key) does not allocate
-	_, err := ex.scan(ctx, func(t *tuple) bool {
+	fold := func(t *tuple, m int64) {
+		ex.folds++
 		var a *accum
 		if memo != nil {
 			a = memo[ex.pos]
@@ -398,12 +529,23 @@ func (ex *exec) partial(ctx context.Context) (*Partial, error) {
 			}
 		}
 		for i := range p.aggs {
-			p.aggs[i].fold(&a.aggs[i], t)
+			p.aggs[i].fold(&a.aggs[i], t, m)
 		}
+	}
+	_, err := ex.scan(ctx, func(t *tuple) bool {
+		fold(t, 1)
 		return true
 	})
 	if err != nil {
 		return nil, err
+	}
+	for _, tab := range ex.cells {
+		for c, cl := range tab.cells {
+			ex.t, ex.pos = tuple{&tab.rows[c]}, int(cl.key.pos)
+			if pass(p.filters, &ex.t) {
+				fold(&ex.t, cl.m)
+			}
+		}
 	}
 	part.stats = ex.stats
 	part.epoch, part.hasEpoch = ex.epoch, ex.hasEpoch

@@ -9,3 +9,11 @@ func PartialProbes(ctx context.Context, site Site, p *Plan) (*Partial, int, erro
 	part, err := ex.partial(ctx)
 	return part, ex.probes, err
 }
+
+// PartialFolds runs RunPartial and also reports how many times it folded
+// into the aggregates: once per row, or once per distinct row.
+func PartialFolds(ctx context.Context, site Site, p *Plan) (*Partial, int, error) {
+	ex := newExec(site, p)
+	part, err := ex.partial(ctx)
+	return part, ex.folds, err
+}

@@ -4,7 +4,9 @@ package query_test
 // patterns and requires three independent evaluations to agree exactly
 // — the greedy plan, the naive left-to-right plan, and the brute-force
 // oracle over the materialized relation — and an aggregate plan must
-// answer the same again as three key partitions merged by Finalize. Any
+// answer the same again as three key partitions merged by Finalize. It
+// runs on the fuzz fixture and on the repeated-belief fixture, whose
+// aggregate scans fold each distinct row once. Any
 // divergence is a planner or executor bug by construction: greedy
 // reordering, pushdown extraction, and partial-aggregate merging must
 // all be invisible in the answer.
@@ -199,6 +201,10 @@ func randQuery(rng *rand.Rand, users, keys []string) wire.Query {
 			{Fn: wire.AggMin, Of: "possible_count"},
 			{Fn: wire.AggMax, Of: "possible_count"},
 			{Fn: wire.AggSum, Of: "conflicted"},
+			{Fn: wire.AggMin, Of: "belief"},
+			{Fn: wire.AggMax, Of: "belief"},
+			{Fn: wire.AggAvg, Of: "conflicted"},
+			{Fn: wire.AggRate, Of: "has_belief"},
 		}
 		n := 1 + rng.Intn(3)
 		names := []string{"a0", "a1", "a2"}
@@ -247,11 +253,21 @@ func randQuery(rng *rand.Rand, users, keys []string) wire.Query {
 }
 
 func FuzzQueryPlanParity(f *testing.F) {
-	st, users, keys, rows := fuzzFixture(f)
+	fuzzFixture(f)
+	repeatFixture(f)
 	for seed := int64(0); seed < 32; seed++ {
-		f.Add(seed)
+		f.Add(seed, false)
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
+	// The repeated-belief fixture draws twice as many: a third of the
+	// draws are aggregates, most of them object-free.
+	for seed := int64(0); seed < 64; seed++ {
+		f.Add(seed, true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, repeated bool) {
+		st, users, keys, rows := fuzzFixture(t)
+		if repeated {
+			st, users, keys, rows = repeatFixture(t)
+		}
 		rng := rand.New(rand.NewSource(seed))
 		q := randQuery(rng, users, keys)
 		greedyPlan, err := query.Compile(q)

@@ -44,8 +44,10 @@ type aggPlan struct {
 	name   string // output column name
 	inKind kind   // input column kind (count: unused)
 	kind   kind   // output kind
-	// fold accumulates one tuple, specialised on (fn, input kind, slot).
-	fold func(st *aggState, t *tuple)
+	// fold accumulates m copies of one tuple, specialised on (fn, input
+	// kind, slot). Inputs are integers or booleans, so count, sum, avg and
+	// rate scale exactly by m; min and max ignore it.
+	fold func(st *aggState, t *tuple, m int64)
 }
 
 // orderPlan is one compiled sort key: an output column by its position
@@ -569,7 +571,7 @@ func (p *Plan) compileAgg(a wire.Aggregate, sp space) (aggPlan, error) {
 			return aggPlan{}, bad("count takes no input column")
 		}
 		ap.kind = kindInt
-		ap.fold = func(st *aggState, _ *tuple) { st.n++ }
+		ap.fold = func(st *aggState, _ *tuple, m int64) { st.n += m }
 		return ap, nil
 	}
 	in, ok := sp[a.Of]
@@ -579,17 +581,17 @@ func (p *Plan) compileAgg(a wire.Aggregate, sp space) (aggPlan, error) {
 	ap.inKind = in.kind
 	side, c := in.slot/numBase, in.slot%numBase
 	// Booleans count as 0/1: sum and avg over one are rate's (sum, n).
-	countTrue := func(st *aggState, t *tuple) {
+	countTrue := func(st *aggState, t *tuple, m int64) {
 		if t[side].bools[c-slotHasCertain] {
-			st.sum++
+			st.sum += float64(m)
 		}
-		st.n++
+		st.n += m
 	}
 	switch a.Fn {
 	case wire.AggSum, wire.AggAvg:
 		switch ap.kind = kindFloat; in.kind {
 		case kindInt:
-			ap.fold = func(st *aggState, t *tuple) { st.sum += float64(t[side].count); st.n++ }
+			ap.fold = func(st *aggState, t *tuple, m int64) { st.sum += float64(t[side].count) * float64(m); st.n += m }
 		case kindBool:
 			ap.fold = countTrue
 		default:
@@ -607,13 +609,13 @@ func (p *Plan) compileAgg(a wire.Aggregate, sp space) (aggPlan, error) {
 		}
 		switch ap.kind = in.kind; in.kind {
 		case kindInt:
-			ap.fold = func(st *aggState, t *tuple) {
+			ap.fold = func(st *aggState, t *tuple, _ int64) {
 				if v := int64(t[side].count); !st.seen || better(cmp.Compare(v, st.n)) {
 					st.n, st.seen = v, true
 				}
 			}
 		case kindString:
-			ap.fold = func(st *aggState, t *tuple) {
+			ap.fold = func(st *aggState, t *tuple, _ int64) {
 				if v := t[side].strs[c]; !st.seen || better(strings.Compare(v, st.str)) {
 					st.str, st.seen = v, true
 				}

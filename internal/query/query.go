@@ -39,6 +39,9 @@
 // per-object work hoisted), probes groups with a reused key buffer, and
 // boxes values to any only when a result row or a new group is created:
 // allocations follow objects, groups and emitted rows, never scanned rows.
+// An aggregate that never reads the object column goes further: the scan
+// only counts each distinct (user, possible set, stated belief) row, and
+// each is built, filtered and folded once, weighted by its count.
 //
 // Every column of a row, belief included, comes from the ObjectRow the
 // pinned stream yielded: a row's belief is exactly the belief its

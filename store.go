@@ -724,31 +724,34 @@ func (r ObjectRow) Epoch() uint64 {
 // RowReader reads ObjectRows column-wise for a fixed list of distinct
 // users, the way a scan does. Reset pays the per-object work once —
 // locating the object in its batch, indexing its explicit beliefs — and
-// the users are translated to resolved-network nodes once per snapshot,
-// so the per-user reads are slice indexes and allocate nothing. A reader
-// is single-goroutine state for one pass over a Resolved stream.
+// the users are translated to support ids once per snapshot, so the
+// per-user reads are slice indexes and allocate nothing. A reader is
+// single-goroutine state for one pass over a Resolved stream.
 type RowReader struct {
 	users []string
-	pos   map[string]int // user -> position in users
-	memo  []readerNodes  // one per snapshot seen (a cluster stream interleaves its shards')
+	pos   map[string]int   // user -> position in users
+	memo  []readerSupports // one per snapshot seen (a cluster stream interleaves its shards')
 
 	// The current row.
-	nodes  []int
+	snap   int     // index in memo
+	sups   []int32 // memo[snap].sups
 	sets   engine.ObjectSets
 	belief []string
 	stated []uint64 // belief[i] belongs to the current row iff stated[i] == seq
 	seq    uint64
 }
 
-// readerNodes is the users' translation for one snapshot, identified by
-// its name view and original->binarized table.
-type readerNodes struct {
+// readerSupports is the users' translation for one snapshot, identified
+// by its name view, its original->binarized table and its compiled
+// network's node -> support table (sets, a row it resolved).
+type readerSupports struct {
 	src    *tn.View
 	binIDs []int
-	nodes  []int // position -> resolved-network node, or noUser
+	sets   engine.ObjectSets
+	sups   []int32 // position -> support id, -1 for an empty poss, or noUser
 }
 
-// noUser marks a user the snapshot does not know (binIDs may hold -1).
+// noUser marks a user the snapshot does not know.
 const noUser = -2
 
 // NewRowReader returns a reader over the given distinct users; the
@@ -776,7 +779,8 @@ func (rd *RowReader) Reset(row ObjectRow) error {
 	if err != nil {
 		return fmt.Errorf("%w: %q: %w", ErrUnknownObject, row.Object, err)
 	}
-	rd.sets, rd.nodes = sets, rd.nodesOf(row.res)
+	rd.sets, rd.snap = sets, rd.snapshotOf(row.res, sets)
+	rd.sups = rd.memo[rd.snap].sups
 	rd.seq++
 	for u, v := range row.beliefs {
 		if i, ok := rd.pos[u]; ok {
@@ -786,43 +790,54 @@ func (rd *RowReader) Reset(row ObjectRow) error {
 	return nil
 }
 
-// nodesOf translates the users into res's resolved network, memoised
-// per snapshot.
-func (rd *RowReader) nodesOf(res *bulkResolution) []int {
-	for _, m := range rd.memo {
-		if m.src == res.src && len(m.binIDs) == len(res.binIDs) && (len(m.binIDs) == 0 || sameBacking(m.binIDs, res.binIDs)) {
-			return m.nodes
+// snapshotOf returns the memo index of res's translation of the users to
+// support ids, adding it on first sight.
+func (rd *RowReader) snapshotOf(res *bulkResolution, sets engine.ObjectSets) int {
+	for i, m := range rd.memo {
+		if m.src == res.src && len(m.binIDs) == len(res.binIDs) && (len(m.binIDs) == 0 || sameBacking(m.binIDs, res.binIDs)) && m.sets.SameSupports(sets) {
+			return i
 		}
 	}
-	nodes := make([]int, len(rd.users))
+	sups := make([]int32, len(rd.users))
 	for i, u := range rd.users {
-		nodes[i] = noUser
+		sups[i] = noUser
 		if id := res.src.UserID(u); id >= 0 {
-			nodes[i] = res.binID(id)
+			sups[i] = sets.Support(res.binID(id))
 		}
 	}
-	rd.memo = append(rd.memo, readerNodes{src: res.src, binIDs: res.binIDs, nodes: nodes})
-	return nodes
+	rd.memo = append(rd.memo, readerSupports{src: res.src, binIDs: res.binIDs, sets: sets, sups: sups})
+	return len(rd.memo) - 1
 }
 
 // Lookup returns the i-th user's cert ("" when not certain) and the size
 // of their poss for the current row; ok is false when the row's snapshot
 // does not know the user.
 func (rd *RowReader) Lookup(i int) (certain string, possible int, ok bool) {
-	if rd.nodes[i] == noUser {
+	if rd.sups[i] == noUser {
 		return "", 0, false
 	}
-	poss := rd.sets.Possible(rd.nodes[i])
+	poss := rd.sets.Set(rd.sets.SetOf(rd.sups[i]))
 	if len(poss) == 1 {
 		certain = string(poss[0])
 	}
 	return certain, len(poss), true
 }
 
+// PossibleID identifies the i-th user's poss for the current row without
+// reading it: snapshot numbers the snapshots this reader has seen, and
+// two rows of one snapshot have equal poss exactly when their ids are
+// equal. id is -1 for an empty poss; ok is false when Lookup's is.
+func (rd *RowReader) PossibleID(i int) (snapshot, id int, ok bool) {
+	if rd.sups[i] == noUser {
+		return rd.snap, 0, false
+	}
+	return rd.snap, int(rd.sets.SetOf(rd.sups[i])), true
+}
+
 // AppendPossible appends the i-th user's poss for the current row to
 // dst, sorted.
 func (rd *RowReader) AppendPossible(dst []string, i int) []string {
-	for _, v := range rd.sets.Possible(rd.nodes[i]) {
+	for _, v := range rd.sets.Set(rd.sets.SetOf(rd.sups[i])) {
 		dst = append(dst, string(v))
 	}
 	return dst
