@@ -12,7 +12,9 @@ package trustmap
 //   - a short write physically tears the WAL tail, which the reopen heals
 //     (DiscardedBytes > 0) back to the pre-fault state;
 //   - a snapshot-write failure fails the Checkpoint but leaves the store
-//     healthy — memory and WAL still agree.
+//     healthy — memory and WAL still agree;
+//   - so does a failed directory sync after the snapshot's rename, and
+//     the WAL keeps every segment the snapshot would have superseded.
 //
 // These tests arm process-global fault points and must not use
 // t.Parallel().
@@ -21,11 +23,14 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"trustmap/internal/faultinject"
+	"trustmap/internal/snapshot"
 )
 
 // TestFaultFsyncPoisonsStore: a WAL fsync failure after the in-memory
@@ -182,6 +187,59 @@ func TestFaultSnapshotWriteKeepsStoreHealthy(t *testing.T) {
 	}
 	if info.LSN != s.LSN() {
 		t.Fatalf("checkpoint LSN = %d, want %d", info.LSN, s.LSN())
+	}
+}
+
+// TestCheckpointDirSyncFailureKeepsWAL: when the snapshot's rename cannot
+// be made durable, Checkpoint fails before it rotates or prunes the WAL,
+// so a crash that loses the rename still finds every acked write in the
+// log. The store stays healthy and the next Checkpoint succeeds.
+func TestCheckpointDirSyncFailureKeepsWAL(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpenStore(t, dir)
+	defer s.Close()
+	seedDurable(t, s)
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatalf("first Checkpoint: %v", err)
+	}
+	ctx := context.Background()
+	if err := s.PutBelief(ctx, "carol", "glyph3", "knot"); err != nil {
+		t.Fatal(err)
+	}
+	segments := func() []string {
+		t.Helper()
+		ents, err := os.ReadDir(filepath.Join(dir, "wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	before := segments()
+
+	dirErr := errors.New("directory sync failed")
+	orig := snapshot.SyncDir
+	snapshot.SyncDir = func(string) error { return dirErr }
+	_, err := s.Checkpoint()
+	snapshot.SyncDir = orig
+	if !errors.Is(err, dirErr) {
+		t.Fatalf("Checkpoint: err = %v, want the directory sync error", err)
+	}
+	if errors.Is(err, ErrPoisoned) {
+		t.Fatalf("a failed directory sync must not poison: %v", err)
+	}
+	if after := segments(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("WAL segments %v after the failed Checkpoint, want them kept: %v", after, before)
+	}
+
+	if err := s.PutBelief(ctx, "carol", "glyph4", "cow"); err != nil {
+		t.Fatalf("mutation after failed checkpoint: %v", err)
+	}
+	if info, err := s.Checkpoint(); err != nil || info.LSN != s.LSN() {
+		t.Fatalf("next Checkpoint = %+v, %v; want LSN %d", info, err, s.LSN())
 	}
 }
 

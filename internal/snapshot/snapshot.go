@@ -91,7 +91,8 @@ func Write(dir string, f *File) (string, error) {
 
 // writeRaw is the atomic write path shared by Write and Install: tmp +
 // fsync + rename + dir fsync, with the fault points at the same I/O
-// boundaries either caller crosses.
+// boundaries either caller crosses. A failed directory sync is an error:
+// the snapshot file is in place, but its rename is not yet durable.
 func writeRaw(dir, name string, raw []byte) error {
 	if err := faultinject.Fire(faultinject.SnapshotWrite); err != nil {
 		return err
@@ -119,11 +120,24 @@ func writeRaw(dir, name string, raw []byte) error {
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() // make the rename durable; best-effort on exotic FSes
-		d.Close()
+	// Until the directory is synced the rename may not survive a crash,
+	// and the caller must not yet drop what the snapshot supersedes.
+	return SyncDir(dir)
+}
+
+// SyncDir makes the entries of dir durable: it opens, fsyncs and closes
+// the directory, returning the first error. It is a variable so a test
+// can make the directory sync fail.
+var SyncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return nil
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // Decode parses and validates one snapshot body without touching disk —

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -209,4 +210,24 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("Write -> Decode changed the file:\n%s\n%s", want, have)
 		}
 	})
+}
+
+// TestWriteReturnsDirSyncError: a snapshot whose rename cannot be made
+// durable fails Write and Install instead of reporting success.
+func TestWriteReturnsDirSyncError(t *testing.T) {
+	dirErr := errors.New("directory sync failed")
+	defer func(orig func(string) error) { SyncDir = orig }(SyncDir)
+	SyncDir = func(string) error { return dirErr }
+
+	dir := t.TempDir()
+	if _, err := Write(dir, testFile(7)); !errors.Is(err, dirErr) {
+		t.Fatalf("Write: err = %v, want the directory sync error", err)
+	}
+	raw, err := json.Marshal(testFile(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Install(dir, raw); !errors.Is(err, dirErr) {
+		t.Fatalf("Install: err = %v, want the directory sync error", err)
+	}
 }
