@@ -248,22 +248,33 @@ func (ex *exec) object(or trustmap.ObjectRow, yield func(*tuple) bool) (stopped 
 // when the plan reads no belief column).
 type cellKey struct{ pos, set, belief int32 }
 
-// cell is one distinct row's key and how many scanned rows it stands for.
+// cell is one distinct row: its key, the row it shares with every cell
+// of the same possible set and belief, and how many scanned rows it
+// stands for.
 type cell struct {
-	key cellKey
-	m   int64
+	key   cellKey
+	shape int32 // index in cellTable.rows
+	m     int64
 }
+
+// shapeKey is what a row holds besides its user: the possible-set id and
+// the stated belief.
+type shapeKey struct{ set, belief int32 }
 
 // cellTable counts the distinct rows of one snapshot. Set ids are
 // compared only within the snapshot that produced them, so a cluster
-// stream gets one table per shard snapshot. The index is open-addressed
-// on the key's three integers: a scanned row costs a multiply and a
-// probe, and the table grows with the distinct rows, never with the
-// objects.
+// stream gets one table per shard snapshot. A scanned row that repeats
+// its user's previous cell costs one key compare; any other costs a
+// multiply and a probe of the index, open-addressed on the key's three
+// integers. The table grows with the distinct rows, never with the
+// objects, and since a row is its user plus a function of its set and
+// belief, the rows themselves are kept once per (set, belief).
 type cellTable struct {
-	index []slot // power-of-two length, at most half full
-	cells []cell // in order of first sight
-	rows  []row  // rows[c] is cells[c]'s row, built once
+	index  []slot  // power-of-two length, at most half full
+	cells  []cell  // in order of first sight
+	last   []int32 // by user position: 1 + the position's previous cell
+	shapes map[shapeKey]int32
+	rows   []row // by shape, built from the first cell that had it
 }
 
 // slot is one entry of a cellTable's index: a key and 1 + its cell's
@@ -279,7 +290,7 @@ func newCellTable(users int) cellTable {
 	for n < 4*users {
 		n *= 2
 	}
-	return cellTable{index: make([]slot, n), cells: make([]cell, 0, users), rows: make([]row, 0, users)}
+	return cellTable{index: make([]slot, n), cells: make([]cell, 0, users), last: make([]int32, users), shapes: map[shapeKey]int32{}}
 }
 
 // probe returns the slot of k's cell, or the empty slot where it goes.
@@ -294,10 +305,17 @@ func (tab *cellTable) probe(k cellKey) *slot {
 	}
 }
 
-// insert adds cell k, whose row is r, at its empty slot sl.
-func (tab *cellTable) insert(sl *slot, k cellKey, r *row) {
-	tab.cells = append(tab.cells, cell{key: k, m: 1})
-	tab.rows = append(tab.rows, *r)
+// insert adds cell k at its empty slot sl. build returns the row of a
+// (set, belief) shape the table has not seen yet.
+func (tab *cellTable) insert(sl *slot, k cellKey, build func() *row) {
+	sk := shapeKey{k.set, k.belief}
+	shape, seen := tab.shapes[sk]
+	if !seen {
+		shape = int32(len(tab.rows))
+		tab.shapes[sk] = shape
+		tab.rows = append(tab.rows, *build())
+	}
+	tab.cells = append(tab.cells, cell{key: k, shape: shape})
 	*sl = slot{key: k, cell: int32(len(tab.cells))}
 	if 2*len(tab.cells) > len(tab.index) {
 		old := tab.index
@@ -311,7 +329,7 @@ func (tab *cellTable) insert(sl *slot, k cellKey, r *row) {
 }
 
 // count adds the current object's rows to its snapshot's cell table,
-// building a cell's row only the first time the cell occurs.
+// building a row only the first time its (set, belief) shape occurs.
 func (ex *exec) count() {
 	rd, beliefs := ex.rd, ex.p.need&beliefCols != 0
 	var tab *cellTable
@@ -339,12 +357,17 @@ func (ex *exec) count() {
 				k.belief = id
 			}
 		}
-		if sl := tab.probe(k); sl.cell != 0 {
-			tab.cells[sl.cell-1].m++
-		} else {
-			ex.fill("", i)
-			tab.insert(sl, k, &ex.cur)
+		c := tab.last[i]
+		if c == 0 || tab.cells[c-1].key != k {
+			if sl := tab.probe(k); sl.cell != 0 {
+				c = sl.cell
+			} else {
+				tab.insert(sl, k, func() *row { ex.fill("", i); return &ex.cur })
+				c = int32(len(tab.cells))
+			}
+			tab.last[i] = c
 		}
+		tab.cells[c-1].m++
 	}
 	ex.stats.RowsScanned += scanned
 }
@@ -539,11 +562,14 @@ func (ex *exec) partial(ctx context.Context) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
+	ex.t = tuple{&ex.cur}
 	for _, tab := range ex.cells {
-		for c, cl := range tab.cells {
-			ex.t, ex.pos = tuple{&tab.rows[c]}, int(cl.key.pos)
+		for _, c := range tab.cells {
+			ex.pos = int(c.key.pos)
+			ex.cur = tab.rows[c.shape]
+			ex.cur.strs[slotUser] = ex.users[ex.pos]
 			if pass(p.filters, &ex.t) {
-				fold(&ex.t, cl.m)
+				fold(&ex.t, c.m)
 			}
 		}
 	}
