@@ -287,7 +287,8 @@ func (r *BulkResult) Lookup(x int, key string) ([]tn.Value, error) {
 
 // ObjectSets is one resolved object's possible-value sets, addressable by
 // node: the per-object half of Lookup, for readers that visit many nodes
-// of one object and should pay the key probe once.
+// of one object and should pay the key probe once. Its methods take a
+// pointer, so a reader's per-node calls do not copy it.
 type ObjectSets struct {
 	support []int32      // node -> support ID; -1 when poss is empty
 	ids     []int32      // support ID -> set id
@@ -310,14 +311,14 @@ func (r *BulkResult) Object(key string) (ObjectSets, error) {
 // Possible returns poss(x, k), sorted; the slice is shared, do not modify.
 // It is nil when x is not a node of the compiled network or has no
 // possible values.
-func (o ObjectSets) Possible(x int) []tn.Value { return o.Set(o.SetOf(o.Support(x))) }
+func (o *ObjectSets) Possible(x int) []tn.Value { return o.Set(o.SetOf(o.Support(x))) }
 
 // Support returns node x's support id: the fixed set of roots whose
 // beliefs make up poss(x) for every object. It is -1 when x is not a
 // node of the compiled network or has no possible values. Support ids
 // depend only on the network, so a reader visiting many objects of one
 // network may keep them (SameSupports says when it may).
-func (o ObjectSets) Support(x int) int32 {
+func (o *ObjectSets) Support(x int) int32 {
 	if x < 0 || x >= len(o.support) {
 		return -1
 	}
@@ -327,7 +328,7 @@ func (o ObjectSets) Support(x int) int32 {
 // SetOf returns the set id of support s for this object, -1 for s < 0.
 // Set ids are interned once per lineage: two objects resolved by
 // networks of one lineage have equal sets exactly when their ids are.
-func (o ObjectSets) SetOf(s int32) int32 {
+func (o *ObjectSets) SetOf(s int32) int32 {
 	if s < 0 {
 		return -1
 	}
@@ -336,7 +337,7 @@ func (o ObjectSets) SetOf(s int32) int32 {
 
 // Set returns the sorted values of a set id from SetOf; nil for -1. The
 // slice is shared, do not modify.
-func (o ObjectSets) Set(id int32) []tn.Value {
+func (o *ObjectSets) Set(id int32) []tn.Value {
 	if id < 0 {
 		return nil
 	}
@@ -346,7 +347,7 @@ func (o ObjectSets) Set(id int32) []tn.Value {
 // SameSupports reports whether o and p come from one compiled network,
 // whose node -> support table is never rewritten once built: a support id
 // taken from one is then valid for the other, and so are set ids.
-func (o ObjectSets) SameSupports(p ObjectSets) bool {
+func (o *ObjectSets) SameSupports(p *ObjectSets) bool {
 	return len(o.support) == len(p.support) && (len(o.support) == 0 || &o.support[0] == &p.support[0])
 }
 

@@ -113,8 +113,9 @@ type exec struct {
 	folds    int // rows or cells partial folded
 
 	// The distinct-row scan (nil cells: fold row by row).
-	cells   []cellTable      // by reader snapshot
-	beliefs map[string]int32 // stated belief -> cellKey.belief
+	cells      []cellTable      // by reader snapshot
+	beliefs    map[string]int32 // stated belief -> cellKey.belief; nil when no belief column is read
+	lastBelief []beliefNum      // by user position: the user's previous stated belief
 
 	t           tuple    // the tuple handed to predicates and yield
 	cur         row      // the row being built
@@ -264,17 +265,35 @@ type shapeKey struct{ set, belief int32 }
 // cellTable counts the distinct rows of one snapshot. Set ids are
 // compared only within the snapshot that produced them, so a cluster
 // stream gets one table per shard snapshot. A scanned row that repeats
-// its user's previous cell costs one key compare; any other costs a
-// multiply and a probe of the index, open-addressed on the key's three
-// integers. The table grows with the distinct rows, never with the
+// its user's previous cell costs one key compare and an increment of the
+// user's run; any other also costs a multiply and a probe of the index,
+// open-addressed on the key's three integers. The table grows with the distinct rows, never with the
 // objects, and since a row is its user plus a function of its set and
 // belief, the rows themselves are kept once per (set, belief).
 type cellTable struct {
-	index  []slot  // power-of-two length, at most half full
-	cells  []cell  // in order of first sight
-	last   []int32 // by user position: 1 + the position's previous cell
+	index  []slot // power-of-two length, at most half full
+	cells  []cell // in order of first sight
+	runs   []run  // by user position
 	shapes map[shapeKey]int32
 	rows   []row // by shape, built from the first cell that had it
+}
+
+// run is the cell a user position counted last and how many rows in a
+// row it has counted there since; flush adds them to the cell.
+type run struct {
+	key  cellKey
+	cell int32 // 1 + the cell's position in cells, 0 before the first row
+	n    int64
+}
+
+// flush moves every position's run count into its cell.
+func (tab *cellTable) flush() {
+	for i := range tab.runs {
+		if r := &tab.runs[i]; r.cell != 0 {
+			tab.cells[r.cell-1].m += r.n
+			r.n = 0
+		}
+	}
 }
 
 // slot is one entry of a cellTable's index: a key and 1 + its cell's
@@ -290,7 +309,7 @@ func newCellTable(users int) cellTable {
 	for n < 4*users {
 		n *= 2
 	}
-	return cellTable{index: make([]slot, n), cells: make([]cell, 0, users), last: make([]int32, users), shapes: map[shapeKey]int32{}}
+	return cellTable{index: make([]slot, n), cells: make([]cell, 0, users), runs: make([]run, users), shapes: map[shapeKey]int32{}}
 }
 
 // probe returns the slot of k's cell, or the empty slot where it goes.
@@ -331,7 +350,7 @@ func (tab *cellTable) insert(sl *slot, k cellKey, build func() *row) {
 // count adds the current object's rows to its snapshot's cell table,
 // building a row only the first time its (set, belief) shape occurs.
 func (ex *exec) count() {
-	rd, beliefs := ex.rd, ex.p.need&beliefCols != 0
+	rd, beliefs := ex.rd, ex.beliefs != nil
 	var tab *cellTable
 	scanned := uint64(0)
 	for i := range ex.users {
@@ -349,27 +368,45 @@ func (ex *exec) count() {
 		k := cellKey{pos: int32(i), set: int32(set)}
 		if beliefs {
 			if b, stated := rd.Belief(i); stated {
-				id, seen := ex.beliefs[b]
-				if !seen {
-					id = int32(len(ex.beliefs)) + 1
-					ex.beliefs[b] = id
-				}
-				k.belief = id
+				k.belief = ex.beliefNum(i, b)
 			}
 		}
-		c := tab.last[i]
-		if c == 0 || tab.cells[c-1].key != k {
-			if sl := tab.probe(k); sl.cell != 0 {
-				c = sl.cell
-			} else {
-				tab.insert(sl, k, func() *row { ex.fill("", i); return &ex.cur })
+		r := &tab.runs[i]
+		if r.cell == 0 || r.key != k {
+			if r.cell != 0 {
+				tab.cells[r.cell-1].m += r.n
+			}
+			c := tab.probe(k).cell
+			if c == 0 {
+				tab.insert(tab.probe(k), k, func() *row { ex.fill("", i); return &ex.cur })
 				c = int32(len(tab.cells))
 			}
-			tab.last[i] = c
+			*r = run{key: k, cell: c}
 		}
-		tab.cells[c-1].m++
+		r.n++
 	}
 	ex.stats.RowsScanned += scanned
+}
+
+// beliefNum is a stated belief and its number for cellKey.belief.
+type beliefNum struct {
+	value string
+	num   int32
+}
+
+// beliefNum numbers the i-th user's stated belief b, asking the map only
+// when b differs from the belief the user stated last.
+func (ex *exec) beliefNum(i int, b string) int32 {
+	if last := ex.lastBelief[i]; last.num != 0 && last.value == b {
+		return last.num
+	}
+	num, seen := ex.beliefs[b]
+	if !seen {
+		num = int32(len(ex.beliefs)) + 1
+		ex.beliefs[b] = num
+	}
+	ex.lastBelief[i] = beliefNum{b, num}
+	return num
 }
 
 // fill builds the current object's row for the i-th scanned user into
@@ -528,7 +565,9 @@ func (ex *exec) partial(ctx context.Context) (*Partial, error) {
 	}
 	if p.join == nil && p.need&(1<<slotObject) == 0 {
 		ex.cells = []cellTable{}
-		ex.beliefs = map[string]int32{}
+		if p.need&beliefCols != 0 {
+			ex.beliefs, ex.lastBelief = map[string]int32{}, make([]beliefNum, len(ex.users))
+		}
 	}
 	var key []byte // reused: probing with string(key) does not allocate
 	fold := func(t *tuple, m int64) {
@@ -564,6 +603,7 @@ func (ex *exec) partial(ctx context.Context) (*Partial, error) {
 	}
 	ex.t = tuple{&ex.cur}
 	for _, tab := range ex.cells {
+		tab.flush()
 		for _, c := range tab.cells {
 			ex.pos = int(c.key.pos)
 			ex.cur = tab.rows[c.shape]

@@ -794,7 +794,7 @@ func (rd *RowReader) Reset(row ObjectRow) error {
 // support ids, adding it on first sight.
 func (rd *RowReader) snapshotOf(res *bulkResolution, sets engine.ObjectSets) int {
 	for i, m := range rd.memo {
-		if m.src == res.src && len(m.binIDs) == len(res.binIDs) && (len(m.binIDs) == 0 || sameBacking(m.binIDs, res.binIDs)) && m.sets.SameSupports(sets) {
+		if m.src == res.src && len(m.binIDs) == len(res.binIDs) && (len(m.binIDs) == 0 || sameBacking(m.binIDs, res.binIDs)) && m.sets.SameSupports(&sets) {
 			return i
 		}
 	}
