@@ -113,14 +113,13 @@ type exec struct {
 	folds    int // rows or cells partial folded
 
 	// The distinct-row scan (nil cells: fold row by row).
-	cells      []cellTable      // by reader snapshot
-	beliefs    map[string]int32 // stated belief -> cellKey.belief; nil when no belief column is read
-	lastBelief []beliefNum      // by user position: the user's previous stated belief
+	cells   []cellTable      // by reader snapshot
+	beliefs map[string]int32 // stated belief -> cellKey.belief; nil when no belief column is read
 
 	t           tuple    // the tuple handed to predicates and yield
 	cur         row      // the row being built
 	left, right []row    // one object's filtered join sides
-	poss        []string // backing array of one object's possible columns
+	poss        []string // backing array of the possible columns: one object's rows, or every shape of a distinct-row scan
 }
 
 func newExec(site Site, p *Plan) *exec {
@@ -267,9 +266,10 @@ type shapeKey struct{ set, belief int32 }
 // stream gets one table per shard snapshot. A scanned row that repeats
 // its user's previous cell costs one key compare and an increment of the
 // user's run; any other also costs a multiply and a probe of the index,
-// open-addressed on the key's three integers. The table grows with the distinct rows, never with the
-// objects, and since a row is its user plus a function of its set and
-// belief, the rows themselves are kept once per (set, belief).
+// open-addressed on the key's three integers. The table grows with the
+// distinct rows, never with the objects, and since a row is its user
+// plus a function of its set and belief, the rows themselves are kept
+// once per (set, belief).
 type cellTable struct {
 	index  []slot // power-of-two length, at most half full
 	cells  []cell // in order of first sight
@@ -286,12 +286,11 @@ type run struct {
 	n    int64
 }
 
-// flush moves every position's run count into its cell.
+// flush adds every position's open run to its cell.
 func (tab *cellTable) flush() {
-	for i := range tab.runs {
-		if r := &tab.runs[i]; r.cell != 0 {
+	for _, r := range tab.runs {
+		if r.cell != 0 {
 			tab.cells[r.cell-1].m += r.n
-			r.n = 0
 		}
 	}
 }
@@ -324,9 +323,10 @@ func (tab *cellTable) probe(k cellKey) *slot {
 	}
 }
 
-// insert adds cell k at its empty slot sl. build returns the row of a
-// (set, belief) shape the table has not seen yet.
-func (tab *cellTable) insert(sl *slot, k cellKey, build func() *row) {
+// insert adds cell k at its empty slot sl and returns 1 + its position
+// in cells. build returns the row of a (set, belief) shape the table has
+// not seen yet.
+func (tab *cellTable) insert(sl *slot, k cellKey, build func() *row) int32 {
 	sk := shapeKey{k.set, k.belief}
 	shape, seen := tab.shapes[sk]
 	if !seen {
@@ -335,7 +335,8 @@ func (tab *cellTable) insert(sl *slot, k cellKey, build func() *row) {
 		tab.rows = append(tab.rows, *build())
 	}
 	tab.cells = append(tab.cells, cell{key: k, shape: shape})
-	*sl = slot{key: k, cell: int32(len(tab.cells))}
+	c := int32(len(tab.cells))
+	*sl = slot{key: k, cell: c}
 	if 2*len(tab.cells) > len(tab.index) {
 		old := tab.index
 		tab.index = make([]slot, 2*len(old))
@@ -345,6 +346,7 @@ func (tab *cellTable) insert(sl *slot, k cellKey, build func() *row) {
 			}
 		}
 	}
+	return c
 }
 
 // count adds the current object's rows to its snapshot's cell table,
@@ -368,7 +370,12 @@ func (ex *exec) count() {
 		k := cellKey{pos: int32(i), set: int32(set)}
 		if beliefs {
 			if b, stated := rd.Belief(i); stated {
-				k.belief = ex.beliefNum(i, b)
+				num, seen := ex.beliefs[b]
+				if !seen {
+					num = int32(len(ex.beliefs)) + 1
+					ex.beliefs[b] = num
+				}
+				k.belief = num
 			}
 		}
 		r := &tab.runs[i]
@@ -376,37 +383,16 @@ func (ex *exec) count() {
 			if r.cell != 0 {
 				tab.cells[r.cell-1].m += r.n
 			}
-			c := tab.probe(k).cell
+			sl := tab.probe(k)
+			c := sl.cell
 			if c == 0 {
-				tab.insert(tab.probe(k), k, func() *row { ex.fill("", i); return &ex.cur })
-				c = int32(len(tab.cells))
+				c = tab.insert(sl, k, func() *row { ex.fill("", i); return &ex.cur })
 			}
 			*r = run{key: k, cell: c}
 		}
 		r.n++
 	}
 	ex.stats.RowsScanned += scanned
-}
-
-// beliefNum is a stated belief and its number for cellKey.belief.
-type beliefNum struct {
-	value string
-	num   int32
-}
-
-// beliefNum numbers the i-th user's stated belief b, asking the map only
-// when b differs from the belief the user stated last.
-func (ex *exec) beliefNum(i int, b string) int32 {
-	if last := ex.lastBelief[i]; last.num != 0 && last.value == b {
-		return last.num
-	}
-	num, seen := ex.beliefs[b]
-	if !seen {
-		num = int32(len(ex.beliefs)) + 1
-		ex.beliefs[b] = num
-	}
-	ex.lastBelief[i] = beliefNum{b, num}
-	return num
 }
 
 // fill builds the current object's row for the i-th scanned user into
@@ -566,7 +552,7 @@ func (ex *exec) partial(ctx context.Context) (*Partial, error) {
 	if p.join == nil && p.need&(1<<slotObject) == 0 {
 		ex.cells = []cellTable{}
 		if p.need&beliefCols != 0 {
-			ex.beliefs, ex.lastBelief = map[string]int32{}, make([]beliefNum, len(ex.users))
+			ex.beliefs = map[string]int32{}
 		}
 	}
 	var key []byte // reused: probing with string(key) does not allocate
