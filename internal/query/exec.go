@@ -271,9 +271,9 @@ type shapeKey struct{ set, belief int32 }
 // plus a function of its set and belief, the rows themselves are kept
 // once per (set, belief).
 type cellTable struct {
-	index  []slot // power-of-two length, at most half full
-	cells  []cell // in order of first sight
-	runs   []run  // by user position
+	index  []int32 // 1 + a position in cells, 0 empty; power-of-two length, at most half full
+	cells  []cell  // in order of first sight
+	runs   []run   // by user position
 	shapes map[shapeKey]int32
 	rows   []row // by shape, built from the first cell that had it
 }
@@ -295,38 +295,32 @@ func (tab *cellTable) flush() {
 	}
 }
 
-// slot is one entry of a cellTable's index: a key and 1 + its cell's
-// position in cells, or cell 0 when the slot is empty.
-type slot struct {
-	key  cellKey
-	cell int32
-}
-
 // newCellTable sizes a table for a few cells per scanned user.
 func newCellTable(users int) cellTable {
 	n := 16
-	for n < 4*users {
+	for n < 8*users {
 		n *= 2
 	}
-	return cellTable{index: make([]slot, n), cells: make([]cell, 0, users), runs: make([]run, users), shapes: map[shapeKey]int32{}}
+	return cellTable{index: make([]int32, n), cells: make([]cell, 0, 4*users), runs: make([]run, users), shapes: map[shapeKey]int32{}}
 }
 
-// probe returns the slot of k's cell, or the empty slot where it goes.
-func (tab *cellTable) probe(k cellKey) *slot {
+// probe returns the index slot of k's cell, or the empty slot where it
+// goes.
+func (tab *cellTable) probe(k cellKey) *int32 {
 	h := (uint64(uint32(k.pos))<<32 | uint64(uint32(k.set))) ^ uint64(uint32(k.belief))*0xc2b2ae3d27d4eb4f
 	h *= 0x9e3779b97f4a7c15
 	mask := uint64(len(tab.index) - 1)
 	for j := h >> 32 & mask; ; j = (j + 1) & mask {
-		if sl := &tab.index[j]; sl.cell == 0 || sl.key == k {
+		if sl := &tab.index[j]; *sl == 0 || tab.cells[*sl-1].key == k {
 			return sl
 		}
 	}
 }
 
-// insert adds cell k at its empty slot sl and returns 1 + its position
-// in cells. build returns the row of a (set, belief) shape the table has
-// not seen yet.
-func (tab *cellTable) insert(sl *slot, k cellKey, build func() *row) int32 {
+// insert adds cell k at its empty index slot sl and returns 1 + its
+// position in cells. build returns the row of a (set, belief) shape the
+// table has not seen yet.
+func (tab *cellTable) insert(sl *int32, k cellKey, build func() *row) int32 {
 	sk := shapeKey{k.set, k.belief}
 	shape, seen := tab.shapes[sk]
 	if !seen {
@@ -336,14 +330,11 @@ func (tab *cellTable) insert(sl *slot, k cellKey, build func() *row) int32 {
 	}
 	tab.cells = append(tab.cells, cell{key: k, shape: shape})
 	c := int32(len(tab.cells))
-	*sl = slot{key: k, cell: c}
+	*sl = c
 	if 2*len(tab.cells) > len(tab.index) {
-		old := tab.index
-		tab.index = make([]slot, 2*len(old))
-		for _, sl := range old {
-			if sl.cell != 0 {
-				*tab.probe(sl.key) = sl
-			}
+		tab.index = make([]int32, 2*len(tab.index))
+		for i, cl := range tab.cells {
+			*tab.probe(cl.key) = int32(i + 1)
 		}
 	}
 	return c
@@ -384,7 +375,7 @@ func (ex *exec) count() {
 				tab.cells[r.cell-1].m += r.n
 			}
 			sl := tab.probe(k)
-			c := sl.cell
+			c := *sl
 			if c == 0 {
 				c = tab.insert(sl, k, func() *row { ex.fill("", i); return &ex.cur })
 			}
