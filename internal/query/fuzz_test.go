@@ -258,8 +258,9 @@ func FuzzQueryPlanParity(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed, false)
 	}
-	// The repeated-belief fixture draws twice as many: a third of the
-	// draws are aggregates, most of them object-free.
+	// The repeated-belief fixture draws twice as many: about a third of
+	// the draws are aggregates, and those that read no object column
+	// take the distinct-row fold.
 	for seed := int64(0); seed < 64; seed++ {
 		f.Add(seed, true)
 	}
