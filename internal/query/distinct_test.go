@@ -3,7 +3,8 @@ package query_test
 // Tests on a relation whose rows repeat: objects copy a few belief maps,
 // so leaving out the object column most (object, user) rows coincide.
 // The answers are pinned by digest, so a change to how aggregate scans
-// fold those rows cannot move them.
+// fold those rows cannot move them. Also on relations whose rows hardly
+// repeat, where a scan must not keep a distinct row per scanned row.
 
 import (
 	"context"
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -77,6 +79,76 @@ func repeatFixture(t testing.TB) (*trustmap.Store, []string, []string, []orow) {
 		repeatSite.rows = materialize(t, st)
 	})
 	return repeatSite.st, repeatSite.users, repeatSite.keys, repeatSite.rows
+}
+
+// unrepeatedStore builds a store over a small power-law community whose
+// objects state a belief for every root. Each value names its object, so
+// no two objects share a possible set and, leaving out the object
+// column, no row repeats another; with copies set, every other object
+// instead copies one of three belief maps over the fuzz domain.
+func unrepeatedStore(t testing.TB, users, objects int, copies bool) *trustmap.Store {
+	t.Helper()
+	domain := []tn.Value{"fish", "knot", "cow", "jar"}
+	rng := rand.New(rand.NewSource(31))
+	src := workload.PowerLaw(rng, users, 2, 0.3, domain)
+	st, err := facadeFromTN(src).NewStore(trustmap.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []string
+	for x := 0; x < src.NumUsers(); x++ {
+		if src.HasExplicit(x) {
+			roots = append(roots, src.Name(x))
+		}
+	}
+	protos := make([]map[string]string, 3)
+	for i := range protos {
+		protos[i] = map[string]string{}
+		for _, r := range roots {
+			protos[i][r] = string(domain[rng.Intn(len(domain))])
+		}
+	}
+	ctx := context.Background()
+	for i := 0; i < objects; i++ {
+		key := fmt.Sprintf("uni%03d", i)
+		beliefs := map[string]string{}
+		if copies && i%2 == 1 {
+			beliefs = protos[rng.Intn(len(protos))]
+		} else {
+			for _, r := range roots {
+				beliefs[r] = fmt.Sprintf("%s/%d", key, rng.Intn(3))
+			}
+		}
+		if err := st.PutObject(ctx, key, beliefs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// mixedSite lazily builds the half-repeated fixture, materialized once.
+var mixedSite struct {
+	once  sync.Once
+	st    *trustmap.Store
+	users []string
+	keys  []string
+	rows  []orow
+}
+
+// mixedFixture is an unrepeatedStore of 30 users and 60 objects, half of
+// them copies: rows repeat too rarely for a distinct-row scan to keep
+// counting past its window, but often enough that the rows it counted
+// there stand for several rows each.
+func mixedFixture(t testing.TB) (*trustmap.Store, []string, []string, []orow) {
+	mixedSite.once.Do(func() {
+		st := unrepeatedStore(t, 30, 60, true)
+		mixedSite.st = st
+		mixedSite.users = append([]string{}, st.Users()...)
+		sort.Strings(mixedSite.users)
+		mixedSite.keys = st.Objects()
+		mixedSite.rows = materialize(t, st)
+	})
+	return mixedSite.st, mixedSite.users, mixedSite.keys, mixedSite.rows
 }
 
 // TestDistinctRowDigest pins aggregate answers on the repeated-belief
@@ -270,5 +342,60 @@ func TestDistinctRowsPerSnapshot(t *testing.T) {
 		if _, want := oracleRun(rows, q); !rowsEqual(res.Rows, want) {
 			t.Errorf("%+v diverges from the oracle:\n got  %v\n want %v", q, res.Rows, want)
 		}
+	}
+}
+
+// TestUnrepeatedRowsFoldRowByRow: a scan whose rows hardly repeat stops
+// counting distinct rows after its window and folds the rest row by row,
+// so what it allocates follows the objects it scans, not the rows.
+func TestUnrepeatedRowsFoldRowByRow(t *testing.T) {
+	plan, err := query.Compile(wire.Query{
+		GroupBy: []string{"user"},
+		Aggs:    []wire.Aggregate{{Fn: wire.AggCount, As: "n"}, {Fn: wire.AggRate, Of: "agrees", As: "acceptance"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func(site query.Site) (res *query.Result, folds int) {
+		part, folds, err := query.PartialFolds(ctx, site, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err = query.Finalize([]*query.Partial{part}, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, folds
+	}
+
+	st, _, _, rows := mixedFixture(t)
+	res, folds := run(st)
+	distinct := distinctRows(rows, func(string) bool { return true })
+	if folds <= distinct || uint64(folds) >= res.Stats.RowsScanned {
+		t.Errorf("half-repeated fixture: %d folds for %d rows scanned (%d distinct), want more than one per distinct row (row by row past the window) and fewer than one per row (the window's repeats folded once)",
+			folds, res.Stats.RowsScanned, distinct)
+	}
+
+	const users, perRow = 40, 16
+	measure := func(objects int) (bytes float64, rows uint64) {
+		st := unrepeatedStore(t, users, objects, false)
+		res, folds := run(st) // resolve every object once: later scans are cache hits
+		if rows = res.Stats.RowsScanned; uint64(folds) != rows {
+			t.Fatalf("%d objects: %d folds for %d rows that never repeat", objects, folds, rows)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 5 {
+			run(st)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / 5, rows
+	}
+	few, fewRows := measure(64)
+	many, manyRows := measure(256)
+	t.Logf("%d rows: %.0f B per scan; %d rows: %.0f B per scan", fewRows, few, manyRows, many)
+	if per := (many - few) / float64(manyRows-fewRows); per > perRow {
+		t.Fatalf("%.1f B per extra scanned row, want at most %d: the scan keeps a distinct row per row", per, perRow)
 	}
 }

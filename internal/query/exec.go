@@ -12,7 +12,9 @@ package query
 // user, the user's interned possible set and the user's stated belief,
 // so the scan only counts how often each such cell occurs, and the fold
 // builds, filters, groups and folds each cell once, weighted by its
-// count. Every other plan folds row by row.
+// count; if the first objects show that rows hardly repeat, it folds the
+// cells counted so far and the rest row by row (see cellTable). Every
+// other plan folds row by row.
 //
 // An aggregate grouped by user alone, or global, probes its group map
 // once per scanned user, not per row: (object, user) is a key of the
@@ -108,13 +110,12 @@ type exec struct {
 	stats    wire.QueryStats
 	epoch    uint64
 	hasEpoch bool
-	pos      int // the scanned-user position of the unjoined row being yielded
-	probes   int // group-map probes made by partial
-	folds    int // rows or cells partial folded
+	pos      int   // the scanned-user position of the unjoined row being yielded
+	probes   int   // group-map probes made by partial
+	folds    int   // rows or cells partial folded
+	weight   int64 // the rows the tuple handed to yield stands for
 
-	// The distinct-row scan (nil cells: fold row by row).
-	cells   []cellTable      // by reader snapshot
-	beliefs map[string]int32 // stated belief -> cellKey.belief; nil when no belief column is read
+	cells *cellTable // the distinct-row scan; nil: fold row by row
 
 	t           tuple    // the tuple handed to predicates and yield
 	cur         row      // the row being built
@@ -123,7 +124,7 @@ type exec struct {
 }
 
 func newExec(site Site, p *Plan) *exec {
-	ex := &exec{site: site, p: p, users: p.users}
+	ex := &exec{site: site, p: p, users: p.users, weight: 1}
 	ex.stats.PredicatesReordered = p.reordered
 	// A join's right side always draws from the full user universe: a
 	// user pushdown in where restricts only the left side, exactly like
@@ -197,8 +198,11 @@ func (ex *exec) object(or trustmap.ObjectRow, yield func(*tuple) bool) (stopped 
 		return false, err
 	}
 	ex.noteEpoch(or.Epoch())
-	if ex.cells != nil {
+	if tab := ex.cells; tab != nil {
 		ex.count()
+		if tab.objects >= distinctWindow && uint64(len(tab.cells))*distinctShare > ex.stats.RowsScanned {
+			return ex.foldCells(yield), nil // rows hardly repeat
+		}
 		return false, nil
 	}
 	ex.poss = ex.poss[:0]
@@ -242,72 +246,73 @@ func (ex *exec) object(or trustmap.ObjectRow, yield func(*tuple) bool) (stopped 
 	return false, nil
 }
 
-// cellKey is one distinct row of an object-free scan within a snapshot:
-// the user position, the possible-set id (-1 for an empty set) and the
-// stated belief (0 for none, else its number in exec.beliefs; always 0
-// when the plan reads no belief column).
-type cellKey struct{ pos, set, belief int32 }
+// cellKey is one distinct row of an object-free scan: the reader's
+// snapshot number (set ids are compared only within the snapshot that
+// produced them), the user position, the possible-set id (-1 for an
+// empty set) and the stated belief (0 for none, else its number in
+// cellTable.beliefs; always 0 when the plan reads no belief column).
+type cellKey struct{ snap, pos, set, belief int32 }
 
 // cell is one distinct row: its key, the row it shares with every cell
-// of the same possible set and belief, and how many scanned rows it
-// stands for.
+// of the same shape, and how many scanned rows it stands for.
 type cell struct {
 	key   cellKey
 	shape int32 // index in cellTable.rows
 	m     int64
 }
 
-// shapeKey is what a row holds besides its user: the possible-set id and
-// the stated belief.
-type shapeKey struct{ set, belief int32 }
+// shapeKey is what a row holds besides its user: the snapshot's
+// possible set and the stated belief.
+type shapeKey struct{ snap, set, belief int32 }
 
-// cellTable counts the distinct rows of one snapshot. Set ids are
-// compared only within the snapshot that produced them, so a cluster
-// stream gets one table per shard snapshot. A scanned row that repeats
-// its user's previous cell costs one key compare and an increment of the
-// user's run; any other also costs a multiply and a probe of the index,
-// open-addressed on the key's three integers. The table grows with the
-// distinct rows, never with the objects, and since a row is its user
-// plus a function of its set and belief, the rows themselves are kept
-// once per (set, belief).
+// cellTable counts the distinct rows of a scan. A scanned row that
+// repeats its user's previous cell costs one key compare and an
+// increment of the user's run; any other also costs a multiply and a
+// probe of the index, open-addressed on the key's integers. Since a row
+// is its user plus a function of its set and belief, the rows
+// themselves are kept once per shape. The table grows with the distinct
+// rows it has seen, which need not stay few: where values are per object
+// (free text, ids as values) no row repeats. So after distinctWindow
+// objects, once the cells exceed 1/distinctShare of the rows counted,
+// the scan folds them and goes on row by row: rows that never repeat
+// cost one window of cells, not one cell per row. A key pushdown of
+// fewer than distinctWindow keys folds row by row from the start.
 type cellTable struct {
-	index  []int32 // 1 + a position in cells, 0 empty; power-of-two length, at most half full
-	cells  []cell  // in order of first sight
-	runs   []run   // by user position
-	shapes map[shapeKey]int32
-	rows   []row // by shape, built from the first cell that had it
+	index   []int32 // 1 + a position in cells, 0 empty; power-of-two length, at most half full
+	cells   []cell  // in order of first sight
+	runs    []run   // by user position
+	shapes  map[shapeKey]int32
+	rows    []row            // by shape, built from the first cell that had it
+	beliefs map[string]int32 // stated belief -> cellKey.belief; nil when no belief column is read
+	objects int              // objects counted
 }
 
+const (
+	distinctWindow = 16
+	distinctShare  = 4
+)
+
 // run is the cell a user position counted last and how many rows in a
-// row it has counted there since; flush adds them to the cell.
+// row it has counted there since; they are added to the cell when the
+// run ends.
 type run struct {
 	key  cellKey
 	cell int32 // 1 + the cell's position in cells, 0 before the first row
 	n    int64
 }
 
-// flush adds every position's open run to its cell.
-func (tab *cellTable) flush() {
-	for _, r := range tab.runs {
-		if r.cell != 0 {
-			tab.cells[r.cell-1].m += r.n
-		}
+func newCellTable(users int, beliefs bool) *cellTable {
+	tab := &cellTable{index: make([]int32, 16), runs: make([]run, users), shapes: map[shapeKey]int32{}}
+	if beliefs {
+		tab.beliefs = map[string]int32{}
 	}
-}
-
-// newCellTable sizes a table for a few cells per scanned user.
-func newCellTable(users int) cellTable {
-	n := 16
-	for n < 8*users {
-		n *= 2
-	}
-	return cellTable{index: make([]int32, n), cells: make([]cell, 0, 4*users), runs: make([]run, users), shapes: map[shapeKey]int32{}}
+	return tab
 }
 
 // probe returns the index slot of k's cell, or the empty slot where it
 // goes.
 func (tab *cellTable) probe(k cellKey) *int32 {
-	h := (uint64(uint32(k.pos))<<32 | uint64(uint32(k.set))) ^ uint64(uint32(k.belief))*0xc2b2ae3d27d4eb4f
+	h := (uint64(uint32(k.pos))<<32 | uint64(uint32(k.set))) ^ (uint64(uint32(k.belief))<<32|uint64(uint32(k.snap)))*0xc2b2ae3d27d4eb4f
 	h *= 0x9e3779b97f4a7c15
 	mask := uint64(len(tab.index) - 1)
 	for j := h >> 32 & mask; ; j = (j + 1) & mask {
@@ -318,10 +323,10 @@ func (tab *cellTable) probe(k cellKey) *int32 {
 }
 
 // insert adds cell k at its empty index slot sl and returns 1 + its
-// position in cells. build returns the row of a (set, belief) shape the
-// table has not seen yet.
+// position in cells. build returns the row of a shape the table has not
+// seen yet.
 func (tab *cellTable) insert(sl *int32, k cellKey, build func() *row) int32 {
-	sk := shapeKey{k.set, k.belief}
+	sk := shapeKey{k.snap, k.set, k.belief}
 	shape, seen := tab.shapes[sk]
 	if !seen {
 		shape = int32(len(tab.rows))
@@ -340,11 +345,10 @@ func (tab *cellTable) insert(sl *int32, k cellKey, build func() *row) int32 {
 	return c
 }
 
-// count adds the current object's rows to its snapshot's cell table,
-// building a row only the first time its (set, belief) shape occurs.
+// count adds the current object's rows to the cell table, building a
+// row only the first time its shape occurs.
 func (ex *exec) count() {
-	rd, beliefs := ex.rd, ex.beliefs != nil
-	var tab *cellTable
+	tab, rd := ex.cells, ex.rd
 	scanned := uint64(0)
 	for i := range ex.users {
 		snap, set, ok := rd.PossibleID(i)
@@ -352,19 +356,13 @@ func (ex *exec) count() {
 			continue
 		}
 		scanned++
-		if tab == nil {
-			for len(ex.cells) <= snap {
-				ex.cells = append(ex.cells, newCellTable(len(ex.users)))
-			}
-			tab = &ex.cells[snap]
-		}
-		k := cellKey{pos: int32(i), set: int32(set)}
-		if beliefs {
+		k := cellKey{snap: int32(snap), pos: int32(i), set: int32(set)}
+		if tab.beliefs != nil {
 			if b, stated := rd.Belief(i); stated {
-				num, seen := ex.beliefs[b]
+				num, seen := tab.beliefs[b]
 				if !seen {
-					num = int32(len(ex.beliefs)) + 1
-					ex.beliefs[b] = num
+					num = int32(len(tab.beliefs)) + 1
+					tab.beliefs[b] = num
 				}
 				k.belief = num
 			}
@@ -384,6 +382,32 @@ func (ex *exec) count() {
 		r.n++
 	}
 	ex.stats.RowsScanned += scanned
+	tab.objects++
+}
+
+// foldCells yields each distinct row counted so far that passes the
+// filters once, weighted by how many rows it stands for, and ends the
+// distinct-row scan: later objects fold row by row.
+func (ex *exec) foldCells(yield func(*tuple) bool) (stopped bool) {
+	tab := ex.cells
+	ex.cells = nil
+	for _, r := range tab.runs {
+		if r.cell != 0 {
+			tab.cells[r.cell-1].m += r.n
+		}
+	}
+	ex.t = tuple{&ex.cur}
+	for _, c := range tab.cells {
+		ex.pos, ex.weight = int(c.key.pos), c.m
+		ex.cur = tab.rows[c.shape]
+		ex.cur.strs[slotUser] = ex.users[ex.pos]
+		if pass(ex.p.filters, &ex.t) && !yield(&ex.t) {
+			stopped = true
+			break
+		}
+	}
+	ex.weight = 1
+	return stopped
 }
 
 // fill builds the current object's row for the i-th scanned user into
@@ -522,7 +546,7 @@ type Partial struct {
 //
 // An unjoined plan that never reads the object column folds each
 // distinct (user, possible set, stated belief) row once, weighted by how
-// many rows it stands for. An unjoined plan grouped by user alone, or
+// many rows it stands for, unless its rows hardly repeat. An unjoined plan grouped by user alone, or
 // global, probes the group map for the first row at each scanned-user
 // position only; later rows there fold into the *accum it returned,
 // memoized for the call.
@@ -540,14 +564,11 @@ func (ex *exec) partial(ctx context.Context) (*Partial, error) {
 	if p.join == nil && !slices.ContainsFunc(p.groupBy, func(c column) bool { return c.slot != slotUser }) {
 		memo = make([]*accum, len(ex.users))
 	}
-	if p.join == nil && p.need&(1<<slotObject) == 0 {
-		ex.cells = []cellTable{}
-		if p.need&beliefCols != 0 {
-			ex.beliefs = map[string]int32{}
-		}
+	if p.join == nil && p.need&(1<<slotObject) == 0 && !(p.hasKeys && len(p.keys) < distinctWindow) {
+		ex.cells = newCellTable(len(ex.users), p.need&beliefCols != 0)
 	}
 	var key []byte // reused: probing with string(key) does not allocate
-	fold := func(t *tuple, m int64) {
+	fold := func(t *tuple) bool {
 		ex.folds++
 		var a *accum
 		if memo != nil {
@@ -568,27 +589,15 @@ func (ex *exec) partial(ctx context.Context) (*Partial, error) {
 			}
 		}
 		for i := range p.aggs {
-			p.aggs[i].fold(&a.aggs[i], t, m)
+			p.aggs[i].fold(&a.aggs[i], t, ex.weight)
 		}
-	}
-	_, err := ex.scan(ctx, func(t *tuple) bool {
-		fold(t, 1)
 		return true
-	})
-	if err != nil {
+	}
+	if _, err := ex.scan(ctx, fold); err != nil {
 		return nil, err
 	}
-	ex.t = tuple{&ex.cur}
-	for _, tab := range ex.cells {
-		tab.flush()
-		for _, c := range tab.cells {
-			ex.pos = int(c.key.pos)
-			ex.cur = tab.rows[c.shape]
-			ex.cur.strs[slotUser] = ex.users[ex.pos]
-			if pass(p.filters, &ex.t) {
-				fold(&ex.t, c.m)
-			}
-		}
+	if ex.cells != nil {
+		ex.foldCells(fold)
 	}
 	part.stats = ex.stats
 	part.epoch, part.hasEpoch = ex.epoch, ex.hasEpoch

@@ -253,22 +253,23 @@ func randQuery(rng *rand.Rand, users, keys []string) wire.Query {
 }
 
 func FuzzQueryPlanParity(f *testing.F) {
-	fuzzFixture(f)
-	repeatFixture(f)
+	fixtures := []func(testing.TB) (*trustmap.Store, []string, []string, []orow){fuzzFixture, repeatFixture, mixedFixture}
+	for _, fixture := range fixtures {
+		fixture(f)
+	}
 	for seed := int64(0); seed < 32; seed++ {
-		f.Add(seed, false)
+		f.Add(seed, uint8(0))
 	}
-	// The repeated-belief fixture draws twice as many: about a third of
-	// the draws are aggregates, and those that read no object column
-	// take the distinct-row fold.
+	// The repeated-belief and half-repeated fixtures draw twice as many:
+	// about a third of the draws are aggregates, and those that read no
+	// object column count distinct rows, on the half-repeated fixture
+	// only until its window shows that rows hardly repeat.
 	for seed := int64(0); seed < 64; seed++ {
-		f.Add(seed, true)
+		f.Add(seed, uint8(1))
+		f.Add(seed, uint8(2))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, repeated bool) {
-		st, users, keys, rows := fuzzFixture(t)
-		if repeated {
-			st, users, keys, rows = repeatFixture(t)
-		}
+	f.Fuzz(func(t *testing.T, seed int64, fixture uint8) {
+		st, users, keys, rows := fixtures[int(fixture)%len(fixtures)](t)
 		rng := rand.New(rand.NewSource(seed))
 		q := randQuery(rng, users, keys)
 		greedyPlan, err := query.Compile(q)

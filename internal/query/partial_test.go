@@ -76,8 +76,9 @@ func resultDigest(res *query.Result) uint64 {
 
 // TestGroupedScanDigest pins the answers of grouped scans on the fuzz
 // fixture, both through Run and as three merged key partitions. The
-// first four group by user alone or not at all, so their group key is a
-// function of the scanned user; the last three group by something else.
+// first five group by user alone or not at all, so their group key is a
+// function of the scanned user, and the fifth reads the object column,
+// so it folds row by row; the last three group by something else.
 func TestGroupedScanDigest(t *testing.T) {
 	st, users, _, _ := fuzzFixture(t)
 	countRate := []wire.Aggregate{{Fn: wire.AggCount, As: "n"}, {Fn: wire.AggRate, Of: "agrees", As: "acceptance"}}
@@ -99,6 +100,7 @@ func TestGroupedScanDigest(t *testing.T) {
 			Where:   []wire.Predicate{{Col: "has_belief", Op: wire.PredEq, Value: true}},
 			GroupBy: byUser, Aggs: countRate,
 		}, 0xd78ae5c1a452e169},
+		{"group by user reading object", wire.Query{GroupBy: byUser, Aggs: append([]wire.Aggregate{{Fn: wire.AggMin, Of: "object", As: "first"}}, countRate...)}, 0xbb824d8cbbaffe84},
 		{"group by user and certain", wire.Query{GroupBy: []string{"user", "certain"}, Aggs: countRate}, 0x10ed3261b1359365},
 		{"group by object", wire.Query{GroupBy: []string{"object"}, Aggs: countRate}, 0xd2bf46d614d83a73},
 		{"join grouped by user", wire.Query{
@@ -133,8 +135,9 @@ func TestGroupedScanDigest(t *testing.T) {
 
 // TestGroupedScanProbesOncePerGroup: a scan grouped by user alone, or
 // not grouped, probes its group map at most once per scanned user in
-// each RunPartial, however many objects it folds; a scan grouped by
-// anything else probes at most once per distinct row it folds.
+// each RunPartial, however many objects it folds, also when it reads the
+// object column and so folds row by row; a scan grouped by anything else
+// probes at most once per distinct row it folds.
 func TestGroupedScanProbesOncePerGroup(t *testing.T) {
 	st, users, _, _ := fuzzFixture(t)
 	count := []wire.Aggregate{{Fn: wire.AggCount, As: "n"}}
@@ -164,6 +167,9 @@ func TestGroupedScanProbesOncePerGroup(t *testing.T) {
 	}{
 		{"group by user", wire.Query{GroupBy: []string{"user"}, Aggs: count}, len(users)},
 		{"global", wire.Query{Aggs: count}, len(users)},
+		{"group by user reading object", wire.Query{
+			GroupBy: []string{"user"}, Aggs: append([]wire.Aggregate{{Fn: wire.AggMin, Of: "object", As: "first"}}, count...),
+		}, len(users)},
 		{"group by user under a user pushdown", wire.Query{
 			Where:   []wire.Predicate{{Col: "user", Op: wire.PredIn, Values: pushed}},
 			GroupBy: []string{"user"}, Aggs: count,

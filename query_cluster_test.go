@@ -39,6 +39,20 @@ func putVaried(t testing.TB, rt *shard.Router, n int) {
 	}
 }
 
+// putDistinct stores n objects whose root beliefs all name the object,
+// so no two objects share a possible set: leaving out the object column,
+// no (object, user) row repeats another.
+func putDistinct(t testing.TB, rt *shard.Router, n int) {
+	t.Helper()
+	ctx := context.Background()
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("obj%04d", i)
+		if err := rt.PutObject(ctx, key, map[string]string{"alice": key + "a", "bob": key + "b", "carol": key + "c"}); err != nil {
+			t.Fatalf("put %s: %v", key, err)
+		}
+	}
+}
+
 // clusterQueries is the single-vs-cluster parity query list.
 func clusterQueries() []wire.Query {
 	return []wire.Query{
@@ -218,8 +232,9 @@ func TestClusterQueryCancellationReleasesEpochs(t *testing.T) {
 
 // BenchmarkQuery: the greedy planner against the naive one on a
 // selective pattern (key pushdown vs full scan — greedy must never be
-// slower), a full-scan grouped aggregate where the plans coincide, and
-// the 4-shard scatter-gather paths.
+// slower), a full-scan grouped aggregate where the plans coincide, the
+// same aggregate over objects whose rows never repeat, and the 4-shard
+// scatter-gather paths.
 func BenchmarkQuery(b *testing.B) {
 	selective := wire.Query{Where: []wire.Predicate{
 		{Col: "possible_count", Op: wire.PredGe, Value: 1},
@@ -237,6 +252,8 @@ func BenchmarkQuery(b *testing.B) {
 	putVaried(b, single, objects)
 	cluster := newCluster(b, 4)
 	putVaried(b, cluster, objects)
+	distinct := newCluster(b, 1)
+	putDistinct(b, distinct, objects)
 
 	runPlan := func(b *testing.B, site query.Site, p *query.Plan, wantRows int) {
 		b.Helper()
@@ -282,6 +299,9 @@ func BenchmarkQuery(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("fullscan/naive/objects=%d", objects), func(b *testing.B) {
 		runPlan(b, single.Shard(0), naiveFull, users)
+	})
+	b.Run(fmt.Sprintf("fullscan/distinct/objects=%d", objects), func(b *testing.B) {
+		runPlan(b, distinct.Shard(0), greedyFull, users)
 	})
 	b.Run(fmt.Sprintf("cluster4/selective/objects=%d", objects), func(b *testing.B) {
 		b.ReportAllocs()
