@@ -301,6 +301,8 @@ type run struct {
 	n    int64
 }
 
+// newCellTable starts a table for the given number of scanned users with
+// a 16-slot index that grows as cells arrive.
 func newCellTable(users int, beliefs bool) *cellTable {
 	tab := &cellTable{index: make([]int32, 16), runs: make([]run, users), shapes: map[shapeKey]int32{}}
 	if beliefs {
