@@ -21,6 +21,7 @@ package trustmap
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -439,12 +440,8 @@ func (s *Store) exportLocked(lsn uint64) *snapshot.File {
 	}
 	f.ExtraRoots = s.extraRootNames()
 	s.mu.RLock()
-	for k, bs := range s.objects {
-		m := make(map[string]string, len(bs))
-		for u, v := range bs {
-			m[u] = v
-		}
-		f.Objects[k] = m
+	for k, rec := range s.objects {
+		f.Objects[k] = maps.Clone(rec.beliefs)
 	}
 	s.mu.RUnlock()
 	return f

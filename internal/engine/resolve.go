@@ -298,14 +298,36 @@ type ObjectSets struct {
 // Object locates one resolved object; the errors are Lookup's
 // ErrUnknownObject and ErrResolveAborted.
 func (r *BulkResult) Object(key string) (ObjectSets, error) {
+	o, err := r.Resolved(key)
+	return r.c.Sets(o), err
+}
+
+// Resolved is one object's resolution detached from its batch: the set
+// id of each root support and the lineage's set table. It holds nothing
+// of the compiled network, so keeping it keeps no artifact reachable;
+// Sets pairs it with the network that resolved it again.
+type Resolved struct {
+	ids  []int32      // support ID -> set id
+	sets [][]tn.Value // set id -> sorted distinct values
+}
+
+// Resolved returns one resolved object's resolution; the errors are
+// Lookup's ErrUnknownObject and ErrResolveAborted.
+func (r *BulkResult) Resolved(key string) (Resolved, error) {
 	i, ok := r.idx[key]
 	if !ok {
-		return ObjectSets{}, ErrUnknownObject
+		return Resolved{}, ErrUnknownObject
 	}
 	if !r.done[i] {
-		return ObjectSets{}, ErrResolveAborted
+		return Resolved{}, ErrResolveAborted
 	}
-	return ObjectSets{support: r.c.nodeSupport, ids: r.poss[i], sets: r.sets}, nil
+	return Resolved{ids: r.poss[i], sets: r.sets}, nil
+}
+
+// Sets makes o addressable by node through c's node -> support table. c
+// must be the network whose Resolve call produced o.
+func (c *CompiledNetwork) Sets(o Resolved) ObjectSets {
+	return ObjectSets{support: c.nodeSupport, ids: o.ids, sets: o.sets}
 }
 
 // Possible returns poss(x, k), sorted; the slice is shared, do not modify.
@@ -317,7 +339,7 @@ func (o *ObjectSets) Possible(x int) []tn.Value { return o.Set(o.SetOf(o.Support
 // beliefs make up poss(x) for every object. It is -1 when x is not a
 // node of the compiled network or has no possible values. Support ids
 // depend only on the network, so a reader visiting many objects of one
-// network may keep them (SameSupports says when it may).
+// network may keep them.
 func (o *ObjectSets) Support(x int) int32 {
 	if x < 0 || x >= len(o.support) {
 		return -1
@@ -342,13 +364,6 @@ func (o *ObjectSets) Set(id int32) []tn.Value {
 		return nil
 	}
 	return o.sets[id]
-}
-
-// SameSupports reports whether o and p come from one compiled network,
-// whose node -> support table is never rewritten once built: a support id
-// taken from one is then valid for the other, and so are set ids.
-func (o *ObjectSets) SameSupports(p *ObjectSets) bool {
-	return len(o.support) == len(p.support) && (len(o.support) == 0 || &o.support[0] == &p.support[0])
 }
 
 // Certain returns cert(x, k): the single possible value, or tn.NoValue —

@@ -57,5 +57,5 @@ func (n *Network) bulkResolveFresh(ctx context.Context, objects map[string]map[s
 		return nil, err
 	}
 	// Original IDs are a prefix of a fresh binarization: binIDs stays nil.
-	return (&bulkResolution{src: n.inner.Snapshot(nil), eng: res}).rows(objects), nil
+	return rowsOf(&epochSnap{comp: c, view: n.inner.Snapshot(nil)}, 0, res, objects), nil
 }

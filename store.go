@@ -9,18 +9,19 @@ package trustmap
 // the writer side lives in twin.go): reads pin the currently published
 // snapshot lock-free, trust mutations build the next epoch off to the
 // side and swap it in atomically, and the compiled resolution artifact is
-// maintained incrementally across mutations. Beside it the Store keeps an
-// object table and a per-object result cache keyed by (epoch, object
-// version): a belief mutation invalidates exactly the touched object, so
-// the next read re-resolves only that object — every other stored object
-// keeps serving its cached resolution — and a trust mutation advances the
-// epoch, after which stale objects are re-resolved lazily in one
-// signature-deduplicated batch. The cache holds one epoch at a time: the
-// first refill at a newer epoch drops every older entry, so what the cache
-// keeps reachable follows the live state, not the write history. Every
-// read hands out ObjectRows; the rows
-// of one batch share its bulkResolution, and batch reads return them
-// sorted by object key.
+// maintained incrementally across mutations. Beside it the Store keeps
+// one immutable record per stored object: its beliefs and, once a read
+// has resolved it, the epoch it was resolved at and its set ids. A belief
+// mutation installs a fresh, unresolved record for exactly the touched
+// object, so the next read re-resolves only that object — every other
+// stored object keeps serving its record — and a trust mutation advances
+// the epoch, after which stale objects are re-resolved lazily in one
+// signature-deduplicated batch. A record holds nothing of the compiled
+// artifact, so it may keep its resolution until the object's next write
+// or a newer read replaces it: what the records keep is bounded by the
+// objects and their root supports, not by the write history. Every read
+// hands out ObjectRows, each pairing a record with the published snapshot
+// that resolved it; batch reads return them sorted by object key.
 //
 // # Object model
 //
@@ -51,6 +52,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -88,23 +90,20 @@ func WithExtraRoots(users ...string) StoreOption {
 	return func(c *storeConfig) { c.extraRoots = append(c.extraRoots, users...) }
 }
 
-// storeCached is one object's cached resolution: valid while both the
-// serving epoch and the object's belief version still match. Objects
-// resolved in one batch share that batch's *bulkResolution, and through it
-// the batch's compiled artifact, so every entry of the cache belongs to
-// one epoch: the first refill at a newer epoch drops them all (fill), and
-// a reader still pinned at an older epoch serves its rows without
-// refilling. The cache therefore keeps at most one artifact generation
-// reachable, whatever the write history; within it, memory is bounded by
-// one batch per object, traded for zero per-object copying on the fan-out.
-// A batch holds one 4-byte set id per root support per object, and the
-// sets themselves once per Apply lineage (internal/engine/intern.go): on
-// the serve-read world a single-object batch costs about 3.4 KB
-// (TestCachedObjectBytesBudget).
-type storeCached struct {
-	epoch uint64
-	over  uint64 // object belief version at resolution time
-	res   *bulkResolution
+// record is one stored object: its explicit beliefs and, once a read has
+// resolved it, the epoch that resolved it and the resolution. A record is
+// never written after it is installed: a write installs a fresh one, and
+// a read that resolves the object installs a resolved successor (fill).
+// The resolution is one 4-byte set id per root support, with the sets
+// themselves kept once per Apply lineage (internal/engine/intern.go); it
+// reaches no compiled artifact. On the serve-read world a resolved object
+// costs about 2.7 KB (TestCachedObjectBytesBudget).
+type record struct {
+	// beliefs is the object's explicit-belief map: user -> value. It is
+	// shared with the record's successors and never written.
+	beliefs map[string]string
+	epoch   uint64 // the epoch that resolved res; 0 means unresolved
+	res     engine.Resolved
 }
 
 // Store owns a trust network and the per-object beliefs resolved against
@@ -143,15 +142,10 @@ type Store struct {
 	lastSnap    *epochSnap // previous publication, for O(1) reuse of unchanged tables
 
 	mu      sync.RWMutex
-	objects map[string]map[string]string // object -> user -> value; value maps are copy-on-write
-	objVer  map[string]uint64            // bumped on every object mutation
-	cache   map[string]storeCached
-	// cacheEpoch is the epoch of every cache entry: the newest epoch a
-	// fill has refilled at.
-	cacheEpoch uint64
-	hits       uint64     // reads served from the cache
-	misses     uint64     // reads that re-resolved
-	dedup      DedupStats // summed over every batch the store resolved
+	objects map[string]*record
+	hits    uint64     // reads served from a record's resolution
+	misses  uint64     // reads that re-resolved
+	dedup   DedupStats // summed over every batch the store resolved
 }
 
 // NewStore returns an empty in-memory store: no users, no trust, no
@@ -190,9 +184,7 @@ func newStore(n *tn.Network, c storeConfig) (*Store, error) {
 		workers:  c.workers,
 		maxDirty: c.maxDirty,
 		extraSet: make(map[int]struct{}, len(c.extraRoots)),
-		objects:  make(map[string]map[string]string),
-		objVer:   make(map[string]uint64),
-		cache:    make(map[string]storeCached),
+		objects:  make(map[string]*record),
 	}
 	for _, name := range c.extraRoots {
 		s.addExtraRootLocked(n.AddUser(name))
@@ -458,8 +450,8 @@ var errEmptyUser = errors.New("trustmap: empty user name")
 // PutBelief states user's explicit belief about one object, overriding
 // the user's network default for that object. The user becomes a root of
 // the compiled plan if they were not one already (a replan, published as
-// a fresh epoch); the touched object's cached resolution — and only it —
-// is invalidated.
+// a fresh epoch); the touched object's resolution — and only it — is
+// dropped.
 func (s *Store) PutBelief(ctx context.Context, user, object, value string) error {
 	_, err := s.write(ctx, user == "", wire.Op{Op: wire.OpPutBelief, Object: object, User: user, Value: value})
 	return err
@@ -551,22 +543,23 @@ func (s *Store) applyObject(op wire.Op) (logged wire.Op, ok bool, err error) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		m := make(map[string]string, len(s.objects[op.Object])+1)
-		maps.Copy(m, s.objects[op.Object])
+		old := s.beliefsLocked(op.Object)
+		m := make(map[string]string, len(old)+1)
+		maps.Copy(m, old)
 		m[op.User] = op.Value
-		s.touchLocked(op.Object, m)
+		s.objects[op.Object] = &record{beliefs: m}
 		return op, true, nil
 	case wire.OpDeleteBelief:
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		old := s.objects[op.Object]
+		old := s.beliefsLocked(op.Object)
 		if _, ok := old[op.User]; !ok {
 			return op, false, nil
 		}
 		m := make(map[string]string, len(old)-1)
 		maps.Copy(m, old)
 		delete(m, op.User)
-		s.touchLocked(op.Object, m)
+		s.objects[op.Object] = &record{beliefs: m}
 		return op, true, nil
 	case wire.OpPutObject:
 		if op.Object == "" {
@@ -587,7 +580,7 @@ func (s *Store) applyObject(op wire.Op) (logged wire.Op, ok bool, err error) {
 		defer s.mu.Unlock()
 		m := make(map[string]string, len(op.Beliefs))
 		maps.Copy(m, op.Beliefs)
-		s.touchLocked(op.Object, m)
+		s.objects[op.Object] = &record{beliefs: m}
 		return op, true, nil
 	case wire.OpDeleteObject:
 		s.mu.Lock()
@@ -596,8 +589,6 @@ func (s *Store) applyObject(op wire.Op) (logged wire.Op, ok bool, err error) {
 			return op, false, nil
 		}
 		delete(s.objects, op.Object)
-		delete(s.cache, op.Object)
-		s.objVer[op.Object]++ // in-flight fills must not resurrect the entry
 		return op, true, nil
 	case wire.OpRegisterRoots:
 		added, err := s.addObjectRoots(op.Users...)
@@ -610,12 +601,13 @@ func (s *Store) applyObject(op wire.Op) (logged wire.Op, ok bool, err error) {
 	}
 }
 
-// touchLocked installs the object's new belief map and invalidates its
-// cached resolution. Callers hold mu.
-func (s *Store) touchLocked(object string, beliefs map[string]string) {
-	s.objects[object] = beliefs
-	s.objVer[object]++
-	delete(s.cache, object)
+// beliefsLocked returns the stored object's belief map, nil when there
+// is no such object. Callers hold mu.
+func (s *Store) beliefsLocked(object string) map[string]string {
+	if rec := s.objects[object]; rec != nil {
+		return rec.beliefs
+	}
+	return nil
 }
 
 // --- object reads ------------------------------------------------------
@@ -648,12 +640,12 @@ func (s *Store) NumObjects() int {
 func (s *Store) Object(object string) (map[string]string, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	m, ok := s.objects[object]
+	rec, ok := s.objects[object]
 	if !ok {
 		return nil, false
 	}
-	out := make(map[string]string, len(m))
-	maps.Copy(out, m)
+	out := make(map[string]string, len(rec.beliefs))
+	maps.Copy(out, rec.beliefs)
 	return out, true
 }
 
@@ -665,11 +657,11 @@ func (s *Store) Object(object string) (map[string]string, bool) {
 type ObjectRow struct {
 	// Object is the object key the row resolves.
 	Object string
-	res    *bulkResolution
-	// beliefs is the object's explicit-belief map the resolution was
-	// computed from: the copy-on-write reference captured under the lock
-	// that validated the cache entry, never written afterwards.
-	beliefs map[string]string
+	// rec holds the beliefs the row was resolved from and the resolution;
+	// snap is the published snapshot that resolved it, whose tables
+	// translate user names into its nodes. Both are nil in a zero row.
+	rec  *record
+	snap *epochSnap
 }
 
 // Possible returns poss(user, object) for the row's object, sorted. An
@@ -694,15 +686,16 @@ func (r ObjectRow) Certain(user string) (string, bool) {
 // empty possible slice with a nil error means the user is genuinely
 // unreachable from the object's beliefs.
 func (r ObjectRow) Lookup(user string) (possible []string, certain string, err error) {
-	if r.res == nil {
+	if r.snap == nil {
 		return nil, "", fmt.Errorf("%w: %q", ErrUnknownObject, r.Object)
 	}
-	id := r.res.src.UserID(user)
+	id := r.snap.view.UserID(user)
 	if id < 0 {
 		return nil, "", fmt.Errorf("%w: %q", ErrUnknownUser, user)
 	}
 	// The engine's sets are sorted and shared: copy, never re-sort.
-	poss := r.res.eng.Possible(r.res.binID(id), r.Object)
+	sets := r.snap.comp.Sets(r.rec.res)
+	poss := sets.Possible(r.snap.binID(id))
 	possible = make([]string, len(poss))
 	for i, v := range poss {
 		possible[i] = string(v)
@@ -715,18 +708,18 @@ func (r ObjectRow) Lookup(user string) (possible []string, certain string, err e
 
 // Epoch returns the publication generation that served the row.
 func (r ObjectRow) Epoch() uint64 {
-	if r.res == nil {
+	if r.rec == nil {
 		return 0
 	}
-	return r.res.epoch
+	return r.rec.epoch
 }
 
 // RowReader reads ObjectRows column-wise for a fixed list of distinct
 // users, the way a scan does. Reset pays the per-object work once —
-// locating the object in its batch, indexing its explicit beliefs — and
-// the users are translated to support ids once per snapshot, so the
-// per-user reads are slice indexes and allocate nothing. A reader is
-// single-goroutine state for one pass over a Resolved stream.
+// indexing the object's explicit beliefs — and the users are translated
+// to support ids once per snapshot, so the per-user reads are slice
+// indexes and allocate nothing. A reader is single-goroutine state for
+// one pass over a Resolved stream.
 type RowReader struct {
 	users []string
 	pos   map[string]int   // user -> position in users
@@ -741,14 +734,10 @@ type RowReader struct {
 	seq    uint64
 }
 
-// readerSupports is the users' translation for one snapshot, identified
-// by its name view, its original->binarized table and its compiled
-// network's node -> support table (sets, a row it resolved).
+// readerSupports is the users' translation for one snapshot.
 type readerSupports struct {
-	src    *tn.View
-	binIDs []int
-	sets   engine.ObjectSets
-	sups   []int32 // position -> support id, -1 for an empty poss, or noUser
+	snap *epochSnap
+	sups []int32 // position -> support id, -1 for an empty poss, or noUser
 }
 
 // noUser marks a user the snapshot does not know.
@@ -772,17 +761,14 @@ func NewRowReader(users []string) *RowReader {
 // Reset positions the reader on a row. The error wraps ErrUnknownObject
 // for a zero row.
 func (rd *RowReader) Reset(row ObjectRow) error {
-	if row.res == nil || row.res.eng == nil {
+	if row.snap == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, row.Object)
 	}
-	sets, err := row.res.eng.Object(row.Object)
-	if err != nil {
-		return fmt.Errorf("%w: %q: %w", ErrUnknownObject, row.Object, err)
-	}
-	rd.sets, rd.snap = sets, rd.snapshotOf(row.res, sets)
+	rd.sets = row.snap.comp.Sets(row.rec.res)
+	rd.snap = rd.snapshotOf(row.snap, &rd.sets)
 	rd.sups = rd.memo[rd.snap].sups
 	rd.seq++
-	for u, v := range row.beliefs {
+	for u, v := range row.rec.beliefs {
 		if i, ok := rd.pos[u]; ok {
 			rd.belief[i], rd.stated[i] = v, rd.seq
 		}
@@ -790,22 +776,22 @@ func (rd *RowReader) Reset(row ObjectRow) error {
 	return nil
 }
 
-// snapshotOf returns the memo index of res's translation of the users to
-// support ids, adding it on first sight.
-func (rd *RowReader) snapshotOf(res *bulkResolution, sets engine.ObjectSets) int {
+// snapshotOf returns the memo index of snap's translation of the users to
+// support ids, adding it on first sight; sets is a row snap resolved.
+func (rd *RowReader) snapshotOf(snap *epochSnap, sets *engine.ObjectSets) int {
 	for i, m := range rd.memo {
-		if m.src == res.src && len(m.binIDs) == len(res.binIDs) && (len(m.binIDs) == 0 || sameBacking(m.binIDs, res.binIDs)) && m.sets.SameSupports(&sets) {
+		if m.snap == snap {
 			return i
 		}
 	}
 	sups := make([]int32, len(rd.users))
 	for i, u := range rd.users {
 		sups[i] = noUser
-		if id := res.src.UserID(u); id >= 0 {
-			sups[i] = sets.Support(res.binID(id))
+		if id := snap.view.UserID(u); id >= 0 {
+			sups[i] = sets.Support(snap.binID(id))
 		}
 	}
-	rd.memo = append(rd.memo, readerSupports{src: res.src, binIDs: res.binIDs, sets: sets, sups: sups})
+	rd.memo = append(rd.memo, readerSupports{snap: snap, sups: sups})
 	return len(rd.memo) - 1
 }
 
@@ -866,7 +852,8 @@ func (s *Store) Get(ctx context.Context, user, object string) (possible []string
 }
 
 // ResolveObject resolves one stored object against the currently
-// published epoch, serving the cached resolution when it is current.
+// published epoch, serving the object's kept resolution when it is
+// current.
 func (s *Store) ResolveObject(ctx context.Context, object string) (ObjectRow, error) {
 	rows, err := s.resolveStored(ctx, []string{object})
 	if err != nil {
@@ -877,9 +864,9 @@ func (s *Store) ResolveObject(ctx context.Context, object string) (ObjectRow, er
 
 // ResolveAll resolves every stored object at one pinned epoch and
 // returns the rows sorted by object key, every row carrying that epoch.
-// Objects whose cached resolution is current are served from the cache;
-// the rest are re-resolved as one signature-deduplicated batch. After a
-// belief mutation this re-resolves exactly the touched objects.
+// Objects whose kept resolution is current are served from it; the rest
+// are re-resolved as one signature-deduplicated batch. After a belief
+// mutation this re-resolves exactly the touched objects.
 func (s *Store) ResolveAll(ctx context.Context) ([]ObjectRow, error) {
 	return s.resolveStored(ctx, nil)
 }
@@ -887,31 +874,29 @@ func (s *Store) ResolveAll(ctx context.Context) ([]ObjectRow, error) {
 // pinned is one consistent capture of the object table at a pinned
 // epoch: the shared front half of resolveStored and Resolved.
 type pinned struct {
-	e    *serve.Epoch[*epochSnap]
-	rows []ObjectRow // res set = served from the cache; nil = fill resolves it
-	// overs[i] is rows[i]'s belief version at capture, the guard fill
-	// refills the cache under; nil when every row was cache-current.
-	overs []uint64
+	e *serve.Epoch[*epochSnap]
+	// rows carry the captured records; fill resolves every row whose
+	// record was not resolved at the pinned epoch.
+	rows []ObjectRow
 }
 
 // capture pins an epoch and reads the given stored objects (nil keys =
-// all, sorted) consistently with it: keys, belief maps (copy-on-write —
-// the refs stay frozen), belief versions, and current cache entries,
-// under one lock. PutBelief and PutObject install a belief entry only
-// AFTER publishing any replan its new roots needed, so if no publication
-// landed between the pin and the table read, every captured entry's roots
-// exist in the pinned epoch. Retries are bounded so a write-heavy store
-// cannot starve the read; on exhaustion the freshest capture serves
-// (worst case: the documented coverage error for a just-registered root).
-// Unknown keys error with ErrUnknownObject. The caller releases p.e.
+// all, sorted) consistently with it: keys and their records (immutable,
+// so they stay frozen), under one lock. PutBelief and PutObject install a
+// record only AFTER publishing any replan its new roots needed, so if no
+// publication landed between the pin and the table read, every captured
+// record's roots exist in the pinned epoch. Retries are bounded so a
+// write-heavy store cannot starve the read; on exhaustion the freshest
+// capture serves (worst case: the documented coverage error for a
+// just-registered root). Unknown keys error with ErrUnknownObject. The
+// caller releases p.e.
 func (s *Store) capture(keys []string) (p pinned, err error) {
 	allKeys := keys == nil
 	for attempt := 0; ; attempt++ {
 		if p.e, err = s.snapshot(); err != nil {
 			return pinned{}, err
 		}
-		epoch := p.e.Seq()
-		p.overs = nil
+		epoch, snap := p.e.Seq(), p.e.Value()
 		s.mu.RLock()
 		if allKeys {
 			// Recaptured every attempt: a key deleted between attempts must
@@ -920,21 +905,13 @@ func (s *Store) capture(keys []string) (p pinned, err error) {
 		}
 		p.rows = make([]ObjectRow, len(keys))
 		for i, k := range keys {
-			bs, ok := s.objects[k]
+			rec, ok := s.objects[k]
 			if !ok {
 				s.mu.RUnlock()
 				p.e.Release()
 				return pinned{}, fmt.Errorf("%w: %q", ErrUnknownObject, k)
 			}
-			p.rows[i] = ObjectRow{Object: k, beliefs: bs}
-			if c, ok := s.cache[k]; ok && c.epoch == epoch && c.over == s.objVer[k] {
-				p.rows[i].res = c.res
-				continue
-			}
-			if p.overs == nil {
-				p.overs = make([]uint64, len(keys))
-			}
-			p.overs[i] = s.objVer[k]
+			p.rows[i] = ObjectRow{Object: k, rec: rec, snap: snap}
 		}
 		s.mu.RUnlock()
 		if s.Epoch() == epoch || attempt >= 2 {
@@ -944,27 +921,28 @@ func (s *Store) capture(keys []string) (p pinned, err error) {
 	}
 }
 
-// fill resolves the rows of p.rows[lo:hi] the cache could not serve as
-// one signature-deduplicated batch against the pinned epoch, refills the
-// cache, and counts the hits, misses and dedup work. The first refill at
-// an epoch newer than the cache's drops every entry first: each belongs
-// to a superseded epoch and would keep that epoch's artifact reachable. A
-// fill at an older epoch than the cache's refills nothing.
+// fill resolves the rows of p.rows[lo:hi] whose records were not resolved
+// at the pinned epoch as one signature-deduplicated batch against it,
+// hands each such row its resolved successor record, and counts the hits,
+// misses and dedup work. A successor is installed only while the record
+// it succeeds is still the object's and older than the pinned epoch: a
+// write or a read at a newer epoch that landed meanwhile wins.
 func (s *Store) fill(ctx context.Context, p pinned, lo, hi int) error {
 	if lo == hi {
 		return nil
 	}
+	epoch := p.e.Seq()
 	var batch map[string]map[string]string
 	for _, row := range p.rows[lo:hi] {
-		if row.res != nil {
+		if row.rec.epoch == epoch {
 			continue
 		}
 		if batch == nil {
 			batch = make(map[string]map[string]string, hi-lo)
 		}
-		batch[row.Object] = row.beliefs // value maps are copy-on-write: safe to read unlocked
+		batch[row.Object] = row.rec.beliefs
 	}
-	var res *bulkResolution
+	var res *engine.BulkResult
 	if len(batch) > 0 {
 		var err error
 		if res, err = s.resolveSnap(ctx, p.e, batch); err != nil {
@@ -979,30 +957,27 @@ func (s *Store) fill(ctx context.Context, p pinned, lo, hi int) error {
 		return nil
 	}
 	s.addDedupLocked(res)
-	epoch := p.e.Seq()
-	if epoch > s.cacheEpoch {
-		clear(s.cache)
-		s.cacheEpoch = epoch
-	}
 	for i := lo; i < hi; i++ {
-		if p.rows[i].res != nil {
+		old := p.rows[i].rec
+		if old.epoch == epoch {
 			continue
 		}
-		p.rows[i].res = res
-		// Refill only at the cache's epoch, and only when the object was
-		// not mutated or deleted while we resolved — a stale fill would
-		// serve outdated beliefs.
-		k, over := p.rows[i].Object, p.overs[i]
-		if _, ok := s.objects[k]; ok && s.objVer[k] == over && epoch == s.cacheEpoch {
-			s.cache[k] = storeCached{epoch: epoch, over: over, res: res}
+		o, err := res.Resolved(p.rows[i].Object)
+		if err != nil {
+			return err
+		}
+		next := &record{beliefs: old.beliefs, epoch: epoch, res: o}
+		p.rows[i].rec = next
+		if k := p.rows[i].Object; s.objects[k] == old && old.epoch < epoch {
+			s.objects[k] = next
 		}
 	}
 	return nil
 }
 
 // resolveStored serves the given stored objects (nil keys = all, sorted)
-// at one pinned epoch: cache-current objects are served as-is, the rest
-// are resolved in one batch and the cache is refilled.
+// at one pinned epoch: objects resolved at it are served as-is, the rest
+// are resolved in one batch and their records replaced.
 func (s *Store) resolveStored(ctx context.Context, keys []string) ([]ObjectRow, error) {
 	p, err := s.capture(keys)
 	if err != nil {
@@ -1024,10 +999,10 @@ const resolvedChunkSize = 1024
 // Resolved streams every stored object's resolution in sorted key order,
 // without materializing the full result set: objects are resolved in
 // bounded chunks against ONE pinned epoch, so a million-object store can
-// be consumed row by row while writers keep publishing. Cache-current
-// objects are served from the cache and freshly resolved chunks refill
-// it under fill's guard, so a scan-only store re-resolves what changed
-// since the last scan, not everything. Iteration stops at the first error
+// be consumed row by row while writers keep publishing. Objects whose
+// kept resolution is current are served from it, and freshly resolved
+// chunks install theirs under fill's guard, so a scan-only store
+// re-resolves what changed since the last scan, not everything. Iteration stops at the first error
 // (yielded with a zero ObjectRow) or when the consumer breaks.
 func (s *Store) Resolved(ctx context.Context) iter.Seq2[ObjectRow, error] {
 	return func(yield func(ObjectRow, error) bool) {
@@ -1086,13 +1061,25 @@ func (s *Store) ResolveBatch(ctx context.Context, objects map[string]map[string]
 	s.mu.Lock()
 	s.addDedupLocked(res)
 	s.mu.Unlock()
-	return res.rows(objects), nil
+	return rowsOf(e.Value(), e.Seq(), res, objects), nil
+}
+
+// rowsOf wraps every object of a batch snap resolved at epoch in its row,
+// sorted by key.
+func rowsOf(snap *epochSnap, epoch uint64, res *engine.BulkResult, objects map[string]map[string]string) []ObjectRow {
+	rows := make([]ObjectRow, 0, len(objects))
+	for k, bs := range objects {
+		o, _ := res.Resolved(k) // every key of a nil-error Resolve is resolved
+		rows = append(rows, ObjectRow{Object: k, rec: &record{beliefs: bs, epoch: epoch, res: o}, snap: snap})
+	}
+	slices.SortFunc(rows, func(a, b ObjectRow) int { return strings.Compare(a.Object, b.Object) })
+	return rows
 }
 
 // addDedupLocked adds one resolved batch's signature-deduplication
 // counters to the store's running totals. Callers hold mu.
-func (s *Store) addDedupLocked(res *bulkResolution) {
-	d := res.eng.Dedup()
+func (s *Store) addDedupLocked(res *engine.BulkResult) {
+	d := res.Dedup()
 	s.dedup.Objects += d.Objects
 	s.dedup.DistinctSignatures += d.DistinctSignatures
 }
@@ -1100,7 +1087,8 @@ func (s *Store) addDedupLocked(res *bulkResolution) {
 // --- statistics --------------------------------------------------------
 
 // StoreStats extends the plan-maintenance counters with the object table,
-// result-cache and signature-deduplication counters.
+// result-cache and signature-deduplication counters. The result cache is
+// the resolution each stored object's record keeps.
 type StoreStats struct {
 	SessionStats
 	Epoch       uint64 // generation of the published snapshot serving reads

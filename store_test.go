@@ -374,8 +374,9 @@ func TestStoreScanRefillsCache(t *testing.T) {
 // TestOldEpochReaderDoesNotRefill streams more than one chunk of objects
 // at a pinned epoch while a trust write and a read at the next epoch land
 // between two chunks: the stream keeps serving its own epoch, and its
-// later chunks must not refill the cache with entries of that superseded
-// epoch, which would keep its artifact reachable.
+// later chunks must not replace the newer read's resolution with one of
+// the superseded epoch. Every other object keeps the stream's resolution,
+// and the object the newer read resolved stays a hit at that epoch.
 func TestOldEpochReaderDoesNotRefill(t *testing.T) {
 	n := New()
 	n.AddTrust("alice", "bob", 100)
@@ -415,14 +416,22 @@ func TestOldEpochReaderDoesNotRefill(t *testing.T) {
 	}
 	cur := st.Epoch()
 	st.mu.RLock()
-	defer st.mu.RUnlock()
-	for k, c := range st.cache {
-		if c.epoch != cur {
-			t.Errorf("cache entry %s at epoch %d after the stream, want only epoch %d", k, c.epoch, cur)
+	for k, rec := range st.objects {
+		want := pinned
+		if k == "o0000" {
+			want = cur
+		}
+		if rec.epoch != want {
+			t.Errorf("record %s resolved at epoch %d after the stream, want %d", k, rec.epoch, want)
 		}
 	}
-	if len(st.cache) != 1 {
-		t.Errorf("cache holds %d entries, want the 1 read at epoch %d", len(st.cache), cur)
+	st.mu.RUnlock()
+	before := st.Stats()
+	if row, err := st.ResolveObject(ctx, "o0000"); err != nil || row.Epoch() != cur {
+		t.Fatalf("ResolveObject(o0000) = epoch %d, %v; want epoch %d", row.Epoch(), err, cur)
+	}
+	if after := st.Stats(); after.CacheHits != before.CacheHits+1 || after.CacheMisses != before.CacheMisses {
+		t.Errorf("ResolveObject(o0000) after the stream was not a hit: before %+v, after %+v", before, after)
 	}
 }
 

@@ -66,7 +66,6 @@ package trustmap
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -460,39 +459,6 @@ var (
 	// resolved object set.
 	ErrUnknownObject = errors.New("trustmap: unknown object")
 )
-
-// bulkResolution is one resolved batch (Section 4): the engine's
-// per-object results plus the frozen tables that translate user names
-// into its nodes. Every ObjectRow of the batch shares it, and a row's
-// object is part of it by construction.
-type bulkResolution struct {
-	src *tn.View           // frozen name index: readable while writers mutate the network
-	eng *engine.BulkResult // the compiled engine's per-object results
-	// binIDs maps original user IDs to nodes of the resolved (binarized)
-	// network when they diverge — results served by a store whose user
-	// set grew after compilation. nil means identity.
-	binIDs []int
-	// epoch is the store publication generation that served the result.
-	epoch uint64
-}
-
-// binID maps an original user ID into the resolved network.
-func (r *bulkResolution) binID(id int) int {
-	if r.binIDs == nil || id >= len(r.binIDs) {
-		return id
-	}
-	return r.binIDs[id]
-}
-
-// rows wraps every object of the batch in its row, sorted by key.
-func (r *bulkResolution) rows(objects map[string]map[string]string) []ObjectRow {
-	rows := make([]ObjectRow, 0, len(objects))
-	for k, bs := range objects {
-		rows = append(rows, ObjectRow{Object: k, res: r, beliefs: bs})
-	}
-	slices.SortFunc(rows, func(a, b ObjectRow) int { return strings.Compare(a.Object, b.Object) })
-	return rows
-}
 
 // DedupStats counts the objects and distinct root-assignment signatures
 // of the batches a store resolved; each signature resolves once per batch.

@@ -178,6 +178,15 @@ func (s *Store) snapLocked() *epochSnap {
 	return snap
 }
 
+// binID maps an original user ID of the snapshot's view into its
+// compiled (binarized) network: identity past the end of binIDs.
+func (snap *epochSnap) binID(id int) int {
+	if id >= len(snap.binIDs) {
+		return id
+	}
+	return snap.binIDs[id]
+}
+
 func viewOf(snap *epochSnap) *tn.View {
 	if snap == nil {
 		return nil
@@ -414,13 +423,13 @@ func (s *Store) snapshot() (*serve.Epoch[*epochSnap], error) {
 }
 
 // resolveSnap resolves objects against one pinned epoch: the body shared
-// by the ad-hoc reads and the cached and streaming read paths (which pin
+// by the ad-hoc reads and the stored and streaming read paths (which pin
 // one epoch across several batches). Each object maps root users to
 // their per-object beliefs; roots missing from an object default to the
 // network-level belief, and default-less roots must appear in every
-// object (assumption ii). The returned resolution stays valid after the
+// object (assumption ii). The returned result stays valid after the
 // epoch is superseded.
-func (s *Store) resolveSnap(ctx context.Context, e *serve.Epoch[*epochSnap], objects map[string]map[string]string) (*bulkResolution, error) {
+func (s *Store) resolveSnap(ctx context.Context, e *serve.Epoch[*epochSnap], objects map[string]map[string]string) (*engine.BulkResult, error) {
 	snap := e.Value()
 	conv := make(map[string]map[int]tn.Value, len(objects))
 	for key, bs := range objects {
@@ -448,11 +457,7 @@ func (s *Store) resolveSnap(ctx context.Context, e *serve.Epoch[*epochSnap], obj
 		}
 		conv[key] = m
 	}
-	res, err := snap.comp.Resolve(ctx, conv, engine.Options{Workers: s.workers})
-	if err != nil {
-		return nil, err
-	}
-	return &bulkResolution{src: snap.view, eng: res, binIDs: snap.binIDs, epoch: e.Seq()}, nil
+	return snap.comp.Resolve(ctx, conv, engine.Options{Workers: s.workers})
 }
 
 // addObjectRoots registers users whose beliefs will vary per object after
