@@ -14,7 +14,9 @@ package trustmap
 //   - a snapshot-write failure fails the Checkpoint but leaves the store
 //     healthy — memory and WAL still agree;
 //   - so does a failed directory sync after the snapshot's rename, and
-//     the WAL keeps every segment the snapshot would have superseded.
+//     the WAL keeps every segment the snapshot would have superseded;
+//   - a failed directory sync after a fresh WAL segment is created fails
+//     the mutation that started it and poisons the store.
 //
 // These tests arm process-global fault points and must not use
 // t.Parallel().
@@ -240,6 +242,42 @@ func TestCheckpointDirSyncFailureKeepsWAL(t *testing.T) {
 	}
 	if info, err := s.Checkpoint(); err != nil || info.LSN != s.LSN() {
 		t.Fatalf("next Checkpoint = %+v, %v; want LSN %d", info, err, s.LSN())
+	}
+}
+
+// TestSegmentDirSyncFailurePoisons: the first append after a checkpoint
+// starts a fresh WAL segment, whose directory entry must be durable
+// before any record in it is acked. When that directory sync fails the
+// mutation is not acked and the store is poisoned, as after a failed
+// fsync; a reopen recovers the state before the refused mutation.
+func TestSegmentDirSyncFailurePoisons(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpenStore(t, dir, WithDurability(DurabilityAlways))
+	lsn := seedDurable(t, s)
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	dirErr := errors.New("directory sync failed")
+	orig := snapshot.SyncDir
+	snapshot.SyncDir = func(string) error { return dirErr }
+	err := s.PutBelief(ctx, "carol", "glyph3", "knot")
+	snapshot.SyncDir = orig
+	if !errors.Is(err, ErrPoisoned) || !errors.Is(err, dirErr) {
+		t.Fatalf("mutation into a fresh segment under a failing directory sync: err = %v, want ErrPoisoned wrapping the sync error", err)
+	}
+	if err := s.PutBelief(ctx, "carol", "glyph4", "cow"); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("mutation after poison: err = %v, want ErrPoisoned", err)
+	}
+	s.Close()
+
+	r := mustOpenStore(t, dir)
+	defer r.Close()
+	if got := r.LSN(); got != lsn {
+		t.Fatalf("recovered LSN = %d, want %d (the refused mutation must not be logged)", got, lsn)
+	}
+	if _, ok := r.Object("glyph3"); ok {
+		t.Fatal("recovered store holds the refused object glyph3")
 	}
 }
 

@@ -55,6 +55,7 @@ import (
 	"strings"
 
 	"trustmap/internal/faultinject"
+	"trustmap/internal/snapshot"
 	"trustmap/wire"
 )
 
@@ -401,7 +402,10 @@ func (l *Log) Append(b wire.OpBatch) error {
 }
 
 // startSegment creates a fresh segment whose first record will be
-// firstLSN, writes the magic, and makes it the active segment.
+// firstLSN, writes the magic, syncs the log directory, and makes it the
+// active segment. Until the directory is synced the segment's entry may
+// not survive a crash, and with it every record appended to it, so a
+// failed directory sync fails the Append that started the segment.
 func (l *Log) startSegment(firstLSN uint64) error {
 	path := filepath.Join(l.dir, segName(firstLSN))
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
@@ -409,6 +413,10 @@ func (l *Log) startSegment(firstLSN uint64) error {
 		return err
 	}
 	if _, err := f.WriteString(magic); err != nil {
+		f.Close()
+		return err
+	}
+	if err := snapshot.SyncDir(l.dir); err != nil {
 		f.Close()
 		return err
 	}
