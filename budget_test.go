@@ -270,11 +270,13 @@ func TestCachedObjectBytesBudget(t *testing.T) {
 	if misses := st.Stats().CacheMisses; misses != objects {
 		t.Fatalf("%d cache misses, want one per object (%d)", misses, objects)
 	}
-	// Last moved: 21d27f1, one interned set id per support. Measured
-	// 16 383 B at its parent 31c515c (a []tn.Value header per support)
-	// and 3 400–3 402 B over four runs at 21d27f1; 3 271–3 273 B over
-	// four runs at 09f19d4, which dropped the signature cache's entries.
-	const budget = 4 << 10
+	// Last moved: 9261190, one immutable record per stored object in
+	// place of a cache entry sharing its whole batch. Measured 3 271–
+	// 3 273 B over four runs at its parent 8df3184 and 2 689–2 690 B over
+	// four runs at 9261190. Before that: 16 383 B at 31c515c (a
+	// []tn.Value header per support), 3 400–3 402 B at 21d27f1 (one
+	// interned set id per support).
+	const budget = 3 << 10 // below the parent's 3 272 B
 	if perObject > budget {
 		t.Errorf("a cached object costs %d B of live heap, budget %d", perObject, budget)
 	}
