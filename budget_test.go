@@ -247,9 +247,8 @@ func TestSpineWriteBytesBudget(t *testing.T) {
 // resolution costs on the serve-read benchmark's world: the tiered
 // power-law network PowerLawTiered(4000, 2, 3, 0.1) over four values and
 // 5 000 objects with three root beliefs each, every object read once by
-// ResolveObject, so the result cache holds one single-object batch per
-// object. The figure is the live-heap growth over the reads divided by
-// the objects.
+// ResolveObject, so every object's record keeps one resolution. The
+// figure is the live-heap growth over the reads divided by the objects.
 func TestCachedObjectBytesBudget(t *testing.T) {
 	ctx := context.Background()
 	st, beliefs := serveReadWorld(t)
@@ -352,7 +351,7 @@ func liveHeap() uint64 {
 
 // TestLiveHeapAfterChurnBudget runs trust writes, each followed by a
 // point read of a different stored object, and requires the live heap to
-// grow by less than two compiled artifacts: a result-cache entry of a
+// grow by less than two compiled artifacts: a record resolved at a
 // superseded epoch must not keep that epoch's artifact reachable.
 func TestLiveHeapAfterChurnBudget(t *testing.T) {
 	ctx := context.Background()

@@ -17,8 +17,8 @@ package engine
 //     ids fan out to all member objects by pointer.
 //
 // Grouping lasts one Resolve call: nothing about a signature survives it.
-// Results carried from one call to the next are the store's per-object
-// result cache, a layer up.
+// Results carried from one call to the next are the resolutions the
+// store's per-object records keep, a layer up.
 
 import (
 	"slices"

@@ -945,7 +945,7 @@ func (s *Store) fill(ctx context.Context, p pinned, lo, hi int) error {
 	var res *engine.BulkResult
 	if len(batch) > 0 {
 		var err error
-		if res, err = s.resolveSnap(ctx, p.e, batch); err != nil {
+		if res, err = s.resolveSnap(ctx, p.e.Value(), batch); err != nil {
 			return err
 		}
 	}
@@ -1054,7 +1054,7 @@ func (s *Store) ResolveBatch(ctx context.Context, objects map[string]map[string]
 		return nil, err
 	}
 	defer e.Release()
-	res, err := s.resolveSnap(ctx, e, objects)
+	res, err := s.resolveSnap(ctx, e.Value(), objects)
 	if err != nil {
 		return nil, err
 	}

@@ -422,15 +422,14 @@ func (s *Store) snapshot() (*serve.Epoch[*epochSnap], error) {
 	return s.pub.Acquire(), nil
 }
 
-// resolveSnap resolves objects against one pinned epoch: the body shared
-// by the ad-hoc reads and the stored and streaming read paths (which pin
-// one epoch across several batches). Each object maps root users to
-// their per-object beliefs; roots missing from an object default to the
-// network-level belief, and default-less roots must appear in every
-// object (assumption ii). The returned result stays valid after the
-// epoch is superseded.
-func (s *Store) resolveSnap(ctx context.Context, e *serve.Epoch[*epochSnap], objects map[string]map[string]string) (*engine.BulkResult, error) {
-	snap := e.Value()
+// resolveSnap resolves objects against one pinned epoch's snapshot: the
+// body shared by the ad-hoc reads and the stored and streaming read paths
+// (which pin one epoch across several batches). Each object maps root
+// users to their per-object beliefs; roots missing from an object default
+// to the network-level belief, and default-less roots must appear in
+// every object (assumption ii). The returned result stays valid after
+// the epoch is superseded.
+func (s *Store) resolveSnap(ctx context.Context, snap *epochSnap, objects map[string]map[string]string) (*engine.BulkResult, error) {
 	conv := make(map[string]map[int]tn.Value, len(objects))
 	for key, bs := range objects {
 		m := make(map[int]tn.Value, len(snap.rootNode))
