@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -375,8 +376,10 @@ func TestStoreScanRefillsCache(t *testing.T) {
 // at a pinned epoch while a trust write and a read at the next epoch land
 // between two chunks: the stream keeps serving its own epoch, and its
 // later chunks must not replace the newer read's resolution with one of
-// the superseded epoch. Every other object keeps the stream's resolution,
-// and the object the newer read resolved stays a hit at that epoch.
+// the superseded epoch. The newer read resolves o0000, which the stream
+// resolved before it, and the last object, which the stream resolves
+// after it: both keep the newer resolution and stay hits at that epoch,
+// and every other object keeps the stream's.
 func TestOldEpochReaderDoesNotRefill(t *testing.T) {
 	n := New()
 	n.AddTrust("alice", "bob", 100)
@@ -387,6 +390,7 @@ func TestOldEpochReaderDoesNotRefill(t *testing.T) {
 	}
 	ctx := context.Background()
 	numObjects := resolvedChunkSize + 8
+	newer := []string{"o0000", fmt.Sprintf("o%04d", numObjects-1)}
 	for i := 0; i < numObjects; i++ {
 		if err := st.PutObject(ctx, fmt.Sprintf("o%04d", i), map[string]string{"bob": "knot"}); err != nil {
 			t.Fatal(err)
@@ -405,8 +409,10 @@ func TestOldEpochReaderDoesNotRefill(t *testing.T) {
 			if err := st.SetTrust(ctx, "carol", "alice", 5); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := st.ResolveObject(ctx, "o0000"); err != nil {
-				t.Fatal(err)
+			for _, k := range newer {
+				if _, err := st.ResolveObject(ctx, k); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		rows++
@@ -418,7 +424,7 @@ func TestOldEpochReaderDoesNotRefill(t *testing.T) {
 	st.mu.RLock()
 	for k, rec := range st.objects {
 		want := pinned
-		if k == "o0000" {
+		if slices.Contains(newer, k) {
 			want = cur
 		}
 		if rec.epoch != want {
@@ -426,12 +432,60 @@ func TestOldEpochReaderDoesNotRefill(t *testing.T) {
 		}
 	}
 	st.mu.RUnlock()
-	before := st.Stats()
-	if row, err := st.ResolveObject(ctx, "o0000"); err != nil || row.Epoch() != cur {
-		t.Fatalf("ResolveObject(o0000) = epoch %d, %v; want epoch %d", row.Epoch(), err, cur)
+	for _, k := range newer {
+		before := st.Stats()
+		if row, err := st.ResolveObject(ctx, k); err != nil || row.Epoch() != cur {
+			t.Fatalf("ResolveObject(%s) = epoch %d, %v; want epoch %d", k, row.Epoch(), err, cur)
+		}
+		if after := st.Stats(); after.CacheHits != before.CacheHits+1 || after.CacheMisses != before.CacheMisses {
+			t.Errorf("ResolveObject(%s) after the stream was not a hit: before %+v, after %+v", k, before, after)
+		}
 	}
-	if after := st.Stats(); after.CacheHits != before.CacheHits+1 || after.CacheMisses != before.CacheMisses {
-		t.Errorf("ResolveObject(o0000) after the stream was not a hit: before %+v, after %+v", before, after)
+}
+
+// TestOlderReadKeepsNewerRecord: a read pinned at an older epoch that
+// captured a record resolved at a newer one (capture's bounded retry can
+// end that way) answers at its own epoch but leaves the newer record
+// installed, so a read at the newer epoch stays a hit.
+func TestOlderReadKeepsNewerRecord(t *testing.T) {
+	n := New()
+	n.AddTrust("alice", "bob", 100)
+	n.SetBelief("bob", "fish")
+	st, err := n.NewStore(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := st.PutObject(ctx, "o", map[string]string{"bob": "knot"}); err != nil {
+		t.Fatal(err)
+	}
+	old, err := st.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Release()
+	if err := st.SetTrust(ctx, "carol", "alice", 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ResolveObject(ctx, "o"); err != nil {
+		t.Fatal(err)
+	}
+	cur := st.Epoch()
+	st.mu.RLock()
+	rec := st.objects["o"]
+	st.mu.RUnlock()
+	p := pinned{e: old, rows: []ObjectRow{{Object: "o", rec: rec, snap: old.Value()}}}
+	if err := st.fill(ctx, p, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.rows[0].Epoch(); got != old.Seq() {
+		t.Fatalf("the older read answered at epoch %d, want its own %d", got, old.Seq())
+	}
+	st.mu.RLock()
+	kept := st.objects["o"]
+	st.mu.RUnlock()
+	if kept != rec || kept.epoch != cur {
+		t.Fatalf("record at epoch %d after the older read, want the newer one at %d kept", kept.epoch, cur)
 	}
 }
 
